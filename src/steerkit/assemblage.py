@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
-    hermitian_eig,
+    is_rank_one,
     kron,
     partial_trace,
     trace_distance,
@@ -51,26 +51,6 @@ class Assemblage:
     def n_settings(self) -> int:
         return len(self.setting_labels)
 
-    def to_json(self) -> dict:
-        def mat(m):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-        return {
-            "settings": list(self.setting_labels),
-            "outcome_counts": list(self.outcome_counts),
-            "dims": list(self.dims),
-            "bob_reduced": mat(self.bob_reduced),
-            "conditional_states": [
-                {
-                    "setting": n,
-                    "outcome": a,
-                    "probability": self.probability(n, a),
-                    "matrix": mat(self.states[(n, a)]),
-                }
-                for (n, a) in sorted(self.states)
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class OutcomeReport:
@@ -97,6 +77,11 @@ class PurityProfile:
     @property
     def all_rank_one(self) -> bool:
         return all(r.rank_one for r in self.reports if not r.vacuous)
+
+    @property
+    def max_residual_mass(self) -> float:
+        """Largest subdominant eigenvalue mass over nonvacuous outcomes."""
+        return max((r.residual_mass for r in self.reports if not r.vacuous), default=0.0)
 
     def min_pairwise_distance(self) -> float:
         m = self.distance_matrix.shape[0]
@@ -164,10 +149,8 @@ def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfil
         if p <= tol.rank1:
             reports.append(OutcomeReport(n, out, p, True, False, None, 0.0))
             continue
-        w, v = hermitian_eig(rho, tol)
-        residual = float(np.sum(np.abs(w[1:])) / np.sum(w))
-        rank_one = residual <= tol.rank1
-        reports.append(OutcomeReport(n, out, p, False, rank_one, v[:, 0].copy(), residual))
+        rank_one, principal, residual = is_rank_one(rho, tol)
+        reports.append(OutcomeReport(n, out, p, False, rank_one, principal, residual))
         normalized.append(rho / p)
         index.append((n, out))
     m = len(normalized)

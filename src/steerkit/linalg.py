@@ -131,7 +131,6 @@ def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):
     Zero-trace input is rejected: it signals a probability-zero outcome and
     the caller must decide what that means.
     """
-    rho = _require_hermitian(rho, tol, "is_rank_one input")
     w, v = hermitian_eig(rho, tol)
     if np.min(w) < -tol.eig * max(1.0, np.max(np.abs(w))):
         raise ValueError(f"is_rank_one: input not PSD, min eigenvalue {np.min(w):.3e}")

@@ -60,15 +60,6 @@ class MeasurementSetting:
     def outcomes(self) -> int:
         return len(self.projectors)
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "projectors": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in p]
-                for p in self.projectors
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class SettingValidation:

@@ -16,7 +16,6 @@ import numpy as np
 from .assemblage import conditional_states, no_signalling_check, purity_profile
 from .linalg import DEFAULT_TOL, Tolerances
 from .measurements import (
-    MeasurementSetting,
     angle_projectors,
     bloch_projectors,
     computational_basis,
@@ -24,7 +23,6 @@ from .measurements import (
 )
 from .states import ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
 from .steering import (
-    default_candidates,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
     lhs_feasibility_lp,
@@ -75,11 +73,6 @@ class RunConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.format not in ("json", "text"):
             raise ValueError(f"format must be 'json' or 'text', got {self.format!r}")
-
-    def echo(self) -> dict:
-        doc = asdict(self)
-        doc["tolerances"] = asdict(self.tolerances)
-        return doc
 
 
 @dataclass
@@ -179,14 +172,11 @@ def parse_qudit_settings(spec: str, d: int):
     return out
 
 
-def _assemblage_checks(asm, tol: Tolerances) -> dict:
-    prof = purity_profile(asm, tol)
+def _assemblage_checks(asm, prof) -> dict:
     return {
         "no_signalling_deviation": no_signalling_check(asm),
         "all_rank_one": prof.all_rank_one,
-        "max_purity_residual": max(
-            (r.residual_mass for r in prof.reports if not r.vacuous), default=0.0
-        ),
+        "max_purity_residual": prof.max_residual_mass,
     }
 
 
@@ -203,10 +193,7 @@ def _certificate_exit(cert, tol: Tolerances) -> int:
 def _run_paradox(psi, settings, cfg: RunConfig):
     tol = cfg.tolerances
     cert = pure_state_paradox(psi, settings, tol)
-    checks = {}
-    if cert.applicable:
-        asm = conditional_states(psi.density_matrix(), settings, (psi.dA, psi.dB), tol)
-        checks = _assemblage_checks(asm, tol)
+    checks = _assemblage_checks(cert.assemblage, cert.purity) if cert.applicable else {}
     return cert.to_json(), checks, _certificate_exit(cert, tol)
 
 
@@ -249,16 +236,15 @@ def run(cfg: RunConfig):
             for (n, a) in asm.states
         )
         result = {"model": model.to_json(), "reconstruction_deviation": dev}
-        checks = _assemblage_checks(asm, tol)
+        checks = _assemblage_checks(asm, purity_profile(asm, tol))
         code = EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
 
     elif cfg.scenario == "feasibility":
         settings = parse_qubit_settings(cfg.settings or "z,x")
         psi = theta_state(cfg.theta)
         asm = conditional_states(psi.density_matrix(), settings, (2, 2), tol)
-        outcome = lhs_feasibility_lp(asm, default_candidates(asm, tol), tol)
-        result = outcome.to_json()
-        checks = _assemblage_checks(asm, tol)
+        result = lhs_feasibility_lp(asm, tol=tol).to_json()
+        checks = _assemblage_checks(asm, purity_profile(asm, tol))
 
     elif cfg.scenario == "ghz":
         exp = ghz_operator_expectations(ghz_state())
@@ -286,7 +272,7 @@ def run(cfg: RunConfig):
     doc = ReportDocument(
         schema=SCHEMA_VERSION,
         scenario=cfg.scenario,
-        config=cfg.echo(),
+        config=asdict(cfg),
         result=result,
         checks=checks,
         duration_s=time.perf_counter() - t0,
@@ -354,7 +340,7 @@ def _run_sweep(cfg: RunConfig, t0: float):
     doc = ReportDocument(
         schema=SCHEMA_VERSION,
         scenario="sweep",
-        config=cfg.echo(),
+        config=asdict(cfg),
         result={"reports": reports, "summary": summary},
         checks={"worst_exit_code": worst},
         duration_s=time.perf_counter() - t0,

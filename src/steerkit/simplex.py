@@ -1,7 +1,10 @@
 """Phase-1 simplex for linear feasibility: find x >= 0 with A x = b.
 
-Dense tableau with Bland's anti-cycling rule. Problem sizes here are tiny
-(tens of variables), so robustness beats speed.
+Dense tableau with Bland's anti-cycling rule. Pivot elements and reduced
+costs at or below 1e-9 count as zero: a pivot on a rounding-sized element
+multiplies the tableau's error by its inverse. With a 1e-11 threshold, a
+16 x 256 LHS problem pivoted on a 1.2e-11 element and drove a basic
+variable to -7.5e-3.
 """
 
 from __future__ import annotations
@@ -12,22 +15,24 @@ import numpy as np
 
 __all__ = ["PhaseOneResult", "phase_one"]
 
-_PIVOT_EPS = 1e-11
+_PIVOT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class PhaseOneResult:
     feasible: bool
     x: np.ndarray
-    residual: float  # optimal sum of artificial variables
+    residual: float  # max(phase-1 objective, max |A x - b|)
     iterations: int
 
 
 def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResult:
     """Minimize the sum of artificial variables for A x = b, x >= 0.
 
-    residual is the optimal phase-1 objective: zero (within tol) iff the
-    system is feasible.
+    residual is the larger of the final phase-1 objective and the largest
+    equation error max |A x - b| of the returned x, and feasible means
+    residual <= tol, so a feasible verdict always comes with an x that
+    solves the system to within tol.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -85,9 +90,9 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
         basis[leave] = enter
         iters += 1
 
-    residual = float(max(0.0, -T[m, -1]))
     x = np.zeros(n)
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = max(0.0, T[i, -1])
+    residual = float(max(0.0, -T[m, -1], np.max(np.abs(A @ x - b), initial=0.0)))
     return PhaseOneResult(residual <= tol, x, residual, iters)

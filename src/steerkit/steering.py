@@ -6,12 +6,12 @@ GHZ all-versus-nothing enumeration."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron, partial_trace, trace_distance
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron, partial_trace
 from .measurements import PAULI_X, PAULI_Y, MeasurementSetting
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState
@@ -112,13 +112,19 @@ class LHSModel:
 
 @dataclass(frozen=True)
 class ParadoxCertificate:
-    """Verdict record for the k-vs-1 trace contradiction."""
+    """Verdict record for the k-vs-1 trace contradiction.
+
+    assemblage and purity are the conditional states the verdict was
+    drawn from and their purity profile; both are None when the paradox
+    does not apply.
+    """
 
     applicable: bool
     reason: str
     k: int
     lhs_trace_sum: float
     quantum_trace_sum: float
+    assemblage: Assemblage | None
     purity: PurityProfile | None
     collapsed_assignments: dict  # (setting, outcome) -> hidden index, response forced to 1
     tolerances: Tolerances
@@ -140,23 +146,14 @@ class ParadoxCertificate:
                 {"setting": n, "outcome": a, "hidden": xi}
                 for (n, a), xi in sorted(self.collapsed_assignments.items())
             ],
-            "tolerances": {
-                "herm": self.tolerances.herm,
-                "eig": self.tolerances.eig,
-                "state_eq": self.tolerances.state_eq,
-                "rank1": self.tolerances.rank1,
-                "lp": self.tolerances.lp,
-            },
+            "tolerances": asdict(self.tolerances),
         }
         if self.note:
             doc["note"] = self.note
         if self.purity is not None:
             doc["purity"] = {
                 "all_rank_one": self.purity.all_rank_one,
-                "max_residual_mass": max(
-                    (r.residual_mass for r in self.purity.reports if not r.vacuous),
-                    default=0.0,
-                ),
+                "max_residual_mass": self.purity.max_residual_mass,
                 "min_pairwise_distance": self.purity.min_pairwise_distance(),
             }
         return doc
@@ -250,6 +247,7 @@ def pure_state_paradox(
             k=k,
             lhs_trace_sum=float("nan"),
             quantum_trace_sum=float("nan"),
+            assemblage=None,
             purity=None,
             collapsed_assignments={},
             tolerances=tol,
@@ -291,6 +289,7 @@ def pure_state_paradox(
         k=k,
         lhs_trace_sum=float(lhs),
         quantum_trace_sum=quantum,
+        assemblage=asm,
         purity=prof,
         collapsed_assignments=assignments,
         tolerances=tol,

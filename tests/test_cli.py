@@ -1,8 +1,10 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
+from steerkit import assemblage, report, steering
 from steerkit.cli import main
 from steerkit.report import ReportDocument, RunConfig, run
 
@@ -35,6 +37,23 @@ class TestScenarios:
         doc, code = run(RunConfig(scenario="paradox-qudit", d=5))
         assert code == 0
         assert doc.result["contradiction_magnitude"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_paradox_builds_assemblage_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("conditional_states", "purity_profile"):
+            wrapped = counting(getattr(assemblage, name))
+            for module in (report, steering):
+                monkeypatch.setattr(module, name, wrapped)
+        run(RunConfig(scenario="paradox-qudit", d=3))
+        assert calls == {"conditional_states": 1, "purity_profile": 1}
 
     def test_paradox_nopa(self):
         doc, code = run(RunConfig(scenario="paradox-nopa", r=1.0, d=12))

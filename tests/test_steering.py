@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from steerkit.assemblage import Assemblage, conditional_states
+from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check
+from steerkit.linalg import DEFAULT_TOL
 from steerkit.measurements import (
     angle_projectors,
     bloch_projectors,
@@ -115,6 +116,9 @@ class TestPureStateParadox:
         assert doc["applicable"]
         assert doc["k"] == 2
         assert doc["purity"]["all_rank_one"]
+        assert no_signalling_check(cert.assemblage) <= 1e-12
+        assert doc["purity"]["max_residual_mass"] == cert.purity.max_residual_mass
+        assert pure_state_paradox(theta_state(0.0), [Z, X]).assemblage is None
 
 
 class TestSeparableLhsModel:
@@ -247,6 +251,23 @@ class TestFeasibilityLp:
             cands = default_candidates(asm)[:4]
             out = lhs_feasibility_lp(asm, cands)
             assert not out.feasible
+
+    def test_tiny_pivot_gives_valid_model(self):
+        # Werner state just below the two-setting threshold 1/sqrt(2), over
+        # 64 pure states on the x-z circle: a pivot on a rounding-sized
+        # element once certified a model whose average missed rho_B.
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        p = 0.558990751775139
+        rho = p * np.outer(bell, bell.conj()) + (1 - p) * np.eye(4) / 4
+        angles = 2 * np.pi * np.arange(64) / 64
+        cands = [bloch_projectors([np.sin(t), 0, np.cos(t)]).projectors[0] for t in angles]
+        asm = conditional_states(rho, [Z, X], (2, 2))
+        out = lhs_feasibility_lp(asm, cands)
+        assert out.status == "FeasibleModelFound"
+        out.model.validate(asm.bob_reduced)
+        rec = lhs_reconstruct(out.model, [Z, X])
+        dev = max(float(np.max(np.abs(rec.state(n, a) - asm.state(n, a)))) for (n, a) in asm.states)
+        assert dev <= DEFAULT_TOL.lp
 
     def test_dimension_mismatch(self):
         asm = conditional_states(theta_state(0.5).density_matrix(), [Z, X], (2, 2))
