@@ -23,13 +23,11 @@ from steerkit import (
 beta = np.array([np.cos(0.4), np.sin(0.4)])
 settings = [angle_projectors(0.3), angle_projectors(1.1)]
 psi = separable_state(beta)
-asm = conditional_states(psi.density_matrix(), settings, (2, 2))
+asm = conditional_states(psi, settings, (2, 2))
 
 model = separable_lhs_model(psi, settings)
 rec = lhs_reconstruct(model, settings)
-dev = max(
-    float(np.max(np.abs(rec.state(n, a) - asm.state(n, a)))) for (n, a) in asm.states
-)
+dev = float(np.max(np.abs(rec.stack - asm.stack)))
 print("separable state |0> (x) |beta>:")
 print(f"  explicit one-hidden-state model reconstructs the assemblage, dev = {dev:.2e}")
 
@@ -38,7 +36,7 @@ print(f"  LP search: {out.status} (residual {out.residual:.2e}, {out.iterations}
 
 ent = theta_state(np.pi / 4)
 settings_zx = [bloch_projectors([0, 0, 1]), bloch_projectors([1, 0, 0])]
-asm_ent = conditional_states(ent.density_matrix(), settings_zx, (2, 2))
+asm_ent = conditional_states(ent, settings_zx, (2, 2))
 out_ent = lhs_feasibility_lp(asm_ent, default_candidates(asm_ent))
 print("\nmaximally entangled two-qubit state:")
 print(f"  LP search: {out_ent.status} (phase-1 residual {out_ent.residual:.4f})")

@@ -21,7 +21,9 @@ theta = np.pi / 6
 psi = theta_state(theta)
 settings = [bloch_projectors([0, 0, 1]), bloch_projectors([1, 0, 0])]
 
-asm = conditional_states(psi.density_matrix(), settings, (2, 2))
+# Bob's states come straight from the 2x2 coefficient matrix of psi; a
+# density matrix on the two qubits would be accepted too.
+asm = conditional_states(psi, settings, (2, 2))
 print(f"state: cos({theta:.4f})|00> + sin({theta:.4f})|11>")
 print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 

@@ -11,11 +11,11 @@ from .linalg import (
     Tolerances,
     as_matrix,
     is_rank_one,
-    kron,
     partial_trace,
     trace_distance,
 )
 from .measurements import MeasurementSetting, validate_setting
+from .states import BipartitePureState
 
 __all__ = [
     "Assemblage",
@@ -29,27 +29,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Assemblage:
-    """Map (setting index, outcome) -> unnormalized conditional state of Bob.
+    """Bob's unnormalized conditional states, one per (setting, outcome).
 
-    For every setting the outcome states sum to Bob's reduced state and
-    their traces sum to 1.
+    stack[row] is the state for index[row]: rows run over the settings in
+    order and, within a setting, over its outcomes. For every setting the
+    outcome states sum to Bob's reduced state and their traces sum to 1.
     """
 
     setting_labels: tuple
     outcome_counts: tuple
-    states: dict  # (n, a) -> dB x dB ndarray
+    stack: np.ndarray  # (sum(outcome_counts), dB, dB)
     bob_reduced: np.ndarray
     dims: tuple  # (dA, dB)
 
-    def state(self, n: int, a: int) -> np.ndarray:
-        return self.states[(n, a)]
-
-    def probability(self, n: int, a: int) -> float:
-        return float(np.trace(self.states[(n, a)]).real)
+    def __post_init__(self):
+        stack = np.asarray(self.stack, dtype=complex)
+        if stack.shape != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
+            raise ValueError(f"stack shape {stack.shape} does not fit {self.outcome_counts}, {self.dims}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
 
     @property
-    def n_settings(self) -> int:
-        return len(self.setting_labels)
+    def index(self) -> tuple:
+        """(setting, outcome) of each stack row."""
+        return tuple((n, a) for n, count in enumerate(self.outcome_counts) for a in range(count))
+
+    def state(self, n: int, a: int) -> np.ndarray:
+        return self.stack[self.index.index((n, a))]
+
+    def probability(self, n: int, a: int) -> float:
+        return float(np.trace(self.state(n, a)).real)
 
 
 @dataclass(frozen=True)
@@ -92,22 +101,21 @@ class PurityProfile:
 
 
 def conditional_states(
-    rho_ab,
+    state,
     settings,
     dims,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Assemblage:
-    """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting."""
+    """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting.
+
+    state is a BipartitePureState or a density matrix on dA*dB. A pure
+    state's conditional states are Psi^T P^T Psi^* for its dA x dB
+    coefficient matrix Psi, so its bipartite density is never formed.
+    """
     dA, dB = dims
-    rho_ab = as_matrix(rho_ab)
-    n = dA * dB
-    if rho_ab.shape != (n, n):
-        raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
     settings = list(settings)
     if not settings:
         raise ValueError("need at least one measurement setting")
-    eye_b = np.eye(dB, dtype=complex)
-    states = {}
     for i, s in enumerate(settings):
         if not isinstance(s, MeasurementSetting):
             raise TypeError(f"setting {i} is not a MeasurementSetting")
@@ -116,13 +124,24 @@ def conditional_states(
         report = validate_setting(s, tol)
         if not report.passed:
             raise ValueError(f"invalid setting {s.label!r}: {report}")
-        for a, proj in enumerate(s.projectors):
-            states[(i, a)] = partial_trace(kron(proj, eye_b) @ rho_ab, dA, dB, keep="B")
-    bob = partial_trace(rho_ab, dA, dB, keep="B")
+    projs = np.stack([p for s in settings for p in s.projectors])
+    if isinstance(state, BipartitePureState):
+        if (state.dA, state.dB) != (dA, dB):
+            raise ValueError(f"state dims {(state.dA, state.dB)} do not match dims {dims}")
+        psi = state.coefficients
+        stack = np.matmul(psi.T, np.matmul(np.swapaxes(projs, 1, 2), psi.conj()))
+        bob = state.reduced_bob()
+    else:
+        rho_ab = as_matrix(state)
+        if rho_ab.shape != (dA * dB, dA * dB):
+            raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
+        # sigma[n, m, k] = sum_ij P[n, j, i] rho[i, m, j, k]
+        stack = np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0]))
+        bob = partial_trace(rho_ab, dA, dB, keep="B")
     return Assemblage(
         setting_labels=tuple(s.label for s in settings),
         outcome_counts=tuple(s.outcomes for s in settings),
-        states=states,
+        stack=stack,
         bob_reduced=bob,
         dims=(dA, dB),
     )
@@ -130,32 +149,31 @@ def conditional_states(
 
 def no_signalling_check(a: Assemblage) -> float:
     """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings."""
-    dev = 0.0
-    for n in range(a.n_settings):
-        total = sum(a.states[(n, out)] for out in range(a.outcome_counts[n]))
-        dev = max(dev, float(np.max(np.abs(total - a.bob_reduced))))
-    return dev
+    starts = np.cumsum((0,) + a.outcome_counts[:-1])
+    totals = np.add.reduceat(a.stack, starts, axis=0)
+    return float(np.max(np.abs(totals - a.bob_reduced)))
 
 
 def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfile:
     """Classify every conditional state as rank-1 / mixed / vacuous and
-    compute pairwise trace distances of the normalized nonvacuous states."""
+    compute pairwise trace distances of the normalized nonvacuous states,
+    batched over the stack and over each row of the distance matrix."""
+    probs = np.trace(a.stack, axis1=1, axis2=2).real
+    live = probs > tol.rank1
+    flags, principals, residuals = is_rank_one(a.stack[live], tol)
+    checked = zip(flags.tolist(), principals, residuals.tolist())
     reports = []
-    normalized = []
-    index = []
-    for (n, out) in sorted(a.states):
-        rho = a.states[(n, out)]
-        p = float(np.trace(rho).real)
-        if p <= tol.rank1:
+    for (n, out), p, nonvacuous in zip(a.index, probs.tolist(), live):
+        if nonvacuous:
+            rank_one, principal, residual = next(checked)
+            reports.append(OutcomeReport(n, out, p, False, rank_one, principal, residual))
+        else:
             reports.append(OutcomeReport(n, out, p, True, False, None, 0.0))
-            continue
-        rank_one, principal, residual = is_rank_one(rho, tol)
-        reports.append(OutcomeReport(n, out, p, False, rank_one, principal, residual))
-        normalized.append(rho / p)
-        index.append((n, out))
+    normalized = a.stack[live] / probs[live, None, None]
     m = len(normalized)
     dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = dist[j, i] = trace_distance(normalized[i], normalized[j], tol)
-    return PurityProfile(tuple(reports), dist, tuple(index))
+    for i in range(m - 1):
+        dist[i, i + 1 :] = trace_distance(normalized[i], normalized[i + 1 :], tol)
+    dist += dist.T
+    index = tuple(key for key, nonvacuous in zip(a.index, live) if nonvacuous)
+    return PurityProfile(tuple(reports), dist, index)

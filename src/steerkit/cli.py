@@ -88,11 +88,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = val
 
     tol_kwargs = {
-        "herm": merged.pop("tol_herm", DEFAULT_TOL.herm),
-        "eig": merged.pop("tol_eig", DEFAULT_TOL.eig),
-        "state_eq": merged.pop("tol_state_eq", DEFAULT_TOL.state_eq),
-        "rank1": merged.pop("tol_rank1", DEFAULT_TOL.rank1),
-        "lp": merged.pop("tol_lp", DEFAULT_TOL.lp),
+        key: merged.pop(f"tol_{key}", getattr(DEFAULT_TOL, key))
+        for key in ("herm", "eig", "state_eq", "rank1", "lp")
     }
     env_lp = os.environ.get("STEERKIT_TOLERANCE_LP")
     if env_lp:

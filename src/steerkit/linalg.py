@@ -60,14 +60,18 @@ def as_matrix(m) -> np.ndarray:
 
 
 def herm_deviation(m: np.ndarray) -> float:
-    """Max entrywise |M - M^dagger|."""
-    m = as_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max entrywise |M - M^dagger|, over every matrix of a stack."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.max(np.abs(m - _dagger(m)))) if m.size else 0.0
 
 
-def _require_hermitian(m: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
+
+
+def _require_hermitian(m, tol: Tolerances, what: str) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     dev = herm_deviation(m)
     if dev > tol.herm:
@@ -101,44 +105,47 @@ def partial_trace(rho, dA: int, dB: int, keep: str = "B") -> np.ndarray:
 
 
 def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
     descending order and eigenvectors as matching columns.
     """
     h = _require_hermitian(h, tol, "hermitian_eig input")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh((h + _dagger(h)) / 2)
+    return w[..., ::-1], v[..., ::-1]
 
 
-def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Trace distance (1/2)||rho - sigma||_1 for Hermitian inputs."""
+def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
+    """Trace distance (1/2)||rho - sigma||_1 for Hermitian inputs; stacks
+    broadcast over leading axes and give an array of distances."""
     rho = _require_hermitian(rho, tol, "trace_distance first argument")
     sigma = _require_hermitian(sigma, tol, "trace_distance second argument")
-    if rho.shape != sigma.shape:
+    if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"trace_distance: shape mismatch {rho.shape} vs {sigma.shape}")
     diff = rho - sigma
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.sum(np.abs(w)))
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + _dagger(diff)) / 2)), axis=-1)
 
 
 def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):
-    """Test whether a PSD matrix is rank one up to tolerance.
+    """Test whether a PSD matrix, or each in a stack, is rank one up to
+    tolerance.
 
-    Returns (flag, principal eigenvector, residual_mass) where
-    residual_mass is the subdominant eigenvalue mass relative to the trace.
+    Returns (flag, principal eigenvector, residual_mass) as numpy values,
+    where residual_mass is the subdominant eigenvalue mass relative to the
+    trace.
     Zero-trace input is rejected: it signals a probability-zero outcome and
     the caller must decide what that means.
     """
     w, v = hermitian_eig(rho, tol)
-    if np.min(w) < -tol.eig * max(1.0, np.max(np.abs(w))):
-        raise ValueError(f"is_rank_one: input not PSD, min eigenvalue {np.min(w):.3e}")
-    tr = float(np.sum(w))
-    if tr <= tol.rank1:
-        raise ValueError(f"is_rank_one: trace {tr:.3e} is not positive")
-    residual = float(np.sum(np.abs(w[1:])) / tr)
-    return residual <= tol.rank1, v[:, 0].copy(), residual
+    low = w[..., -1]
+    not_psd = low < -tol.eig * np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    if np.any(not_psd):
+        raise ValueError(f"is_rank_one: input not PSD, min eigenvalue {np.min(low[not_psd]):.3e}")
+    tr = np.sum(w, axis=-1)
+    if np.any(tr <= tol.rank1):
+        raise ValueError(f"is_rank_one: trace {np.min(tr):.3e} is not positive")
+    residual = np.sum(np.abs(w[..., 1:]), axis=-1) / tr
+    return residual <= tol.rank1, v[..., 0].copy(), residual
 
 
 def schmidt_decompose(psi, dA: int, dB: int, tol: Tolerances = DEFAULT_TOL):

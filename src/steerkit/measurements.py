@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, herm_deviation
 from .states import density
 
 __all__ = [
@@ -139,14 +139,13 @@ def basis_from_unitary(u, label: str = "unitary") -> MeasurementSetting:
 def validate_setting(s: MeasurementSetting, tol: Tolerances = DEFAULT_TOL) -> SettingValidation:
     """Report max deviations from idempotence, hermiticity, orthogonality
     and completeness; passes iff all are within tol.eig."""
-    projs = s.projectors
+    projs = np.stack(s.projectors)
     d = s.dim
-    idem = max(float(np.max(np.abs(p @ p - p))) for p in projs)
-    herm = max(float(np.max(np.abs(p - p.conj().T))) for p in projs)
-    orth = 0.0
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            orth = max(orth, float(np.max(np.abs(projs[i] @ projs[j]))))
-    comp = float(np.max(np.abs(sum(projs) - np.eye(d))))
+    idem = float(np.max(np.abs(projs @ projs - projs)))
+    herm = herm_deviation(projs)
+    # one batched product per projector against all later ones
+    pairs = (float(np.max(np.abs(projs[i] @ projs[i + 1 :]))) for i in range(len(projs) - 1))
+    orth = max(pairs, default=0.0)
+    comp = float(np.max(np.abs(projs.sum(axis=0) - np.eye(d))))
     passed = max(idem, herm, orth, comp) <= tol.eig
     return SettingValidation(idem, herm, orth, comp, passed, {"label": s.label, "dim": d})

@@ -91,15 +91,7 @@ class ReportDocument:
 
     @staticmethod
     def from_json(text: str) -> "ReportDocument":
-        doc = json.loads(text)
-        return ReportDocument(
-            schema=doc["schema"],
-            scenario=doc["scenario"],
-            config=doc["config"],
-            result=doc["result"],
-            checks=doc["checks"],
-            duration_s=doc["duration_s"],
-        )
+        return ReportDocument(**json.loads(text))
 
     def to_text(self) -> str:
         lines = []
@@ -229,12 +221,9 @@ def run(cfg: RunConfig):
         settings = [angle_projectors(al) for al in alphas]
         psi = separable_state(beta)
         model = separable_lhs_model(psi, settings, tol)
-        asm = conditional_states(psi.density_matrix(), settings, (2, 2), tol)
+        asm = conditional_states(psi, settings, (2, 2), tol)
         rec = lhs_reconstruct(model, settings, tol)
-        dev = max(
-            float(np.max(np.abs(rec.state(n, a) - asm.state(n, a))))
-            for (n, a) in asm.states
-        )
+        dev = float(np.max(np.abs(rec.stack - asm.stack)))
         result = {"model": model.to_json(), "reconstruction_deviation": dev}
         checks = _assemblage_checks(asm, purity_profile(asm, tol))
         code = EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
@@ -242,7 +231,7 @@ def run(cfg: RunConfig):
     elif cfg.scenario == "feasibility":
         settings = parse_qubit_settings(cfg.settings or "z,x")
         psi = theta_state(cfg.theta)
-        asm = conditional_states(psi.density_matrix(), settings, (2, 2), tol)
+        asm = conditional_states(psi, settings, (2, 2), tol)
         result = lhs_feasibility_lp(asm, tol=tol).to_json()
         checks = _assemblage_checks(asm, purity_profile(asm, tol))
 
@@ -259,6 +248,7 @@ def run(cfg: RunConfig):
         expected = [1.0, -1.0, -1.0, -1.0]
         ok = (
             all(abs(v - e) <= tol.eig for v, e in zip(exp.values, expected))
+            and max(exp.eigenstate_residuals) <= tol.eig
             and count == 0
         )
         code = EXIT_OK if ok else EXIT_NUMERICAL

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, partial_trace, schmidt_decompose
+from .linalg import DEFAULT_TOL, Tolerances, schmidt_decompose
 
 __all__ = [
     "BipartitePureState",
@@ -53,14 +53,22 @@ class BipartitePureState:
             object.__setattr__(self, name, arr)
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True iff the Schmidt rank exceeds one beyond tolerance."""
-        return self.schmidt_coeffs.size > 1 and float(self.schmidt_coeffs[1]) > tol.rank1
+        """True iff Bob's subdominant Schmidt mass sum_{m>0} c_m^2 exceeds
+        tol.rank1, the mass tolerance that decides purity."""
+        return float(np.sum(self.schmidt_coeffs[1:] ** 2)) > tol.rank1
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """dA x dB matrix Psi with |psi> = sum_im Psi[i, m] |i>|m>."""
+        return self.vector.reshape(self.dA, self.dB)
 
     def density_matrix(self) -> np.ndarray:
         return density(self.vector)
 
     def reduced_bob(self) -> np.ndarray:
-        return partial_trace(self.density_matrix(), self.dA, self.dB, keep="B")
+        """rho_B = Psi^T Psi^*, without forming the bipartite density."""
+        psi = self.coefficients
+        return psi.T @ psi.conj()
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron, partial_trace
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron
 from .measurements import PAULI_X, PAULI_Y, MeasurementSetting
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState
@@ -202,16 +202,12 @@ def _settings_coincide(s1: MeasurementSetting, s2: MeasurementSetting, tol: Tole
     tol.state_eq under some pairing."""
     if s1.outcomes != s2.outcomes or s1.dim != s2.dim:
         return False
-    unmatched = list(s2.projectors)
+    unmatched = np.stack(s2.projectors)
     for p in s1.projectors:
-        hit = None
-        for i, q in enumerate(unmatched):
-            if float(np.max(np.abs(p - q))) <= tol.state_eq:
-                hit = i
-                break
-        if hit is None:
+        hits = np.flatnonzero(np.max(np.abs(p - unmatched), axis=(1, 2)) <= tol.state_eq)
+        if not hits.size:
             return False
-        unmatched.pop(hit)
+        unmatched = np.delete(unmatched, hits[0], axis=0)
     return True
 
 
@@ -253,7 +249,7 @@ def pure_state_paradox(
             tolerances=tol,
         )
 
-    asm = conditional_states(psi.density_matrix(), settings, (psi.dA, psi.dB), tol)
+    asm = conditional_states(psi, settings, (psi.dA, psi.dB), tol)
     prof = purity_profile(asm, tol)
 
     bad = [r for r in prof.reports if not r.vacuous and not r.rank_one]
@@ -281,7 +277,7 @@ def pure_state_paradox(
             assignments[(r.setting, r.outcome)] = xi
             xi += 1
 
-    lhs = sum(asm.probability(n, a) for n in range(k) for a in range(asm.outcome_counts[n]))
+    lhs = sum(r.probability for r in prof.reports)
     quantum = float(np.trace(asm.bob_reduced).real)
     return ParadoxCertificate(
         applicable=True,
@@ -312,9 +308,9 @@ def separable_lhs_model(
     settings = list(settings)
     if not settings:
         raise ValueError("need at least one measurement setting")
-    rho = psi.density_matrix()
-    rho_a = partial_trace(rho, psi.dA, psi.dB, keep="A")
-    rho_b = partial_trace(rho, psi.dA, psi.dB, keep="B")
+    coeffs = psi.coefficients
+    rho_a = coeffs @ coeffs.conj().T
+    rho_b = psi.reduced_bob()
     responses = {}
     for n, s in enumerate(settings):
         if s.dim != psi.dA:
@@ -328,43 +324,37 @@ def lhs_reconstruct(model: LHSModel, settings, tol: Tolerances = DEFAULT_TOL) ->
     """Assemble rho~^n_a = sum_xi p(a|n,xi) w_xi rho_xi from a model."""
     model.validate(tol=tol)
     settings = list(settings)
-    dB = model.hidden_states[0].shape[0]
-    weighted = [w * h for w, h in zip(model.weights, model.hidden_states)]
-    states = {}
-    for n, s in enumerate(settings):
-        for a in range(s.outcomes):
-            states[(n, a)] = sum(
-                model.response(n, a, xi) * weighted[xi] for xi in range(len(weighted))
-            )
-    bob = sum(weighted)
+    weighted = model.weights[:, None, None] * np.stack(model.hidden_states)
+    responses = [
+        [model.response(n, a, xi) for xi in range(len(weighted))]
+        for n, s in enumerate(settings)
+        for a in range(s.outcomes)
+    ]
     return Assemblage(
         setting_labels=tuple(s.label for s in settings),
         outcome_counts=tuple(s.outcomes for s in settings),
-        states=states,
-        bob_reduced=bob,
-        dims=(settings[0].dim, dB),
+        stack=np.tensordot(responses, weighted, axes=1),
+        bob_reduced=weighted.sum(axis=0),
+        dims=(settings[0].dim, weighted.shape[-1]),
     )
 
 
 def default_candidates(a: Assemblage, tol: Tolerances = DEFAULT_TOL):
     """Natural candidate ensemble: the normalized conditional states of the
     assemblage plus Bob's reduced state."""
-    cands = []
-    for (n, out) in sorted(a.states):
-        rho = a.states[(n, out)]
-        p = float(np.trace(rho).real)
-        if p > tol.rank1:
-            cands.append(rho / p)
+    probs = np.trace(a.stack, axis1=1, axis2=2).real
+    live = probs > tol.rank1
+    cands = list(a.stack[live] / probs[live, None, None])
     cands.append(a.bob_reduced / float(np.trace(a.bob_reduced).real))
     return cands
 
 
 def _vectorize_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real vector of a d x d Hermitian matrix: diagonal, then real and
-    imaginary parts of the strict upper triangle. No redundancy."""
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([np.real(np.diag(m)), np.real(m[iu]), np.imag(m[iu])])
+    """Real vector of each d x d Hermitian matrix in a stack: diagonal, then
+    real and imaginary parts of the strict upper triangle. No redundancy."""
+    iu = np.triu_indices(m.shape[-1], k=1)
+    upper = m[..., iu[0], iu[1]]
+    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
 def lhs_feasibility_lp(
@@ -391,20 +381,14 @@ def lhs_feasibility_lp(
             raise ValueError(f"candidate {i} has shape {c.shape}, expected ({dB}, {dB})")
 
     strategies = list(itertools.product(*(range(o) for o in a.outcome_counts)))
+    # hits[row, di]: strategy di answers outcome a on setting n, (n, a) = index[row]
+    hits = np.array([[strat[n] == out for strat in strategies] for n, out in a.index])
     n_c, n_d = len(candidates), len(strategies)
-    cand_vec = [_vectorize_hermitian(c) for c in candidates]
+    cand_vec = _vectorize_hermitian(np.stack(candidates))
     comp = dB * dB  # real components per matrix equality
-
-    keys = sorted(a.states)
-    A = np.zeros((len(keys) * comp, n_c * n_d))
-    b = np.zeros(len(keys) * comp)
-    for row_block, (n, out) in enumerate(keys):
-        rows = slice(row_block * comp, (row_block + 1) * comp)
-        b[rows] = _vectorize_hermitian(a.states[(n, out)])
-        for ci in range(n_c):
-            for di, strat in enumerate(strategies):
-                if strat[n] == out:
-                    A[rows, ci * n_d + di] = cand_vec[ci]
+    A = np.where(hits[:, None, None, :], cand_vec.T[None, :, :, None], 0.0)
+    A = A.reshape(len(hits) * comp, n_c * n_d)
+    b = _vectorize_hermitian(a.stack).ravel()
 
     result = phase_one(A, b, tol=tol.lp)
     if not result.feasible:
@@ -412,18 +396,15 @@ def lhs_feasibility_lp(
 
     w = result.x.reshape(n_c, n_d)
     weights_per_candidate = w.sum(axis=1)
-    kept = [ci for ci in range(n_c) if weights_per_candidate[ci] > tol.lp]
-    if not kept:
+    kept = np.flatnonzero(weights_per_candidate > tol.lp)
+    if not kept.size:
         # All mass vanished: only possible for an all-vacuous assemblage.
         return FeasibilityOutcome("InfeasibleWithinAnsatz", None, result.residual, result.iterations)
-    weights = np.array([weights_per_candidate[ci] for ci in kept])
-    weights = weights / weights.sum()
-    responses = {}
-    for new_xi, ci in enumerate(kept):
-        for n in range(a.n_settings):
-            for out in range(a.outcome_counts[n]):
-                p = sum(w[ci, di] for di, strat in enumerate(strategies) if strat[n] == out)
-                responses[(n, out, new_xi)] = p / weights_per_candidate[ci]
+    weights = weights_per_candidate[kept] / weights_per_candidate[kept].sum()
+    p = (w[kept] @ hits.T) / weights_per_candidate[kept, None]
+    responses = {
+        (n, out, xi): p[xi, row] for xi in range(kept.size) for row, (n, out) in enumerate(a.index)
+    }
     model = LHSModel(
         weights=weights,
         hidden_states=tuple(candidates[ci] for ci in kept),

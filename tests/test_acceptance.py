@@ -134,7 +134,7 @@ def test_criterion_5_separable_lhs():
             model = separable_lhs_model(psi, settings)
             rec = lhs_reconstruct(model, settings)
             dev = max(
-                max_entrywise_dev(rec.state(n, a), asm.state(n, a)) for (n, a) in asm.states
+                max_entrywise_dev(rec.state(n, a), asm.state(n, a)) for (n, a) in asm.index
             )
             assert dev <= 1e-10
             out = lhs_feasibility_lp(asm, default_candidates(asm))

@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steerkit.assemblage import conditional_states, no_signalling_check, purity_profile
-from steerkit.linalg import DEFAULT_TOL
+from steerkit.assemblage import (
+    Assemblage,
+    conditional_states,
+    no_signalling_check,
+    purity_profile,
+)
+from steerkit.linalg import DEFAULT_TOL, is_rank_one, kron, partial_trace, trace_distance
 from steerkit.measurements import (
     MeasurementSetting,
     angle_projectors,
+    basis_from_unitary,
     bloch_projectors,
     computational_basis,
     fourier_mub_basis,
 )
-from steerkit.states import density, qudit_schmidt_state, separable_state, theta_state
+from steerkit.states import (
+    BipartitePureState,
+    density,
+    qudit_schmidt_state,
+    separable_state,
+    theta_state,
+)
 
 Z = bloch_projectors([0, 0, 1])
 X = bloch_projectors([1, 0, 0])
@@ -20,6 +34,40 @@ K1 = np.array([0, 1], dtype=complex)
 
 def chi(theta, sign):
     return np.array([np.cos(theta), sign * np.sin(theta)], dtype=complex)
+
+
+def dense_reference(rho, settings_, dA, dB):
+    """tr_A[(P (x) 1) rho] for every projector, through the (dA*dB)^2
+    product: an independent formula for the batched build to match."""
+    eye_b = np.eye(dB, dtype=complex)
+    return np.stack(
+        [
+            partial_trace(kron(p, eye_b) @ rho, dA, dB, keep="B")
+            for s in settings_
+            for p in s.projectors
+        ]
+    )
+
+
+def haar_unitary(rng, d):
+    z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_vector(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def random_density(rng, n, rank):
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def haar_settings(rng, d, count):
+    return [basis_from_unitary(haar_unitary(rng, d), f"haar{i}") for i in range(count)]
 
 
 class TestConditionalStates:
@@ -75,8 +123,10 @@ class TestNoSignalling:
 
     def test_corrupted_assemblage_detected(self):
         rho = theta_state(1.1).density_matrix()
-        asm = conditional_states(rho, [Z, X], (2, 2))
-        asm.states[(0, 0)] = asm.states[(0, 0)] + 0.01 * np.eye(2)
+        good = conditional_states(rho, [Z, X], (2, 2))
+        stack = good.stack.copy()
+        stack[0] += 0.01 * np.eye(2)
+        asm = Assemblage(good.setting_labels, good.outcome_counts, stack, good.bob_reduced, good.dims)
         assert no_signalling_check(asm) >= 0.01
 
     def test_qudit_d5(self):
@@ -153,5 +203,100 @@ class TestPurityInvariant:
             [computational_basis(2), fourier_mub_basis(2)],
             (2, 2),
         )
-        for key in a1.states:
-            assert np.max(np.abs(a1.states[key] - a2.states[key])) <= 1e-12
+        assert np.max(np.abs(a1.stack - a2.stack)) <= 1e-12
+
+
+class TestDenseReference:
+    """The batched build against the dense kron formula, d <= 6."""
+
+    dims = st.tuples(st.integers(2, 6), st.integers(2, 6))
+    seeds = st.integers(0, 2**32 - 1)
+
+    @staticmethod
+    def assert_matches(asm, rho, settings_, dA, dB):
+        ref = dense_reference(rho, settings_, dA, dB)
+        assert np.max(np.abs(asm.stack - ref)) <= 1e-12
+        assert np.max(np.abs(asm.bob_reduced - partial_trace(rho, dA, dB, "B"))) <= 1e-12
+        assert no_signalling_check(asm) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims, seed=seeds, rank=st.integers(1, 6))
+    def test_mixed_state(self, dims, seed, rank):
+        dA, dB = dims
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, dA * dB, rank)
+        settings_ = [computational_basis(dA)] + haar_settings(rng, dA, 2)
+        self.assert_matches(conditional_states(rho, settings_, dims), rho, settings_, dA, dB)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims, seed=seeds)
+    def test_pure_state_both_forms(self, dims, seed):
+        dA, dB = dims
+        rng = np.random.default_rng(seed)
+        psi = BipartitePureState(random_vector(rng, dA * dB), dA, dB)
+        settings_ = [fourier_mub_basis(dA)] + haar_settings(rng, dA, 2)
+        rho = psi.density_matrix()
+        from_psi = conditional_states(psi, settings_, dims)
+        from_rho = conditional_states(rho, settings_, dims)
+        self.assert_matches(from_psi, rho, settings_, dA, dB)
+        self.assert_matches(from_rho, rho, settings_, dA, dB)
+
+    def test_pure_state_dims_must_match(self):
+        with pytest.raises(ValueError, match="dims"):
+            conditional_states(theta_state(0.3), [Z, X], (2, 3))
+
+
+class TestBatchedPurityChecks:
+    """purity_profile batches its eigendecompositions; each state must still
+    get exactly the per-state verdicts and checks."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_matches_per_state_calls(self, pure):
+        d = 7
+        rng = np.random.default_rng(7)
+        psi = BipartitePureState(random_vector(rng, d * d), d, d)
+        state = psi if pure else random_density(rng, d * d, 3)
+        asm = conditional_states(state, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
+        prof = purity_profile(asm)
+        assert prof.all_rank_one == pure
+        normalized = []
+        for r in prof.reports:
+            rho = asm.state(r.setting, r.outcome)
+            flag, principal, residual = is_rank_one(rho)
+            assert r.rank_one == flag
+            assert abs(r.residual_mass - residual) <= 1e-12
+            assert abs(abs(np.vdot(r.principal, principal)) - 1) <= 1e-12
+            normalized.append(rho / r.probability)
+        m = len(normalized)
+        assert prof.distance_matrix.shape == (m, m)
+        for i in range(m):
+            for j in range(m):
+                want = trace_distance(normalized[i], normalized[j]) if i != j else 0.0
+                assert abs(prof.distance_matrix[i, j] - want) <= 1e-12
+
+    @staticmethod
+    def corrupted(row, bad):
+        good = conditional_states(theta_state(0.6), [Z, X], (2, 2))
+        stack = good.stack.copy()
+        stack[row] = bad
+        return Assemblage(good.setting_labels, good.outcome_counts, stack, good.bob_reduced, good.dims)
+
+    def test_non_hermitian_state_rejected(self):
+        bad = self.corrupted(2, np.array([[0.5, 0.1], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            purity_profile(bad)
+
+    def test_non_psd_state_rejected(self):
+        bad = self.corrupted(3, np.diag([0.6, -0.1]))
+        with pytest.raises(ValueError, match="PSD"):
+            purity_profile(bad)
+
+    def test_vacuous_outcome_pure_input(self):
+        prof = purity_profile(conditional_states(theta_state(0.0), [Z, X], (2, 2)))
+        vac = {(r.setting, r.outcome) for r in prof.reports if r.vacuous}
+        assert vac == {(0, 1)}
+        assert prof.distance_index == ((0, 0), (1, 0), (1, 1))
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="stack shape"):
+            Assemblage(("z",), (2,), np.zeros((3, 2, 2)), np.eye(2) / 2, (2, 2))

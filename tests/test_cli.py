@@ -76,6 +76,18 @@ class TestScenarios:
         assert doc.result["satisfying_assignments"] == 0
         assert np.allclose(doc.result["expectations"], [1, -1, -1, -1])
 
+    def test_ghz_residual_sets_exit_code(self, monkeypatch):
+        exact = report.ghz_operator_expectations
+
+        def off_eigenstate(state):
+            exp = exact(state)
+            return steering.GhzExpectations(exp.values, (0.0, 0.0, 1e-6, 0.0))
+
+        monkeypatch.setattr(report, "ghz_operator_expectations", off_eigenstate)
+        doc, code = run(RunConfig(scenario="ghz"))
+        assert code == report.EXIT_NUMERICAL
+        assert doc.checks["max_eigenstate_residual"] == 1e-6
+
     def test_sweep_theta(self):
         doc, code = run(RunConfig(scenario="sweep", param="theta", linspace="0.1:1.4:10"))
         assert code == 0
@@ -117,6 +129,14 @@ class TestMain:
         assert main(["paradox-qubit", "--theta", "0", "--settings", "z,x"]) == 1
         capsys.readouterr()
         assert main(["paradox-qubit", "--settings", "bogus"]) == 1
+
+    @pytest.mark.parametrize("theta, code", [("1.5e-9", 1), ("1e-4", 0)])
+    def test_tiny_theta_exit_code(self, theta, code, capsys):
+        # At 1.5e-9 one outcome has probability ~2e-18: Bob's subdominant
+        # Schmidt mass is below tol.rank1, so the state counts as separable.
+        assert main(["paradox-qubit", "--theta", theta, "--settings", "z,x"]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out["result"]["applicable"] is (code == 0)
 
     def test_ghz_subcommand(self, capsys):
         assert main(["ghz"]) == 0

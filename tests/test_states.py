@@ -27,6 +27,11 @@ class TestThetaState:
         assert np.allclose(psi.vector, [1, 0, 0, 0])
         assert not psi.entangled()
 
+    def test_entangled_compares_schmidt_mass(self):
+        # sin(theta)^2 is the mass the rank1 tolerance is stated in.
+        assert not theta_state(1.5e-9).entangled()
+        assert theta_state(1e-4).entangled()
+
     def test_pi6_coeffs(self):
         psi = theta_state(np.pi / 6)
         assert np.allclose(psi.schmidt_coeffs, [np.sqrt(3) / 2, 0.5])

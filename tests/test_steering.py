@@ -153,7 +153,7 @@ class TestSeparableLhsModel:
             asm = conditional_states(psi.density_matrix(), settings, (2, 2))
             dev = max(
                 float(np.max(np.abs(rec.state(n, a) - asm.state(n, a))))
-                for (n, a) in asm.states
+                for (n, a) in asm.index
             )
             assert dev <= 1e-10
 
@@ -213,7 +213,7 @@ class TestFeasibilityLp:
         rec = lhs_reconstruct(model, settings)
         dev = max(
             float(np.max(np.abs(rec.state(n, a) - asm.state(n, a))))
-            for (n, a) in asm.states
+            for (n, a) in asm.index
         )
         assert dev <= 1e-8
         # same responses as the explicit construction
@@ -230,8 +230,7 @@ class TestFeasibilityLp:
 
     def test_uncorrelated_assemblage_feasible(self):
         rho_b = np.eye(2) / 2
-        states = {(n, a): rho_b / 2 for n in range(2) for a in range(2)}
-        asm = Assemblage(("s0", "s1"), (2, 2), states, rho_b, (2, 2))
+        asm = Assemblage(("s0", "s1"), (2, 2), np.stack([rho_b / 2] * 4), rho_b, (2, 2))
         out = lhs_feasibility_lp(asm, [rho_b])
         assert out.feasible
         for n in range(2):
@@ -266,7 +265,7 @@ class TestFeasibilityLp:
         assert out.status == "FeasibleModelFound"
         out.model.validate(asm.bob_reduced)
         rec = lhs_reconstruct(out.model, [Z, X])
-        dev = max(float(np.max(np.abs(rec.state(n, a) - asm.state(n, a)))) for (n, a) in asm.states)
+        dev = max(float(np.max(np.abs(rec.state(n, a) - asm.state(n, a)))) for (n, a) in asm.index)
         assert dev <= DEFAULT_TOL.lp
 
     def test_dimension_mismatch(self):
