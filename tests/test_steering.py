@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from lhs_cases import GRIDS, werner_assemblage
 
 from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check
 from steerkit.linalg import DEFAULT_TOL
@@ -272,6 +273,31 @@ class TestFeasibilityLp:
         asm = conditional_states(theta_state(0.5).density_matrix(), [Z, X], (2, 2))
         with pytest.raises(ValueError, match="candidate"):
             lhs_feasibility_lp(asm, [np.eye(3) / 3])
+
+
+class TestWernerThresholds:
+    """Closed-form LHS visibility thresholds of the Werner state: 1/sqrt(2)
+    for {z, x} over the 8-point x-z circle, 1/sqrt(3) for {x, y, z} over
+    the 8 cube vertices."""
+
+    @pytest.mark.parametrize("grid", ["circle8", "cube"])
+    def test_feasible_below(self, grid):
+        axes, states, threshold = GRIDS[grid]
+        asm, settings = werner_assemblage(threshold - 0.01, axes)
+        out = lhs_feasibility_lp(asm, states())
+        assert out.status == "FeasibleModelFound"
+        out.model.validate(asm.bob_reduced)
+        rec = lhs_reconstruct(out.model, settings)
+        dev = max(float(np.max(np.abs(rec.state(n, a) - asm.state(n, a)))) for (n, a) in asm.index)
+        assert dev <= DEFAULT_TOL.lp
+
+    @pytest.mark.parametrize("grid", ["circle8", "cube"])
+    def test_infeasible_above(self, grid):
+        axes, states, threshold = GRIDS[grid]
+        asm, _ = werner_assemblage(threshold + 0.01, axes)
+        out = lhs_feasibility_lp(asm, states())
+        assert out.status == "InfeasibleWithinAnsatz"
+        assert out.model is None
 
 
 class TestGhz:
