@@ -87,7 +87,7 @@ class ReportDocument:
     duration_s: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(vars(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "ReportDocument":
@@ -182,6 +182,22 @@ def _certificate_exit(cert, tol: Tolerances) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _reconstruction_deviation(model, settings, asm, tol: Tolerances) -> float:
+    rec = lhs_reconstruct(model, settings, tol)
+    return float(np.max(np.abs(rec.stack - asm.stack)))
+
+
+def _model_exit(model, settings, asm, tol: Tolerances) -> int:
+    """EXIT_NUMERICAL unless the model validates against rho_B and
+    reconstructs the assemblage within tol.lp."""
+    try:
+        model.validate(asm.bob_reduced, tol)
+    except ValueError:
+        return EXIT_NUMERICAL
+    dev = _reconstruction_deviation(model, settings, asm, tol)
+    return EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
+
+
 def _run_paradox(psi, settings, cfg: RunConfig):
     tol = cfg.tolerances
     cert = pure_state_paradox(psi, settings, tol)
@@ -222,8 +238,7 @@ def run(cfg: RunConfig):
         psi = separable_state(beta)
         model = separable_lhs_model(psi, settings, tol)
         asm = conditional_states(psi, settings, (2, 2), tol)
-        rec = lhs_reconstruct(model, settings, tol)
-        dev = float(np.max(np.abs(rec.stack - asm.stack)))
+        dev = _reconstruction_deviation(model, settings, asm, tol)
         result = {"model": model.to_json(), "reconstruction_deviation": dev}
         checks = _assemblage_checks(asm, purity_profile(asm, tol))
         code = EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
@@ -232,8 +247,11 @@ def run(cfg: RunConfig):
         settings = parse_qubit_settings(cfg.settings or "z,x")
         psi = theta_state(cfg.theta)
         asm = conditional_states(psi, settings, (2, 2), tol)
-        result = lhs_feasibility_lp(asm, tol=tol).to_json()
+        outcome = lhs_feasibility_lp(asm, tol=tol)
+        result = outcome.to_json()
         checks = _assemblage_checks(asm, purity_profile(asm, tol))
+        if outcome.feasible:
+            code = _model_exit(outcome.model, settings, asm, tol)
 
     elif cfg.scenario == "ghz":
         exp = ghz_operator_expectations(ghz_state())
@@ -314,7 +332,7 @@ def _run_sweep(cfg: RunConfig, t0: float):
         point = _sweep_point_config(cfg, value)
         doc, code = run(point)
         worst = max(worst, code)
-        reports.append(asdict(doc))
+        reports.append(vars(doc))
         mag = doc.result.get("contradiction_magnitude")
         if mag is not None:
             magnitudes.append(mag)

@@ -300,3 +300,63 @@ class TestBatchedPurityChecks:
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="stack shape"):
             Assemblage(("z",), (2,), np.zeros((3, 2, 2)), np.eye(2) / 2, (2, 2))
+
+
+def reference_distances(asm, prof):
+    """Per-pair trace distances of the profile's normalized states, each an
+    eigendecomposition of the difference: the reference for the closed form
+    purity_profile uses between rank-1 states."""
+    normalized = [asm.state(n, a) / asm.probability(n, a) for n, a in prof.distance_index]
+    m = len(normalized)
+    ref = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                ref[i, j] = trace_distance(normalized[i], normalized[j])
+    return ref
+
+
+class TestClosedFormDistances:
+    """Distances between rank-1 states come from their principal vectors;
+    they must match the eigendecomposition of each difference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(2, 6), st.integers(2, 6)), seed=st.integers(0, 2**32 - 1))
+    def test_random_pure_states(self, dims, seed):
+        dA, dB = dims
+        rng = np.random.default_rng(seed)
+        psi = BipartitePureState(random_vector(rng, dA * dB), dA, dB)
+        asm = conditional_states(psi, [computational_basis(dA)] + haar_settings(rng, dA, 2), dims)
+        prof = purity_profile(asm)
+        assert prof.all_rank_one
+        assert np.max(np.abs(prof.distance_matrix - reference_distances(asm, prof))) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_near_coincident_bases(self, d, eps):
+        # sqrt(1 - |<v|w>|^2) cancels here and misses by far more than 1e-12.
+        rng = np.random.default_rng(d)
+        u = haar_unitary(rng, d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h_vals, h_vecs = np.linalg.eigh(g + g.conj().T)
+        rotation = (h_vecs * np.exp(1j * eps * h_vals / np.max(np.abs(h_vals)))) @ h_vecs.conj().T
+        settings_ = [basis_from_unitary(u, "u"), basis_from_unitary(rotation @ u, "u'")]
+        psi = BipartitePureState(random_vector(rng, d * d), d, d)
+        asm = conditional_states(psi, settings_, (d, d))
+        prof = purity_profile(asm)
+        ref = reference_distances(asm, prof)
+        assert prof.all_rank_one
+        assert 0 < np.min(ref[np.triu_indices(2 * d, k=1)]) < 10 * eps
+        assert np.max(np.abs(prof.distance_matrix - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("mix", [0.0, 1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6, 0.3])
+    def test_nearly_pure_and_mixed(self, mix):
+        d = 4
+        rng = np.random.default_rng(11)
+        psi = BipartitePureState(random_vector(rng, d * d), d, d)
+        rho = (1 - mix) * psi.density_matrix() + mix * random_density(rng, d * d, d * d)
+        asm = conditional_states(rho, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
+        prof = purity_profile(asm)
+        r = np.array([rep.residual_mass for rep in prof.reports if not rep.vacuous])
+        bound = r[:, None] + r[None, :] + 1e-12
+        assert np.all(np.abs(prof.distance_matrix - reference_distances(asm, prof)) <= bound)

@@ -4,9 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from steerkit import assemblage, report, steering
+from steerkit import assemblage, linalg, report, states, steering
 from steerkit.cli import main
 from steerkit.report import ReportDocument, RunConfig, run
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 class TestRunConfig:
@@ -40,20 +48,27 @@ class TestScenarios:
 
     def test_paradox_builds_assemblage_once(self, monkeypatch):
         calls = collections.Counter()
-
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls[fn.__name__] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
         for name in ("conditional_states", "purity_profile"):
-            wrapped = counting(getattr(assemblage, name))
+            wrapped = counting(calls, getattr(assemblage, name))
             for module in (report, steering):
                 monkeypatch.setattr(module, name, wrapped)
         run(RunConfig(scenario="paradox-qudit", d=3))
         assert calls == {"conditional_states": 1, "purity_profile": 1}
+
+    def test_rank_one_distances_need_no_eigendecomposition(self, monkeypatch):
+        calls = collections.Counter()
+        monkeypatch.setattr(linalg, "hermitian_eig", counting(calls, linalg.hermitian_eig))
+        monkeypatch.setattr(assemblage, "trace_distance", counting(calls, linalg.trace_distance))
+        _, code = run(RunConfig(scenario="paradox-qudit", d=6))
+        assert code == 0
+        assert calls == {"hermitian_eig": 1}
+
+        calls.clear()
+        rho = 0.5 * states.qudit_schmidt_state(np.full(3, 1 / np.sqrt(3))).density_matrix() + np.eye(9) / 18
+        settings = report.parse_qudit_settings("Z,X", 3)
+        prof = assemblage.purity_profile(assemblage.conditional_states(rho, settings, (3, 3)))
+        assert not prof.all_rank_one
+        assert calls == {"hermitian_eig": 1, "trace_distance": 5}
 
     def test_paradox_nopa(self):
         doc, code = run(RunConfig(scenario="paradox-nopa", r=1.0, d=12))
@@ -69,6 +84,25 @@ class TestScenarios:
         doc, code = run(RunConfig(scenario="feasibility", theta=np.pi / 4, settings="z,x"))
         assert code == 0
         assert doc.result["status"] == "InfeasibleWithinAnsatz"
+
+    @pytest.mark.parametrize(
+        "hidden, reason",
+        [
+            (np.diag([1.0, 0.0]), "average is not rho_B"),
+            (np.eye(2) / 2, "valid, but reconstructs the wrong assemblage"),
+        ],
+    )
+    def test_feasibility_checks_the_model(self, monkeypatch, hidden, reason):
+        responses = {(n, a, 0): 0.5 for n in range(2) for a in range(2)}
+        bad = steering.LHSModel(np.array([1.0]), (hidden,), responses)
+
+        def lp(asm, tol):
+            return steering.FeasibilityOutcome("FeasibleModelFound", bad, 0.0, 1)
+
+        monkeypatch.setattr(report, "lhs_feasibility_lp", lp)
+        doc, code = run(RunConfig(scenario="feasibility", theta=np.pi / 4, settings="z,x"))
+        assert code == report.EXIT_NUMERICAL, reason
+        assert doc.result["status"] == "FeasibleModelFound"
 
     def test_ghz(self):
         doc, code = run(RunConfig(scenario="ghz"))
