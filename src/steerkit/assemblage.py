@@ -12,6 +12,7 @@ from .linalg import (
     as_matrix,
     is_rank_one,
     partial_trace,
+    projector_distances,
     trace_distance,
 )
 from .measurements import MeasurementSetting, validate_setting
@@ -117,9 +118,10 @@ def conditional_states(
 ) -> Assemblage:
     """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting.
 
-    state is a BipartitePureState or a density matrix on dA*dB. A pure
-    state's conditional states are Psi^T P^T Psi^* for its dA x dB
-    coefficient matrix Psi, so its bipartite density is never formed.
+    state is a BipartitePureState or a density matrix on dA*dB. For a pure
+    state with dA x dB coefficient matrix Psi, P_a = u_a u_a^dag gives
+    rho~_a = w_a w_a^dag with w_a = Psi^T conj(u_a): one product forms
+    every w_a, and neither projectors nor the bipartite density are built.
     """
     dA, dB = dims
     settings = list(settings)
@@ -133,17 +135,17 @@ def conditional_states(
         report = validate_setting(s, tol)
         if not report.passed:
             raise ValueError(f"invalid setting {s.label!r}: {report}")
-    projs = np.stack([p for s in settings for p in s.projectors])
     if isinstance(state, BipartitePureState):
         if (state.dA, state.dB) != (dA, dB):
             raise ValueError(f"state dims {(state.dA, state.dB)} do not match dims {dims}")
-        psi = state.coefficients
-        stack = np.matmul(psi.T, np.matmul(np.swapaxes(projs, 1, 2), psi.conj()))
+        w = (state.coefficients.T @ np.concatenate([s.vectors for s in settings], axis=1).conj()).T
+        stack = w[:, :, None] * w.conj()[:, None, :]
         bob = state.reduced_bob()
     else:
         rho_ab = as_matrix(state)
         if rho_ab.shape != (dA * dB, dA * dB):
             raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
+        projs = np.concatenate([s.projectors for s in settings])
         # sigma[n, m, k] = sum_ij P[n, j, i] rho[i, m, j, k]
         stack = np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0]))
         bob = partial_trace(rho_ab, dA, dB, keep="B")
@@ -161,30 +163,6 @@ def no_signalling_check(a: Assemblage) -> float:
     starts = np.cumsum((0,) + a.outcome_counts[:-1])
     totals = np.add.reduceat(a.stack, starts, axis=0)
     return float(np.max(np.abs(totals - a.bob_reduced)))
-
-
-# Residual entries per block of rows: 256 KB of complex, which stays in
-# cache and bounds the memory for any number of states.
-_BLOCK_ENTRIES = 1 << 14
-
-
-def _projector_distances(vecs: np.ndarray) -> np.ndarray:
-    """Trace distances between the projectors onto unit vectors vecs[i].
-
-    Each is the norm of v_j's component orthogonal to v_i, which keeps full
-    accuracy where sqrt(1 - |<v_i|v_j>|^2) cancels to 0 for nearly equal
-    states. Rows go in blocks of at most _BLOCK_ENTRIES residual entries
-    (at least one row).
-    """
-    m, d = vecs.shape
-    dist = np.zeros((m, m))
-    step = max(1, _BLOCK_ENTRIES // max(1, m * d))
-    for i in range(0, m, step):
-        v, w = vecs[i : i + step], vecs[i:]
-        r = w - (v.conj() @ w.T)[:, :, None] * v[:, None, :]
-        dist[i : i + step, i:] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
-    dist = np.triu(dist, 1)
-    return dist + dist.T
 
 
 def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfile:
@@ -209,7 +187,7 @@ def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfil
     m = len(normalized)
     pure = np.flatnonzero(flags)
     dist = np.zeros((m, m))
-    dist[np.ix_(pure, pure)] = _projector_distances(principals[pure])
+    dist[np.ix_(pure, pure)] = projector_distances(principals[pure])
     for i in np.flatnonzero(~flags):
         # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
         cols = np.flatnonzero((np.arange(m) > i) | flags)

@@ -18,6 +18,7 @@ __all__ = [
     "partial_trace",
     "hermitian_eig",
     "trace_distance",
+    "projector_distances",
     "is_rank_one",
     "schmidt_decompose",
     "herm_deviation",
@@ -124,6 +125,30 @@ def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
         raise ValueError(f"trace_distance: shape mismatch {rho.shape} vs {sigma.shape}")
     diff = rho - sigma
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + _dagger(diff)) / 2)), axis=-1)
+
+
+# Residual entries per block of rows: 256 KB of complex, which stays in
+# cache and bounds the memory for any number of states.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def projector_distances(vecs: np.ndarray) -> np.ndarray:
+    """Trace distances between the projectors onto unit vectors vecs[i].
+
+    Each is the norm of v_j's component orthogonal to v_i, which keeps full
+    accuracy where sqrt(1 - |<v_i|v_j>|^2) cancels to 0 for nearly equal
+    states. Rows go in blocks of at most _BLOCK_ENTRIES residual entries
+    (at least one row).
+    """
+    m, d = vecs.shape
+    dist = np.zeros((m, m))
+    step = max(1, _BLOCK_ENTRIES // max(1, m * d))
+    for i in range(0, m, step):
+        v, w = vecs[i : i + step], vecs[i:]
+        r = w - (v.conj() @ w.T)[:, :, None] * v[:, None, :]
+        dist[i : i + step, i:] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
+    dist = np.triu(dist, 1)
+    return dist + dist.T
 
 
 def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):

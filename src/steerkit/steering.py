@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron, projector_distances
 from .measurements import PAULI_X, PAULI_Y, MeasurementSetting
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState
@@ -198,17 +198,19 @@ class GhzExpectations:
 
 
 def _settings_coincide(s1: MeasurementSetting, s2: MeasurementSetting, tol: Tolerances) -> bool:
-    """True if the projector multisets of two settings match within
-    tol.state_eq under some pairing."""
-    if s1.outcomes != s2.outcomes or s1.dim != s2.dim:
+    """True if the projectors of two settings pair up, each pair within
+    trace distance tol.state_eq.
+
+    The projectors of one basis lie at trace distance 1 from each other, so
+    each is within tol.state_eq < 1/2 of at most one partner, and the
+    settings pair up iff every projector of each has one.
+    """
+    if s1.dim != s2.dim:
         return False
-    unmatched = np.stack(s2.projectors)
-    for p in s1.projectors:
-        hits = np.flatnonzero(np.max(np.abs(p - unmatched), axis=(1, 2)) <= tol.state_eq)
-        if not hits.size:
-            return False
-        unmatched = np.delete(unmatched, hits[0], axis=0)
-    return True
+    k = s1.outcomes
+    dist = projector_distances(np.concatenate([s1.vectors, s2.vectors], axis=1).T)
+    close = dist[:k, k:] <= tol.state_eq
+    return bool(close.any(axis=0).all() and close.any(axis=1).all())
 
 
 def pure_state_paradox(
@@ -301,22 +303,21 @@ def separable_lhs_model(
     """Single-hidden-state model reproducing a product state's assemblage.
 
     The hidden state is Bob's (pure) reduced state and the responses are
-    Alice's local outcome probabilities tr(P_a rho_A).
+    Alice's local outcome probabilities u_a^dag rho_A u_a = |Psi^dag u_a|^2.
     """
     if psi.entangled(tol):
         raise ValueError("separable_lhs_model requires a separable (Schmidt rank 1) state")
     settings = list(settings)
     if not settings:
         raise ValueError("need at least one measurement setting")
-    coeffs = psi.coefficients
-    rho_a = coeffs @ coeffs.conj().T
-    rho_b = psi.reduced_bob()
+    psi_dag = psi.coefficients.conj().T
     responses = {}
     for n, s in enumerate(settings):
         if s.dim != psi.dA:
             raise ValueError(f"setting {s.label!r} acts on dim {s.dim}, expected {psi.dA}")
-        for a, proj in enumerate(s.projectors):
-            responses[(n, a, 0)] = float(np.trace(proj @ rho_a).real)
+        probs = np.sum(np.abs(psi_dag @ s.vectors) ** 2, axis=0)
+        responses.update({(n, a, 0): float(p) for a, p in enumerate(probs)})
+    rho_b = psi.reduced_bob()
     return LHSModel(weights=np.array([1.0]), hidden_states=(rho_b,), responses=responses)
 
 

@@ -109,10 +109,11 @@ class TestConditionalStates:
             conditional_states(np.eye(4) / 4, [computational_basis(3)], (2, 2))
 
     def test_invalid_setting_rejected(self):
-        p = density(K0)
-        broken = MeasurementSetting("broken", (p, p))
-        with pytest.raises(ValueError, match="invalid setting"):
-            conditional_states(np.eye(4) / 4, [broken], (2, 2))
+        # a duplicated column, a non-unit column, an incomplete 2 x 1 setting
+        for vectors in (np.stack([K0, K0], axis=1), np.diag([1.0, 0.5]), K0[:, None]):
+            broken = MeasurementSetting("broken", vectors)
+            with pytest.raises(ValueError, match="invalid setting"):
+                conditional_states(np.eye(4) / 4, [broken], (2, 2))
 
 
 class TestNoSignalling:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerkit.linalg import DEFAULT_TOL
 from steerkit.measurements import (
     MeasurementSetting,
+    PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     angle_projectors,
     basis_from_unitary,
     bloch_projectors,
@@ -120,20 +124,83 @@ class TestBases:
             basis_from_unitary(np.ones((3, 3)))
 
 
+class TestConstructorsAgainstClosedForms:
+    """Each constructor stores vectors; the projectors derived from them must
+    equal the closed forms the projectors were once built from."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.tuples(*[st.floats(-1, 1, allow_nan=False)] * 3).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        alpha=st.floats(-10, 10, allow_nan=False),
+        d=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projectors_match(self, n, alpha, d, seed):
+        n = np.array(n) / np.linalg.norm(n)
+        ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+        v0 = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
+        v1 = np.array([np.sin(alpha), -np.cos(alpha)], dtype=complex)
+        omega, k = np.exp(2j * np.pi / d), np.arange(d)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        cases = [
+            (bloch_projectors(n), [(np.eye(2) + ns) / 2, (np.eye(2) - ns) / 2]),
+            (angle_projectors(alpha), [density(v0), density(v1)]),
+            (computational_basis(d), [np.diag(np.eye(d)[m]) for m in range(d)]),
+            (fourier_mub_basis(d), [density(omega ** (k * m) / np.sqrt(d)) for m in range(d)]),
+            (basis_from_unitary(u), [density(u[:, m]) for m in range(d)]),
+        ]
+        for s, closed in cases:
+            assert s.projectors.shape == (s.outcomes, s.dim, s.dim)
+            assert np.max(np.abs(s.projectors - np.stack(closed))) <= 1e-15
+            assert validate_setting(s).passed
+
+    @pytest.mark.parametrize("n", [[0, 0, -1], [1e-9, 0, -1], [0, 0, 1]])
+    def test_bloch_poles(self, n):
+        n = np.array(n) / np.linalg.norm(n)
+        ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+        s = bloch_projectors(n)
+        assert validate_setting(s).passed
+        assert np.max(np.abs(s.projectors - np.stack([np.eye(2) + ns, np.eye(2) - ns]) / 2)) <= 1e-15
+
+    def test_fourier_d100_orthonormal(self):
+        assert validate_setting(fourier_mub_basis(100)).orthonormality <= 1e-13
+
+    def test_stored_read_only(self):
+        s = fourier_mub_basis(3)
+        with pytest.raises(ValueError):
+            s.vectors[0, 0] = 2
+        with pytest.raises(ValueError):
+            s.projectors[0, 0, 0] = 2
+
+
 class TestValidateSetting:
     def test_good_setting_passes(self):
         rep = validate_setting(bloch_projectors([0, 0, 1]))
         assert rep.passed
-        assert max(rep.idempotence, rep.orthogonality, rep.completeness) == 0
+        assert max(rep.orthonormality, rep.completeness) == 0
 
     def test_duplicated_projector_fails(self):
-        p = density(K0)
-        rep = validate_setting(MeasurementSetting("broken", (p, p)))
+        rep = validate_setting(MeasurementSetting("broken", np.stack([K0, K0], axis=1)))
         assert not rep.passed
         assert rep.completeness >= 1 - 1e-12
-        assert rep.orthogonality >= 1 - 1e-12
+        assert rep.orthonormality >= 1 - 1e-12
+
+    def test_non_unit_column_fails(self):
+        rep = validate_setting(MeasurementSetting("short", np.diag([1.0, 0.5])))
+        assert not rep.passed
+        assert rep.orthonormality >= 0.75 - 1e-12
+        assert rep.completeness >= 0.75 - 1e-12
+
+    def test_incomplete_setting_fails(self):
+        rep = validate_setting(MeasurementSetting("incomplete", np.eye(4)[:, :3]))
+        assert not rep.passed
+        assert rep.orthonormality == 0
+        assert rep.completeness >= 1 - 1e-12
 
     def test_fourier_d7_within_tight_tolerance(self):
         rep = validate_setting(fourier_mub_basis(7))
         assert rep.passed
-        assert max(rep.idempotence, rep.orthogonality, rep.completeness) <= 1e-12
+        assert max(rep.orthonormality, rep.completeness) <= 1e-12

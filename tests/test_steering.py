@@ -6,6 +6,7 @@ from steerkit.assemblage import Assemblage, conditional_states, no_signalling_ch
 from steerkit.linalg import DEFAULT_TOL
 from steerkit.measurements import (
     angle_projectors,
+    basis_from_unitary,
     bloch_projectors,
     computational_basis,
     fourier_mub_basis,
@@ -72,6 +73,26 @@ class TestPureStateParadox:
     def test_coincident_settings_rejected(self):
         with pytest.raises(CoincidentSettingsError):
             pure_state_paradox(theta_state(0.5), [Z, bloch_projectors([0, 0, 1])])
+
+    def test_nearly_coincident_settings_certified(self):
+        # Coincidence is judged by trace distance, as tol.state_eq is defined:
+        # every projector of R.F lies 2e-9 to 3e-9 from its partner in F, so
+        # the pair is distinct, although the projectors differ entrywise by
+        # at most 5.3e-10.
+        d = 30
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+        rotation = (vecs * np.exp(5e-10j * vals)) @ vecs.conj().T
+        f = np.exp(2j * np.pi / d) ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)
+        rf = rotation @ f
+        gaps = np.linalg.norm(rf - np.sum(f.conj() * rf, axis=0) * f, axis=0)
+        assert 2e-9 < np.min(gaps) and np.max(gaps) < 3.2e-9
+        settings = [fourier_mub_basis(d), basis_from_unitary(rf, "R.F")]
+        cert = pure_state_paradox(qudit_schmidt_state(np.full(d, 1 / np.sqrt(d))), settings)
+        assert cert.applicable
+        assert abs(cert.lhs_trace_sum - 2) <= 1e-9
+        assert abs(cert.purity.min_pairwise_distance() - np.min(gaps)) <= 1e-13
 
     def test_single_setting_rejected(self):
         with pytest.raises(ValueError):
