@@ -32,11 +32,12 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """Labeled rank-1 projective measurement on a d-dimensional system,
     stored as a read-only complex d x k matrix whose column a is outcome a's
-    vector. Only the shape is checked here; see validate_setting."""
+    vector. Only the shape is checked here; see validate_setting. Two
+    settings are equal iff their labels and vectors are."""
 
     label: str
     vectors: np.ndarray
@@ -47,6 +48,13 @@ class MeasurementSetting:
             raise ValueError(f"a setting needs a d x k matrix with k >= 1, got shape {u.shape}")
         u.setflags(write=False)
         object.__setattr__(self, "vectors", u)
+
+    def __eq__(self, other):
+        same = isinstance(other, MeasurementSetting) and self.label == other.label
+        return same and np.array_equal(self.vectors, other.vectors)
+
+    def __hash__(self):  # + 0 maps -0.0, which array_equal counts equal, to 0.0
+        return hash((self.label, self.vectors.shape, (self.vectors + 0).tobytes()))
 
     @property
     def dim(self) -> int:

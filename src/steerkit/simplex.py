@@ -1,15 +1,16 @@
 """Phase-1 simplex for linear feasibility: find x >= 0 with A x = b.
 
 Revised simplex with Bland's anti-cycling rule. Rows with b < 0 are
-negated, an artificial variable per row starts as the basis, and the
-method keeps an explicit m x m basis inverse B^-1 with the basic values
-x_B. Each pivot recomputes the dual y = c_B B^-1 and from it every
-reduced cost in one matvec, -y A for the x columns and 1 - y for the
-artificials; enters the lowest-index column below -1e-9; ratio-tests the
-entering column B^-1 A_j with ties going to the lowest basis index; and
-updates B^-1 and x_B by one O(m^2) eta step. The pivots are those of a
-dense tableau under the same rule, but a pivot reads A once instead of
-rewriting every tableau row.
+negated and an artificial variable per row (cost 1) starts as the basis.
+The method keeps T = [B^-1 | x_B], the basis inverse with the basic values
+as one more column, and the basic costs c_B. Each pivot forms y = c_B B^-1
+and prices the x columns, -y A_j, in blocks of 256 rows of a contiguous
+A^T, stopping at the first block with one below -1e-9; only then are the
+artificials priced, as 1 - y. The lowest such index enters, as if every
+column were priced. The ratio test on B^-1 A_j runs on Python floats, ties
+to the lowest basis index, and one row scale and one rank-1 update of T
+move B^-1 and x_B. So the pivots are a dense tableau's under the same
+rule, but a pivot reads A once instead of rewriting every tableau row.
 
 Pivot elements and reduced costs at or below 1e-9 count as zero: a pivot
 on a rounding-sized element multiplies the basis inverse's error by its
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = ["PhaseOneResult", "phase_one"]
 
 _PIVOT_EPS = 1e-9
+_PRICE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -53,45 +55,52 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
     sign = np.where(b < 0, -1.0, 1.0)
     A = A * sign[:, None]
     b = b * sign
-    # Columns are [x | artificials], each artificial costing 1; basis[i] is
-    # the column basic in row i.
-    cols = np.hstack([A, np.eye(m)])
-    cost = np.repeat([0.0, 1.0], [n, m])
+    AT = np.ascontiguousarray(A.T)
+    # basis[i] is the column basic in row i: x columns 0..n-1 cost 0, the
+    # artificial of row i is column n + i and costs 1. T = [B^-1 | x_B].
     basis = np.arange(n, n + m)
-    B_inv = np.eye(m)
-    x_B = b.copy()
+    c_B = np.ones(m)
+    T = np.hstack([np.eye(m), b[:, None]])
+    B_inv = T[:, :m]
 
     iters = 0
     while iters < max_iter:
-        # Bland: entering = lowest-index column with negative reduced cost.
-        reduced = cost - cost[basis] @ B_inv @ cols
-        entering = (reduced < -_PIVOT_EPS).nonzero()[0]
-        if not entering.size:
-            break
-        enter = entering[0]
-        col = B_inv @ cols[:, enter]
+        # Bland: entering = lowest-index column with negative reduced cost,
+        # -y A_j for x columns, then 1 - y_i for artificials.
+        y = c_B @ B_inv
+        for start in range(0, n, _PRICE_BLOCK):
+            hit = AT[start : start + _PRICE_BLOCK] @ y > _PIVOT_EPS
+            if hit.any():
+                enter = start + int(hit.argmax())
+                break
+        else:
+            art = np.flatnonzero(1.0 - y < -_PIVOT_EPS)
+            if not art.size:
+                break
+            enter = n + int(art[0])
+        col = B_inv @ AT[enter] if enter < n else B_inv[:, enter - n].copy()
         # Ratio test, ties broken by lowest basis index (Bland).
         leave, best = -1, np.inf
-        for i in (col > _PIVOT_EPS).nonzero()[0].tolist():
-            ratio = x_B[i] / col[i]
-            if ratio < best - _PIVOT_EPS or (
-                abs(ratio - best) <= _PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best, leave = ratio, i
+        for i, (c, x_i) in enumerate(zip(col.tolist(), T[:, m].tolist())):
+            if c > _PIVOT_EPS:
+                ratio = x_i / c
+                if ratio < best - _PIVOT_EPS or (
+                    abs(ratio - best) <= _PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
         if leave < 0:
             # Unbounded phase-1 cannot happen (objective bounded below by 0);
             # numerically treat as a stall.
             break
-        B_inv[leave] /= col[leave]
-        x_B[leave] /= col[leave]
+        T[leave] /= col[leave]
         col[leave] = 0.0
-        B_inv -= col[:, None] * B_inv[leave]
-        x_B -= col * x_B[leave]
+        T -= col[:, None] * T[leave]
         basis[leave] = enter
+        c_B[leave] = float(enter >= n)
         iters += 1
 
     x = np.zeros(n)
     structural = basis < n
-    x[basis[structural]] = np.maximum(0.0, x_B[structural])
-    residual = float(max(0.0, cost[basis] @ x_B, np.max(np.abs(A @ x - b), initial=0.0)))
+    x[basis[structural]] = np.maximum(0.0, T[structural, m])
+    residual = float(max(0.0, c_B @ T[:, m], np.max(np.abs(A @ x - b), initial=0.0)))
     return PhaseOneResult(residual <= tol, x, residual, iters)

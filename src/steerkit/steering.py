@@ -165,7 +165,8 @@ class FeasibilityOutcome:
 
     FeasibleModelFound carries a complete LHS certificate.
     InfeasibleWithinAnsatz only rules out the supplied candidates; it makes
-    no claim about steering in general.
+    no claim about steering in general. Status and residual are taken on
+    every equation, also those the simplex leaves out.
     """
 
     status: str  # "FeasibleModelFound" | "InfeasibleWithinAnsatz"
@@ -231,6 +232,7 @@ def pure_state_paradox(
     settings = list(settings)
     if len(settings) < 2:
         raise ValueError(f"need at least 2 settings, got {len(settings)}")
+    asm = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
     for i in range(len(settings)):
         for j in range(i + 1, len(settings)):
             if _settings_coincide(settings[i], settings[j], tol):
@@ -251,7 +253,6 @@ def pure_state_paradox(
             tolerances=tol,
         )
 
-    asm = conditional_states(psi, settings, (psi.dA, psi.dB), tol)
     prof = purity_profile(asm, tol)
 
     bad = [r for r in prof.reports if not r.vacuous and not r.rank_one]
@@ -367,9 +368,14 @@ def lhs_feasibility_lp(
 
     Solves for nonnegative weights w_{c,D} over candidates c and
     deterministic strategies D (one fixed outcome per setting) such that
-    rho~^n_a = sum over {c, D with D(n)=a} of w_{c,D} rho_c. Feasibility is
-    decided by a phase-1 simplex; a feasible point is folded back into
-    hidden-state weights and stochastic responses.
+    rho~^n_a = sum over {c, D with D(n)=a} of w_{c,D} rho_c. A phase-1
+    simplex solves these without rows zero in both A and b and without the
+    last outcome of each setting after the first, which the rest imply: in
+    every column, each setting's outcome rows sum to the same rho_c. The
+    verdict and residual, max(phase-1 residual, ||A x - b||_1), are on all
+    rows; a dropped row then misses by the same amount for every solution of
+    the kept ones, so an assemblage that breaks no-signalling is rejected.
+    A feasible point is folded back into weights and stochastic responses.
     """
     if candidates is None:
         candidates = default_candidates(a, tol)
@@ -384,23 +390,19 @@ def lhs_feasibility_lp(
     strategies = list(itertools.product(*(range(o) for o in a.outcome_counts)))
     # hits[row, di]: strategy di answers outcome a on setting n, (n, a) = index[row]
     hits = np.array([[strat[n] == out for strat in strategies] for n, out in a.index])
-    n_c, n_d = len(candidates), len(strategies)
     cand_vec = _vectorize_hermitian(np.stack(candidates))
-    comp = dB * dB  # real components per matrix equality
     A = np.where(hits[:, None, None, :], cand_vec.T[None, :, :, None], 0.0)
-    A = A.reshape(len(hits) * comp, n_c * n_d)
+    A = A.reshape(len(hits) * dB * dB, len(candidates) * len(strategies))
     b = _vectorize_hermitian(a.stack).ravel()
-
-    result = phase_one(A, b, tol=tol.lp)
-    if not result.feasible:
-        return FeasibilityOutcome("InfeasibleWithinAnsatz", None, result.residual, result.iterations)
-
-    w = result.x.reshape(n_c, n_d)
+    implied = np.isin(np.arange(len(hits)), np.cumsum(a.outcome_counts)[1:] - 1)
+    independent = ~implied.repeat(dB * dB) & (A.any(axis=1) | (b != 0))
+    result = phase_one(A[independent], b[independent], tol=tol.lp)
+    residual = max(result.residual, float(np.abs(A @ result.x - b).sum()))
+    w = result.x.reshape(len(candidates), -1)
     weights_per_candidate = w.sum(axis=1)
     kept = np.flatnonzero(weights_per_candidate > tol.lp)
-    if not kept.size:
-        # All mass vanished: only possible for an all-vacuous assemblage.
-        return FeasibilityOutcome("InfeasibleWithinAnsatz", None, result.residual, result.iterations)
+    if residual > tol.lp or not kept.size:  # no kept candidate only if every row is vacuous
+        return FeasibilityOutcome("InfeasibleWithinAnsatz", None, residual, result.iterations)
     weights = weights_per_candidate[kept] / weights_per_candidate[kept].sum()
     p = (w[kept] @ hits.T) / weights_per_candidate[kept, None]
     responses = {
@@ -411,7 +413,7 @@ def lhs_feasibility_lp(
         hidden_states=tuple(candidates[ci] for ci in kept),
         responses=responses,
     )
-    return FeasibilityOutcome("FeasibleModelFound", model, result.residual, result.iterations)
+    return FeasibilityOutcome("FeasibleModelFound", model, residual, result.iterations)
 
 
 def _three_qubit_op(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:

@@ -51,7 +51,9 @@ def cube_fibonacci_states(n_fib: int) -> list:
 
 
 # (axes, candidate grid, threshold): {z, x} over the 64-point circle gives
-# the 16 x 256 LP, {x, y, z} over cube + 248 Fibonacci points the 24 x 2048.
+# a 16 x 256 system of rank 9, which lhs_feasibility_lp solves as 9 x 256;
+# {x, y, z} over cube + 248 Fibonacci points a 24 x 2048 system of rank 16,
+# solved as 16 x 2048.
 GRIDS = {
     "circle8": ("zx", lambda: circle_states(8), 1 / np.sqrt(2)),
     "circle64": ("zx", lambda: circle_states(64), 1 / np.sqrt(2)),
@@ -61,8 +63,32 @@ GRIDS = {
 
 
 def lp_system(asm, candidates):
-    """The (A, b) that lhs_feasibility_lp hands to phase_one, and its outcome."""
+    """The (A, b) that lhs_feasibility_lp hands to phase_one, its
+    independent rows only, and its outcome."""
     with mock.patch.object(steering, "phase_one", wraps=steering.phase_one) as solve:
         outcome = steering.lhs_feasibility_lp(asm, candidates)
     A, b = solve.call_args.args
     return A, b, outcome
+
+
+def full_lp_system(asm, candidates):
+    """Every equation of the LHS LP, built entry by entry as a reference.
+
+    Row (n, a, i) is component i of the real vector of rho~^n_a (diagonal,
+    then real and imaginary parts of the strict upper triangle), column
+    (c, D) holds that component of candidate c where strategy D answers a
+    on setting n, and 0 elsewhere."""
+
+    def components(m):
+        upper = m[np.triu_indices(len(m), k=1)]
+        return np.concatenate([np.diag(m).real, upper.real, upper.imag])
+
+    strategies = list(itertools.product(*(range(k) for k in asm.outcome_counts)))
+    cands = [components(np.asarray(c)) for c in candidates]
+    rows = [
+        [vec[i] if strat[n] == a else 0.0 for vec in cands for strat in strategies]
+        for n, a in asm.index
+        for i in range(len(cands[0]))
+    ]
+    b = np.concatenate([components(m) for m in asm.stack])
+    return np.array(rows), b

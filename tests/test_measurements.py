@@ -176,6 +176,27 @@ class TestConstructorsAgainstClosedForms:
             s.projectors[0, 0, 0] = 2
 
 
+class TestValueSemantics:
+    def test_equal_settings_hash_alike(self):
+        z1, z2 = bloch_projectors([0, 0, 1]), bloch_projectors([0, 0, 1])
+        assert z1 == z2 and hash(z1) == hash(z2)
+        assert len({z1, z2, bloch_projectors([1, 0, 0])}) == 2
+        assert computational_basis(3) == MeasurementSetting("Z(d=3)", np.eye(3))
+
+    def test_label_and_every_entry_count(self):
+        z = bloch_projectors([0, 0, 1])
+        assert z != bloch_projectors([1, 0, 0])
+        assert z != MeasurementSetting("other", z.vectors)
+        assert z != MeasurementSetting(z.label, z.vectors[:, ::-1])
+        assert z != MeasurementSetting(z.label, z.vectors[:1])
+        assert z != z.vectors
+
+    def test_signed_zero_hashes_like_zero(self):
+        a = MeasurementSetting("s", [[1.0, -0.0], [-0.0j, 1.0]])
+        b = MeasurementSetting("s", np.eye(2))
+        assert a == b and hash(a) == hash(b)
+
+
 class TestValidateSetting:
     def test_good_setting_passes(self):
         rep = validate_setting(bloch_projectors([0, 0, 1]))

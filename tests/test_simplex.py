@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lhs_cases import GRIDS, lp_system, werner_assemblage
+from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
 from steerkit.simplex import PhaseOneResult, phase_one
 
@@ -193,10 +193,24 @@ class TestAgainstDenseTableau:
     @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
     @pytest.mark.parametrize("offset", [-0.01, 0.01])
     def test_lhs_grid_lps(self, grid, offset):
-        # the 16 x 256 circle LP and the 24 x 2048 cube + Fibonacci LP
+        # the 9 x 256 circle LP and the 16 x 2048 cube + Fibonacci LP
         axes, states, threshold = GRIDS[grid]
         asm, _ = werner_assemblage(threshold + offset, axes)
         A, b, _ = lp_system(asm, states())
+        res = phase_one(A, b)
+        ref, _ = dense_tableau_reference(A, b)
+        assert res.iterations == ref.iterations
+        assert res.feasible == ref.feasible == (offset < 0)
+        assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
+    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    def test_full_lhs_grid_lps(self, grid, offset):
+        # the same LPs with every row, 16 x 256 of rank 9 and 24 x 2048 of
+        # rank 16, whose dependent rows keep artificials basic at zero
+        axes, states, threshold = GRIDS[grid]
+        asm, _ = werner_assemblage(threshold + offset, axes)
+        A, b = full_lp_system(asm, states())
         res = phase_one(A, b)
         ref, _ = dense_tableau_reference(A, b)
         assert res.iterations == ref.iterations

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from lhs_cases import GRIDS, werner_assemblage
+from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
+from steerkit import assemblage
 from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check
 from steerkit.linalg import DEFAULT_TOL
 from steerkit.measurements import (
+    MeasurementSetting,
     angle_projectors,
     basis_from_unitary,
     bloch_projectors,
@@ -73,6 +77,21 @@ class TestPureStateParadox:
     def test_coincident_settings_rejected(self):
         with pytest.raises(CoincidentSettingsError):
             pure_state_paradox(theta_state(0.5), [Z, bloch_projectors([0, 0, 1])])
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, 0.0])
+    def test_invalid_settings_reported_invalid(self, theta):
+        # a duplicated column: not a basis, and equal to its twin, so only
+        # validating before the coincidence test names the real fault
+        bad = [MeasurementSetting(label, [[1, 1], [0, 0]]) for label in ("a", "b")]
+        with pytest.raises(ValueError, match="invalid setting") as err:
+            pure_state_paradox(theta_state(theta), bad)
+        assert not isinstance(err.value, CoincidentSettingsError)
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, 0.0])
+    def test_each_setting_validated_once(self, theta):
+        with mock.patch.object(assemblage, "validate_setting", wraps=assemblage.validate_setting) as check:
+            pure_state_paradox(theta_state(theta), [Z, X, Y])
+        assert check.call_count == 3
 
     def test_nearly_coincident_settings_certified(self):
         # Coincidence is judged by trace distance, as tol.state_eq is defined:
@@ -290,10 +309,46 @@ class TestFeasibilityLp:
         dev = max(float(np.max(np.abs(rec.state(n, a) - asm.state(n, a)))) for (n, a) in asm.index)
         assert dev <= DEFAULT_TOL.lp
 
+    def test_no_signalling_violation_rejected(self):
+        # delta/2 on both diagonal entries of the last outcome of setting 1,
+        # the rows the simplex leaves out, of an assemblage feasible by 0.05
+        axes, states, threshold = GRIDS["circle64"]
+        asm, _ = werner_assemblage(threshold - 0.05, axes)
+        assert lhs_feasibility_lp(asm, states()).feasible
+        delta = 1e-6
+        stack = asm.stack.copy()
+        stack[3] += delta * np.eye(2) / 2
+        broken = Assemblage(asm.setting_labels, asm.outcome_counts, stack, asm.bob_reduced, asm.dims)
+        out = lhs_feasibility_lp(broken, states())
+        assert out.status == "InfeasibleWithinAnsatz"
+        assert out.residual >= delta
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        A, b = full_lp_system(broken, states())
+        highs = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert highs.status == 2  # infeasible
+
     def test_dimension_mismatch(self):
         asm = conditional_states(theta_state(0.5).density_matrix(), [Z, X], (2, 2))
         with pytest.raises(ValueError, match="candidate"):
             lhs_feasibility_lp(asm, [np.eye(3) / 3])
+
+
+class TestIndependentRows:
+    """lhs_feasibility_lp hands phase_one a full-row-rank subset of the
+    equations that spans all of them."""
+
+    SHAPES = {"circle8": (9, 32), "circle64": (9, 256), "cube": (16, 64), "cube_fib248": (16, 2048)}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_full_row_rank(self, grid):
+        axes, states, threshold = GRIDS[grid]
+        asm, _ = werner_assemblage(threshold - 0.01, axes)
+        A, b, _ = lp_system(asm, states())
+        A_full, b_full = full_lp_system(asm, states())
+        assert A.shape == self.SHAPES[grid]
+        assert np.linalg.matrix_rank(A) == len(A) == np.linalg.matrix_rank(A_full)
+        equations = {(*row, rhs) for row, rhs in zip(A_full.tolist(), b_full.tolist())}
+        assert all((*row, rhs) in equations for row, rhs in zip(A.tolist(), b.tolist()))
 
 
 class TestWernerThresholds:
