@@ -27,12 +27,11 @@ asm = conditional_states(psi, settings, (2, 2))
 print(f"state: cos({theta:.4f})|00> + sin({theta:.4f})|11>")
 print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 
+# The profile's arrays follow the assemblage's rows; index and
+# residual_mass cover the nonvacuous ones, here all four.
 prof = purity_profile(asm)
-for r in prof.reports:
-    print(
-        f"  setting {r.setting} outcome {r.outcome}: p = {r.probability:.4f}, "
-        f"rank-1 residual = {r.residual_mass:.2e}"
-    )
+for (n, a), residual in zip(prof.index.tolist(), prof.residual_mass):
+    print(f"  setting {n} outcome {a}: p = {asm.probability(n, a):.4f}, rank-1 residual = {residual:.2e}")
 print(f"min pairwise trace distance: {prof.min_pairwise_distance():.4f}")
 
 cert = pure_state_paradox(psi, settings)

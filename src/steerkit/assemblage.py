@@ -20,21 +20,36 @@ from .states import BipartitePureState
 
 __all__ = [
     "Assemblage",
-    "OutcomeReport",
     "PurityProfile",
     "conditional_states",
     "no_signalling_check",
     "purity_profile",
+    "row_keys",
+    "setting_sums",
 ]
+
+
+def row_keys(outcome_counts) -> np.ndarray:
+    """(setting, outcome) of each row of per-outcome data, as a (rows, 2)
+    int array: rows run over the settings in order and, within a setting,
+    over its outcomes. Every per-outcome array in steerkit uses this order."""
+    keys = [(n, a) for n, count in enumerate(outcome_counts) for a in range(count)]
+    return np.array(keys, dtype=int).reshape(-1, 2)
+
+
+def setting_sums(values, outcome_counts) -> np.ndarray:
+    """Sum over each setting's rows of per-outcome data in row order (axis
+    0), one entry per setting. Every count must be positive."""
+    return np.add.reduceat(values, np.cumsum((0,) + tuple(outcome_counts[:-1])), axis=0)
 
 
 @dataclass(frozen=True)
 class Assemblage:
     """Bob's unnormalized conditional states, one per (setting, outcome).
 
-    stack[row] is the state for index[row]: rows run over the settings in
-    order and, within a setting, over its outcomes. For every setting the
-    outcome states sum to Bob's reduced state and their traces sum to 1.
+    stack[row] is the state for index[row], in the row order of row_keys.
+    For every setting the outcome states sum to Bob's reduced state and
+    their traces sum to 1.
     """
 
     setting_labels: tuple
@@ -53,7 +68,7 @@ class Assemblage:
     @property
     def index(self) -> tuple:
         """(setting, outcome) of each stack row."""
-        return tuple((n, a) for n, count in enumerate(self.outcome_counts) for a in range(count))
+        return tuple(map(tuple, row_keys(self.outcome_counts).tolist()))
 
     def state(self, n: int, a: int) -> np.ndarray:
         return self.stack[self.index.index((n, a))]
@@ -63,22 +78,13 @@ class Assemblage:
 
 
 @dataclass(frozen=True)
-class OutcomeReport:
-    """Purity data for one (setting, outcome) conditional state."""
-
-    setting: int
-    outcome: int
-    probability: float
-    vacuous: bool
-    rank_one: bool
-    principal: np.ndarray | None
-    residual_mass: float
-
-
-@dataclass(frozen=True)
 class PurityProfile:
-    """Rank-1 flags plus the pairwise trace-distance matrix over all
-    nonvacuous normalized conditional states.
+    """Purity and distinctness of an assemblage's conditional states.
+
+    probabilities covers every row, in assemblage row order. A row with
+    probability at most tol.rank1 is vacuous; the other fields cover the
+    nonvacuous rows only, in the same order, and describe the normalized
+    states.
 
     Between two rank-1 states the distance is that of their principal
     projectors, sqrt(1 - |<v|w>|^2), taken as the norm of w's component
@@ -89,25 +95,25 @@ class PurityProfile:
     not rank 1 is an eigendecomposition of the difference.
     """
 
-    reports: tuple
-    distance_matrix: np.ndarray
-    distance_index: tuple  # (n, a) keys matching distance_matrix rows
+    probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
+    index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
+    rank_one: np.ndarray  # (m,) bool
+    residual_mass: np.ndarray  # (m,) subdominant eigenvalue mass
+    principals: np.ndarray  # (m, dB) principal eigenvectors
+    distance_matrix: np.ndarray  # (m, m) pairwise trace distances
 
     @property
     def all_rank_one(self) -> bool:
-        return all(r.rank_one for r in self.reports if not r.vacuous)
+        return bool(np.all(self.rank_one))
 
     @property
     def max_residual_mass(self) -> float:
         """Largest subdominant eigenvalue mass over nonvacuous outcomes."""
-        return max((r.residual_mass for r in self.reports if not r.vacuous), default=0.0)
+        return float(np.max(self.residual_mass, initial=0.0))
 
     def min_pairwise_distance(self) -> float:
-        m = self.distance_matrix.shape[0]
-        if m < 2:
-            return float("inf")
-        iu = np.triu_indices(m, k=1)
-        return float(np.min(self.distance_matrix[iu]))
+        pairs = self.distance_matrix[np.triu_indices(len(self.distance_matrix), k=1)]
+        return float(np.min(pairs, initial=np.inf))
 
 
 def conditional_states(
@@ -160,9 +166,7 @@ def conditional_states(
 
 def no_signalling_check(a: Assemblage) -> float:
     """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings."""
-    starts = np.cumsum((0,) + a.outcome_counts[:-1])
-    totals = np.add.reduceat(a.stack, starts, axis=0)
-    return float(np.max(np.abs(totals - a.bob_reduced)))
+    return float(np.max(np.abs(setting_sums(a.stack, a.outcome_counts) - a.bob_reduced)))
 
 
 def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfile:
@@ -175,14 +179,6 @@ def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfil
     probs = np.trace(a.stack, axis1=1, axis2=2).real
     live = probs > tol.rank1
     flags, principals, residuals = is_rank_one(a.stack[live], tol)
-    checked = zip(flags.tolist(), principals, residuals.tolist())
-    reports = []
-    for (n, out), p, nonvacuous in zip(a.index, probs.tolist(), live):
-        if nonvacuous:
-            rank_one, principal, residual = next(checked)
-            reports.append(OutcomeReport(n, out, p, False, rank_one, principal, residual))
-        else:
-            reports.append(OutcomeReport(n, out, p, True, False, None, 0.0))
     normalized = a.stack[live] / probs[live, None, None]
     m = len(normalized)
     pure = np.flatnonzero(flags)
@@ -193,5 +189,4 @@ def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfil
         cols = np.flatnonzero((np.arange(m) > i) | flags)
         if cols.size:
             dist[i, cols] = dist[cols, i] = trace_distance(normalized[i], normalized[cols], tol)
-    index = tuple(key for key, nonvacuous in zip(a.index, live) if nonvacuous)
-    return PurityProfile(tuple(reports), dist, index)
+    return PurityProfile(probs, row_keys(a.outcome_counts)[live], flags, residuals, principals, dist)

@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, kron, projector_distances
+from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile, row_keys, setting_sums
+from .linalg import DEFAULT_TOL, Tolerances, kron, projector_distances
 from .measurements import PAULI_X, PAULI_Y, MeasurementSetting
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState
@@ -47,65 +47,83 @@ class ParadoxInvariantError(RuntimeError):
     """A numerical invariant the theorem guarantees failed its tolerance."""
 
 
+def _require_states(stack: np.ndarray, tol: Tolerances, what: str) -> None:
+    """Raise ValueError unless every matrix of an (H, d, d) stack is a
+    density matrix: Hermitian, PSD and of unit trace, each within tol.lp."""
+    herm = np.max(np.abs(stack - np.swapaxes(stack, 1, 2).conj()), axis=(1, 2))
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    bad = np.flatnonzero((herm > tol.lp) | (low < -tol.lp) | (np.abs(trace - 1.0) > tol.lp))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"{what} {i} is not a density matrix: max |M - M^dagger| = {herm[i]:.3e}, "
+            f"min eigenvalue {low[i]:.3e}, trace {trace[i]:.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class LHSModel:
     """Ensemble of weighted hidden states plus stochastic responses.
 
-    responses maps (setting index n, outcome a, hidden index xi) to
-    p(a | n, xi); absent keys mean probability zero.
+    Hidden state xi is hidden_states[xi], an (H, dB, dB) stack, with weight
+    weights[xi]. responses[row, xi] is p(a | n, xi), where (n, a) =
+    row_keys(outcome_counts)[row], so the rows follow the assemblage's.
+    Every field is a read-only copy of the value passed in.
     """
 
-    weights: np.ndarray
-    hidden_states: tuple
-    responses: dict
+    weights: np.ndarray  # (H,)
+    hidden_states: np.ndarray  # (H, dB, dB)
+    responses: np.ndarray  # (rows, H)
+    outcome_counts: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        hs = tuple(as_matrix(h) for h in self.hidden_states)
-        for h in hs:
-            h.setflags(write=False)
-        object.__setattr__(self, "hidden_states", hs)
-        if w.size != len(hs):
-            raise ValueError("weights and hidden_states length mismatch")
-
-    def response(self, n: int, a: int, xi: int) -> float:
-        return float(self.responses.get((n, a, xi), 0.0))
+        counts = tuple(int(c) for c in self.outcome_counts)
+        w = np.array(self.weights, dtype=float).ravel()
+        hs = np.array(self.hidden_states, dtype=complex)
+        p = np.array(self.responses, dtype=float)
+        if not counts or min(counts) < 1:
+            raise ValueError(f"outcome_counts {counts}: need a setting, each with an outcome")
+        if hs.ndim != 3 or hs.shape[0] != w.size or hs.shape[1] != hs.shape[2]:
+            raise ValueError(f"hidden_states shape {hs.shape} is not ({w.size}, dB, dB)")
+        if p.shape != (sum(counts), w.size):
+            raise ValueError(f"responses shape {p.shape} does not fit {counts} x {w.size} hidden states")
+        for name, value in (("weights", w), ("hidden_states", hs), ("responses", p)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "outcome_counts", counts)
 
     def validate(self, bob_reduced=None, tol: Tolerances = DEFAULT_TOL) -> None:
-        """Check the model invariants; raises ValueError on breach."""
+        """Raise ValueError unless, within tol.lp, the weights are positive
+        and sum to 1, every hidden state is a density matrix, each hidden
+        state's responses are >= 0 and sum to 1 over every setting, and
+        the weighted hidden states average to rho_B when it is given."""
         w = self.weights
         if np.any(w <= 0):
             raise ValueError("all hidden-state weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > tol.lp:
             raise ValueError(f"weights sum to {np.sum(w)}, expected 1")
-        settings = sorted({n for (n, _, _) in self.responses})
-        for n in settings:
-            for xi in range(len(self.hidden_states)):
-                total = sum(
-                    p for (nn, _, x), p in self.responses.items() if nn == n and x == xi
-                )
-                if abs(total - 1.0) > tol.lp:
-                    raise ValueError(
-                        f"responses for setting {n}, hidden state {xi} sum to {total}"
-                    )
+        _require_states(self.hidden_states, tol, "hidden state")
+        if np.min(self.responses) < -tol.lp:
+            raise ValueError(f"a response is negative: {np.min(self.responses)}")
+        miss = np.abs(setting_sums(self.responses, self.outcome_counts) - 1.0)
+        if np.max(miss) > tol.lp:
+            n, xi = np.unravel_index(np.argmax(miss), miss.shape)
+            raise ValueError(f"responses for setting {n}, hidden state {xi} miss a sum of 1 by {miss[n, xi]:.3e}")
         if bob_reduced is not None:
-            mix = sum(wi * h for wi, h in zip(w, self.hidden_states))
+            mix = np.tensordot(w, self.hidden_states, axes=1)
             dev = float(np.max(np.abs(mix - bob_reduced)))
             if dev > tol.lp:
                 raise ValueError(f"ensemble average deviates from rho_B by {dev:.3e}")
 
     def to_json(self) -> dict:
-        def mat(m):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
         return {
-            "weights": [float(x) for x in self.weights],
-            "hidden_states": [mat(h) for h in self.hidden_states],
+            "weights": self.weights.tolist(),
+            "hidden_states": np.stack([self.hidden_states.real, self.hidden_states.imag], axis=-1).tolist(),
             "responses": [
-                {"setting": n, "outcome": a, "hidden": xi, "p": float(p)}
-                for (n, a, xi), p in sorted(self.responses.items())
+                {"setting": n, "outcome": a, "hidden": xi, "p": p}
+                for (n, a), row in zip(row_keys(self.outcome_counts).tolist(), self.responses.tolist())
+                for xi, p in enumerate(row)
             ],
         }
 
@@ -255,13 +273,13 @@ def pure_state_paradox(
 
     prof = purity_profile(asm, tol)
 
-    bad = [r for r in prof.reports if not r.vacuous and not r.rank_one]
-    if bad:
-        worst = max(bad, key=lambda r: r.residual_mass)
+    bad = np.flatnonzero(~prof.rank_one)
+    if bad.size:
+        worst = bad[np.argmax(prof.residual_mass[bad])]
+        n, a = prof.index[worst]
         raise ParadoxInvariantError(
-            "conditional state for setting "
-            f"{worst.setting}, outcome {worst.outcome} is not rank-1 "
-            f"(residual mass {worst.residual_mass:.3e}); purity is guaranteed "
+            f"conditional state for setting {n}, outcome {a} is not rank-1 "
+            f"(residual mass {prof.residual_mass[worst]:.3e}); purity is guaranteed "
             "for pure entangled inputs, so this is a numerical failure"
         )
     if prof.min_pairwise_distance() <= tol.state_eq:
@@ -273,20 +291,13 @@ def pure_state_paradox(
 
     # Collapse: each nonvacuous equation consumes its own hidden state, in
     # lexicographic (setting, outcome) order, with the response forced to 1.
-    assignments = {}
-    xi = 1
-    for r in prof.reports:
-        if not r.vacuous:
-            assignments[(r.setting, r.outcome)] = xi
-            xi += 1
-
-    lhs = sum(r.probability for r in prof.reports)
+    assignments = {(n, a): xi for xi, (n, a) in enumerate(prof.index.tolist(), start=1)}
     quantum = float(np.trace(asm.bob_reduced).real)
     return ParadoxCertificate(
         applicable=True,
         reason="entangled pure state: trace contradiction established",
         k=k,
-        lhs_trace_sum=float(lhs),
+        lhs_trace_sum=float(np.sum(prof.probabilities)),
         quantum_trace_sum=quantum,
         assemblage=asm,
         purity=prof,
@@ -311,31 +322,28 @@ def separable_lhs_model(
     settings = list(settings)
     if not settings:
         raise ValueError("need at least one measurement setting")
-    psi_dag = psi.coefficients.conj().T
-    responses = {}
-    for n, s in enumerate(settings):
+    for s in settings:
         if s.dim != psi.dA:
             raise ValueError(f"setting {s.label!r} acts on dim {s.dim}, expected {psi.dA}")
-        probs = np.sum(np.abs(psi_dag @ s.vectors) ** 2, axis=0)
-        responses.update({(n, a, 0): float(p) for a, p in enumerate(probs)})
-    rho_b = psi.reduced_bob()
-    return LHSModel(weights=np.array([1.0]), hidden_states=(rho_b,), responses=responses)
+    vectors = np.concatenate([s.vectors for s in settings], axis=1)
+    probs = np.sum(np.abs(psi.coefficients.conj().T @ vectors) ** 2, axis=0)
+    counts = tuple(s.outcomes for s in settings)
+    return LHSModel(np.ones(1), psi.reduced_bob()[None], probs[:, None], counts)
 
 
 def lhs_reconstruct(model: LHSModel, settings, tol: Tolerances = DEFAULT_TOL) -> Assemblage:
-    """Assemble rho~^n_a = sum_xi p(a|n,xi) w_xi rho_xi from a model."""
+    """Assemble rho~^n_a = sum_xi p(a|n,xi) w_xi rho_xi from a model. The
+    settings must have the model's outcome counts."""
     model.validate(tol=tol)
     settings = list(settings)
-    weighted = model.weights[:, None, None] * np.stack(model.hidden_states)
-    responses = [
-        [model.response(n, a, xi) for xi in range(len(weighted))]
-        for n, s in enumerate(settings)
-        for a in range(s.outcomes)
-    ]
+    counts = tuple(s.outcomes for s in settings)
+    if counts != model.outcome_counts:
+        raise ValueError(f"settings have outcome counts {counts}, the model {model.outcome_counts}")
+    weighted = model.weights[:, None, None] * model.hidden_states
     return Assemblage(
         setting_labels=tuple(s.label for s in settings),
-        outcome_counts=tuple(s.outcomes for s in settings),
-        stack=np.tensordot(responses, weighted, axes=1),
+        outcome_counts=counts,
+        stack=np.tensordot(model.responses, weighted, axes=1),
         bob_reduced=weighted.sum(axis=0),
         dims=(settings[0].dim, weighted.shape[-1]),
     )
@@ -376,43 +384,38 @@ def lhs_feasibility_lp(
     rows; a dropped row then misses by the same amount for every solution of
     the kept ones, so an assemblage that breaks no-signalling is rejected.
     A feasible point is folded back into weights and stochastic responses.
+    Every candidate must be a density matrix within tol.lp.
     """
     if candidates is None:
         candidates = default_candidates(a, tol)
-    candidates = [as_matrix(c) for c in candidates]
-    if not candidates:
-        raise ValueError("candidate list must be nonempty")
+    candidates = np.array(candidates, dtype=complex)
     dB = a.dims[1]
-    for i, c in enumerate(candidates):
-        if c.shape != (dB, dB):
-            raise ValueError(f"candidate {i} has shape {c.shape}, expected ({dB}, {dB})")
+    if candidates.ndim != 3 or candidates.shape[1:] != (dB, dB) or not len(candidates):
+        raise ValueError(f"candidates have shape {candidates.shape}, expected (count > 0, {dB}, {dB})")
+    _require_states(candidates, tol, "candidate")
 
-    strategies = list(itertools.product(*(range(o) for o in a.outcome_counts)))
-    # hits[row, di]: strategy di answers outcome a on setting n, (n, a) = index[row]
-    hits = np.array([[strat[n] == out for strat in strategies] for n, out in a.index])
-    cand_vec = _vectorize_hermitian(np.stack(candidates))
-    A = np.where(hits[:, None, None, :], cand_vec.T[None, :, :, None], 0.0)
-    A = A.reshape(len(hits) * dB * dB, len(candidates) * len(strategies))
-    b = _vectorize_hermitian(a.stack).ravel()
-    implied = np.isin(np.arange(len(hits)), np.cumsum(a.outcome_counts)[1:] - 1)
-    independent = ~implied.repeat(dB * dB) & (A.any(axis=1) | (b != 0))
-    result = phase_one(A[independent], b[independent], tol=tol.lp)
-    residual = max(result.residual, float(np.abs(A @ result.x - b).sum()))
+    strategies = np.array(list(itertools.product(*(range(o) for o in a.outcome_counts))))
+    keys = row_keys(a.outcome_counts)
+    # hits[row, di]: strategy di answers outcome a on setting n, (n, a) = keys[row]
+    hits = strategies[:, keys[:, 0]].T == keys[:, 1:]
+    cand_vec = _vectorize_hermitian(candidates)
+    b = _vectorize_hermitian(a.stack)
+    implied = (keys[:, 0] > 0) & (keys[:, 1] == np.asarray(a.outcome_counts)[keys[:, 0]] - 1)
+    # Equation (row, component i) has entry i of candidate c's vector in
+    # column (c, di) where hits[row, di], and 0 elsewhere.
+    rows, comps = np.nonzero(~implied[:, None] & (cand_vec.any(axis=0) | (b != 0)))
+    A = np.where(hits[rows, None, :], cand_vec.T[comps, :, None], 0.0).reshape(rows.size, -1)
+    result = phase_one(A, b[rows, comps], tol=tol.lp)
     w = result.x.reshape(len(candidates), -1)
+    hit_weights = w @ hits.T  # (candidates, rows)
+    residual = max(result.residual, float(np.abs(hit_weights.T @ cand_vec - b).sum()))
     weights_per_candidate = w.sum(axis=1)
     kept = np.flatnonzero(weights_per_candidate > tol.lp)
     if residual > tol.lp or not kept.size:  # no kept candidate only if every row is vacuous
         return FeasibilityOutcome("InfeasibleWithinAnsatz", None, residual, result.iterations)
     weights = weights_per_candidate[kept] / weights_per_candidate[kept].sum()
-    p = (w[kept] @ hits.T) / weights_per_candidate[kept, None]
-    responses = {
-        (n, out, xi): p[xi, row] for xi in range(kept.size) for row, (n, out) in enumerate(a.index)
-    }
-    model = LHSModel(
-        weights=weights,
-        hidden_states=tuple(candidates[ci] for ci in kept),
-        responses=responses,
-    )
+    p = hit_weights[kept] / weights_per_candidate[kept, None]
+    model = LHSModel(weights, candidates[kept], p.T, a.outcome_counts)
     return FeasibilityOutcome("FeasibleModelFound", model, residual, result.iterations)
 
 

@@ -8,6 +8,8 @@ from steerkit.assemblage import (
     conditional_states,
     no_signalling_check,
     purity_profile,
+    row_keys,
+    setting_sums,
 )
 from steerkit.linalg import DEFAULT_TOL, is_rank_one, kron, partial_trace, trace_distance
 from steerkit.measurements import (
@@ -144,8 +146,7 @@ class TestPurityProfile:
         prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
         assert prof.all_rank_one
         assert abs(prof.min_pairwise_distance() - 1 / np.sqrt(2)) < 1e-9
-        probs = [r.probability for r in prof.reports]
-        assert np.allclose(sorted(probs), [0.5, 0.5, 0.5, 0.5])
+        assert np.allclose(prof.probabilities, [0.5, 0.5, 0.5, 0.5])
 
     def test_separable_all_coincide(self):
         beta = np.array([np.cos(0.4), np.sin(0.4)])
@@ -159,13 +160,14 @@ class TestPurityProfile:
     def test_mixed_state_not_rank_one(self):
         rho = 0.5 * theta_state(np.pi / 4).density_matrix() + 0.5 * np.eye(4) / 4
         prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
-        assert not any(r.rank_one for r in prof.reports)
+        assert prof.rank_one.shape == (4,)
+        assert not np.any(prof.rank_one)
 
     def test_vacuous_outcome_flagged(self):
         rho = theta_state(0.0).density_matrix()  # |00>, z-outcome 1 has p = 0
         prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
-        vac = {(r.setting, r.outcome) for r in prof.reports if r.vacuous}
-        assert vac == {(0, 1)}
+        assert prof.index.tolist() == [[0, 0], [1, 0], [1, 1]]
+        assert prof.probabilities[1] <= DEFAULT_TOL.rank1
 
     def test_outcome_probabilities_theta(self):
         theta = 0.7
@@ -260,14 +262,16 @@ class TestBatchedPurityChecks:
         asm = conditional_states(state, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
         prof = purity_profile(asm)
         assert prof.all_rank_one == pure
+        assert prof.index.tolist() == [list(key) for key in asm.index]
         normalized = []
-        for r in prof.reports:
-            rho = asm.state(r.setting, r.outcome)
+        for i, (n, a) in enumerate(asm.index):
+            rho = asm.state(n, a)
             flag, principal, residual = is_rank_one(rho)
-            assert r.rank_one == flag
-            assert abs(r.residual_mass - residual) <= 1e-12
-            assert abs(abs(np.vdot(r.principal, principal)) - 1) <= 1e-12
-            normalized.append(rho / r.probability)
+            assert prof.rank_one[i] == flag
+            assert abs(prof.residual_mass[i] - residual) <= 1e-12
+            assert abs(abs(np.vdot(prof.principals[i], principal)) - 1) <= 1e-12
+            assert abs(prof.probabilities[i] - asm.probability(n, a)) <= 1e-12
+            normalized.append(rho / prof.probabilities[i])
         m = len(normalized)
         assert prof.distance_matrix.shape == (m, m)
         for i in range(m):
@@ -294,9 +298,19 @@ class TestBatchedPurityChecks:
 
     def test_vacuous_outcome_pure_input(self):
         prof = purity_profile(conditional_states(theta_state(0.0), [Z, X], (2, 2)))
-        vac = {(r.setting, r.outcome) for r in prof.reports if r.vacuous}
-        assert vac == {(0, 1)}
-        assert prof.distance_index == ((0, 0), (1, 0), (1, 1))
+        assert prof.probabilities.shape == (4,)
+        assert prof.probabilities[1] <= DEFAULT_TOL.rank1
+        assert prof.index.tolist() == [[0, 0], [1, 0], [1, 1]]
+        for field in (prof.rank_one, prof.residual_mass, prof.principals, prof.distance_matrix):
+            assert len(field) == 3
+        assert prof.all_rank_one
+
+    def test_row_layout(self):
+        assert row_keys((2, 3)).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
+        assert row_keys(()).shape == (0, 2)
+        assert setting_sums(np.arange(5.0), (2, 3)).tolist() == [1.0, 9.0]
+        asm = conditional_states(theta_state(0.6), [Z, X, angle_projectors(0.3)], (2, 2))
+        assert asm.index == tuple(map(tuple, row_keys((2, 2, 2)).tolist()))
 
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="stack shape"):
@@ -307,7 +321,7 @@ def reference_distances(asm, prof):
     """Per-pair trace distances of the profile's normalized states, each an
     eigendecomposition of the difference: the reference for the closed form
     purity_profile uses between rank-1 states."""
-    normalized = [asm.state(n, a) / asm.probability(n, a) for n, a in prof.distance_index]
+    normalized = [asm.state(n, a) / asm.probability(n, a) for n, a in prof.index.tolist()]
     m = len(normalized)
     ref = np.zeros((m, m))
     for i in range(m):
@@ -358,6 +372,6 @@ class TestClosedFormDistances:
         rho = (1 - mix) * psi.density_matrix() + mix * random_density(rng, d * d, d * d)
         asm = conditional_states(rho, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
         prof = purity_profile(asm)
-        r = np.array([rep.residual_mass for rep in prof.reports if not rep.vacuous])
+        r = prof.residual_mass
         bound = r[:, None] + r[None, :] + 1e-12
         assert np.all(np.abs(prof.distance_matrix - reference_distances(asm, prof)) <= bound)

@@ -93,8 +93,7 @@ class TestScenarios:
         ],
     )
     def test_feasibility_checks_the_model(self, monkeypatch, hidden, reason):
-        responses = {(n, a, 0): 0.5 for n in range(2) for a in range(2)}
-        bad = steering.LHSModel(np.array([1.0]), (hidden,), responses)
+        bad = steering.LHSModel(np.array([1.0]), [hidden], np.full((4, 1), 0.5), (2, 2))
 
         def lp(asm, tol):
             return steering.FeasibilityOutcome("FeasibleModelFound", bad, 0.0, 1)

@@ -1,7 +1,10 @@
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
 from steerkit import assemblage
@@ -15,7 +18,9 @@ from steerkit.measurements import (
     computational_basis,
     fourier_mub_basis,
 )
+from steerkit.simplex import phase_one
 from steerkit.states import (
+    BipartitePureState,
     MultiQubitPureState,
     density,
     ghz_state,
@@ -43,6 +48,16 @@ K0 = np.array([1, 0], dtype=complex)
 K1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
+
+
+def random_vector(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr((rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestPureStateParadox:
@@ -169,18 +184,15 @@ class TestSeparableLhsModel:
         model = separable_lhs_model(psi, [angle_projectors(a1), angle_projectors(a2)])
         assert np.allclose(model.weights, [1.0])
         assert np.allclose(model.hidden_states[0], density(PLUS))
-        assert model.response(0, 0, 0) == pytest.approx(np.cos(a1) ** 2)
-        assert model.response(0, 1, 0) == pytest.approx(np.sin(a1) ** 2)
-        assert model.response(1, 0, 0) == pytest.approx(np.cos(a2) ** 2)
-        assert model.response(1, 1, 0) == pytest.approx(np.sin(a2) ** 2)
+        assert model.outcome_counts == (2, 2)
+        expected = [np.cos(a1) ** 2, np.sin(a1) ** 2, np.cos(a2) ** 2, np.sin(a2) ** 2]
+        assert model.responses[:, 0] == pytest.approx(expected)
 
     def test_z_x_responses(self):
         beta = np.array([np.cos(0.7), np.sin(0.7) * np.exp(0.4j)])
         model = separable_lhs_model(separable_state(beta), [Z, X])
-        assert model.response(0, 0, 0) == pytest.approx(1.0)
-        assert model.response(0, 1, 0) == pytest.approx(0.0, abs=1e-12)
-        assert model.response(1, 0, 0) == pytest.approx(0.5)
-        assert model.response(1, 1, 0) == pytest.approx(0.5)
+        assert model.responses.shape == (4, 1)
+        assert model.responses[:, 0] == pytest.approx([1.0, 0.0, 0.5, 0.5], abs=1e-12)
 
     def test_reconstruction_exact(self):
         rng = np.random.default_rng(59)
@@ -202,44 +214,141 @@ class TestSeparableLhsModel:
         with pytest.raises(ValueError, match="separable"):
             separable_lhs_model(theta_state(0.5), [Z, X])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        count=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_states_haar_settings(self, dims, count, seed):
+        # The model reconstructs the assemblage, and its JSON lists the
+        # responses rows x hidden states in assemblage row order.
+        dA, dB = dims
+        rng = np.random.default_rng(seed)
+        psi = BipartitePureState(np.kron(random_vector(rng, dA), random_vector(rng, dB)), dA, dB)
+        settings_ = [basis_from_unitary(haar_unitary(rng, dA), f"haar{i}") for i in range(count)]
+        model = separable_lhs_model(psi, settings_)
+        asm = conditional_states(psi, settings_, dims)
+        assert np.max(np.abs(lhs_reconstruct(model, settings_).stack - asm.stack)) <= 1e-12
+        listed = model.to_json()["responses"]
+        assert [(r["setting"], r["outcome"], r["hidden"]) for r in listed] == [(n, a, 0) for n, a in asm.index]
+        assert [r["p"] for r in listed] == model.responses[:, 0].tolist()
+
 
 class TestLhsReconstruct:
+    # responses[row, xi] with rows (z, 0), (z, 1), (x, 0), (x, 1)
     def test_single_deterministic_hidden_state(self):
         rho1 = density(PLUS)
-        model = LHSModel(
-            weights=np.array([1.0]),
-            hidden_states=(rho1,),
-            responses={(0, 0, 0): 1.0, (0, 1, 0): 0.0, (1, 0, 0): 1.0, (1, 1, 0): 0.0},
-        )
+        model = LHSModel(np.array([1.0]), [rho1], [[1.0], [0.0], [1.0], [0.0]], (2, 2))
         asm = lhs_reconstruct(model, [Z, X])
         assert np.allclose(asm.state(0, 0), rho1)
         assert np.allclose(asm.state(0, 1), 0)
 
     def test_two_hidden_states(self):
-        model = LHSModel(
-            weights=np.array([0.5, 0.5]),
-            hidden_states=(density(K0), density(K1)),
-            responses={
-                (0, 0, 0): 1.0, (0, 1, 0): 0.0, (1, 0, 0): 1.0, (1, 1, 0): 0.0,
-                (0, 0, 1): 0.0, (0, 1, 1): 1.0, (1, 0, 1): 0.0, (1, 1, 1): 1.0,
-            },
-        )
+        responses = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        model = LHSModel(np.array([0.5, 0.5]), [density(K0), density(K1)], responses, (2, 2))
         asm = lhs_reconstruct(model, [Z, X])
         assert np.allclose(asm.state(0, 0), 0.5 * density(K0))
         assert np.allclose(asm.state(1, 0), 0.5 * density(K0))
 
     def test_no_signalling_by_construction(self):
-        from steerkit.assemblage import no_signalling_check
-
-        model = LHSModel(
-            weights=np.array([0.3, 0.7]),
-            hidden_states=(density(K0), density(PLUS)),
-            responses={
-                (0, 0, 0): 0.2, (0, 1, 0): 0.8, (1, 0, 0): 0.6, (1, 1, 0): 0.4,
-                (0, 0, 1): 0.9, (0, 1, 1): 0.1, (1, 0, 1): 0.5, (1, 1, 1): 0.5,
-            },
-        )
+        responses = [[0.2, 0.9], [0.8, 0.1], [0.6, 0.5], [0.4, 0.5]]
+        model = LHSModel(np.array([0.3, 0.7]), [density(K0), density(PLUS)], responses, (2, 2))
         assert no_signalling_check(lhs_reconstruct(model, [Z, X])) <= 1e-12
+
+    def test_outcome_counts_must_match(self):
+        model = separable_lhs_model(separable_state(PLUS), [Z, X])
+        with pytest.raises(ValueError, match="outcome counts"):
+            lhs_reconstruct(model, [Z])
+        with pytest.raises(ValueError, match="outcome counts"):
+            lhs_reconstruct(model, [Z, X, Y])
+
+
+def non_state_candidates():
+    """P^z_a + P^x_b - 1/2: Hermitian with unit trace, but each has the
+    eigenvalue 1/2 - 1/sqrt(2) < 0."""
+    return [Z.projectors[a] + X.projectors[b] - np.eye(2) / 2 for a in (0, 1) for b in (0, 1)]
+
+
+class TestLhsModelInvariants:
+    @staticmethod
+    def model(responses, weights=(1.0,), hidden=(np.eye(2) / 2,), counts=(2, 2)):
+        return LHSModel(np.array(weights), np.array(hidden), responses, counts)
+
+    def test_non_state_candidates_rejected(self):
+        # Over these four matrices the theta = pi/4 {z, x} assemblage has an
+        # exact "model", hidden state (a, b) answering a to z and b to x;
+        # the state is steerable, so only the hidden states can be at fault.
+        asm = conditional_states(theta_state(np.pi / 4), [Z, X], (2, 2))
+        with pytest.raises(ValueError, match="candidate 0 is not a density matrix"):
+            lhs_feasibility_lp(asm, non_state_candidates())
+        responses = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
+        fake = self.model(responses, [0.25] * 4, non_state_candidates())
+        weighted = fake.weights[:, None, None] * fake.hidden_states
+        assert np.max(np.abs(np.tensordot(fake.responses, weighted, axes=1) - asm.stack)) <= 1e-12
+        with pytest.raises(ValueError, match="hidden state 0 is not a density matrix"):
+            fake.validate(asm.bob_reduced)
+
+    @pytest.mark.parametrize(
+        "hidden, fault",
+        [
+            (np.diag([1.2, -0.2]), "min eigenvalue -2.000e-01"),
+            (np.diag([0.5, 0.4]), "trace 0.9"),
+            ([[0.5, 0.1], [0, 0.5]], "max |M - M^dagger| = 1.000e-01"),
+        ],
+    )
+    def test_hidden_state_must_be_a_state(self, hidden, fault):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            self.model([[1.0], [0.0], [0.5], [0.5]], hidden=[hidden]).validate()
+
+    def test_negative_response_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            self.model([[1.5], [-0.5], [0.5], [0.5]]).validate()
+        self.model([[1.0 + 1e-9], [-1e-9], [0.5], [0.5]]).validate()
+
+    def test_every_setting_checked(self):
+        # A setting whose responses are all 0 fails, wherever it sits.
+        for responses in ([[1.0], [0.0], [0.0], [0.0]], [[0.0], [0.0], [0.5], [0.5]]):
+            with pytest.raises(ValueError, match="miss a sum of 1"):
+                self.model(responses).validate()
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (4, 2), (4,), (1, 4)])
+    def test_responses_shape_checked(self, shape):
+        # (2, 1) holds setting 0 only: a setting with no responses at all
+        # cannot be written down.
+        with pytest.raises(ValueError, match="responses shape"):
+            self.model(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("counts", [(), (2, 0, 2)])
+    def test_outcome_counts_checked(self, counts):
+        with pytest.raises(ValueError, match="outcome_counts"):
+            self.model(np.full((4, 1), 0.5), counts=counts)
+
+    def test_hidden_states_shape_checked(self):
+        with pytest.raises(ValueError, match="hidden_states shape"):
+            self.model(np.full((4, 1), 0.5), hidden=[np.eye(2) / 2, np.eye(2) / 2])
+
+    def test_fields_are_read_only_copies(self):
+        weights, hidden, responses = np.array([1.0]), [np.eye(2, dtype=complex) / 2], np.full((4, 1), 0.5)
+        model = LHSModel(weights, hidden, responses, [2, 2])
+        weights[0], hidden[0][0, 0], responses[0, 0] = 7.0, 7.0, 7.0
+        assert model.weights[0] == 1.0 and model.hidden_states[0, 0, 0] == 0.5 and model.responses[0, 0] == 0.5
+        assert hidden[0].flags.writeable and weights.flags.writeable and responses.flags.writeable
+        for field in (model.weights, model.hidden_states, model.responses):
+            assert not field.flags.writeable
+        assert model.outcome_counts == (2, 2)
+
+    def test_json_layout(self):
+        hidden = [density(K0), [[0.5, 0.5j], [-0.5j, 0.5]]]
+        model = self.model([[0.2, 0.9], [0.8, 0.1], [0.6, 0.5], [0.4, 0.5]], [0.3, 0.7], hidden)
+        doc = model.to_json()
+        assert doc["weights"] == [0.3, 0.7]
+        assert doc["hidden_states"][1] == [[[0.5, 0.0], [0.0, 0.5]], [[-0.0, -0.5], [0.5, 0.0]]]
+        keys = [(r["setting"], r["outcome"], r["hidden"], r["p"]) for r in doc["responses"]]
+        assert keys == [
+            (0, 0, 0, 0.2), (0, 0, 1, 0.9), (0, 1, 0, 0.8), (0, 1, 1, 0.1),
+            (1, 0, 0, 0.6), (1, 0, 1, 0.5), (1, 1, 0, 0.4), (1, 1, 1, 0.5),
+        ]
 
 
 class TestFeasibilityLp:
@@ -259,8 +368,7 @@ class TestFeasibilityLp:
         assert dev <= 1e-8
         # same responses as the explicit construction
         ref = separable_lhs_model(psi, settings)
-        for key in ref.responses:
-            assert model.response(*key) == pytest.approx(ref.responses[key], abs=1e-8)
+        assert model.responses == pytest.approx(ref.responses, abs=1e-8)
 
     def test_entangled_infeasible_in_conditional_ansatz(self):
         asm = conditional_states(theta_state(np.pi / 4).density_matrix(), [Z, X], (2, 2))
@@ -274,9 +382,8 @@ class TestFeasibilityLp:
         asm = Assemblage(("s0", "s1"), (2, 2), np.stack([rho_b / 2] * 4), rho_b, (2, 2))
         out = lhs_feasibility_lp(asm, [rho_b])
         assert out.feasible
-        for n in range(2):
-            for a in range(2):
-                assert out.model.response(n, a, 0) == pytest.approx(0.5, abs=1e-9)
+        assert out.model.responses.shape == (4, 1)
+        assert out.model.responses == pytest.approx(0.5, abs=1e-9)
 
     def test_default_candidates(self):
         asm = conditional_states(theta_state(np.pi / 4).density_matrix(), [Z, X], (2, 2))
@@ -349,6 +456,27 @@ class TestIndependentRows:
         assert np.linalg.matrix_rank(A) == len(A) == np.linalg.matrix_rank(A_full)
         equations = {(*row, rhs) for row, rhs in zip(A_full.tolist(), b_full.tolist())}
         assert all((*row, rhs) in equations for row, rhs in zip(A.tolist(), b.tolist()))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    def test_kept_rows_of_the_full_system(self, grid, offset):
+        # Only the kept rows are built, but they are exactly the full
+        # system's rows, in its order, that are neither the last outcome of
+        # a setting after the first nor zero in both A and b: phase_one gets
+        # the input, and so takes the pivots, it got when all of A was
+        # built. The residual over every row comes from the factors.
+        axes, states, threshold = GRIDS[grid]
+        asm, _ = werner_assemblage(threshold + offset, axes)
+        A, b, outcome = lp_system(asm, states())
+        A_full, b_full = full_lp_system(asm, states())
+        implied = [n > 0 and a == asm.outcome_counts[n] - 1 for n, a in asm.index]
+        keep = ~np.repeat(implied, len(b_full) // len(implied)) & (A_full.any(axis=1) | (b_full != 0))
+        assert np.array_equal(A, A_full[keep]) and np.array_equal(b, b_full[keep])
+        ref = phase_one(A_full[keep], b_full[keep])
+        assert outcome.iterations == ref.iterations
+        full_residual = max(ref.residual, float(np.abs(A_full @ ref.x - b_full).sum()))
+        assert abs(outcome.residual - full_residual) <= 1e-12
+        assert outcome.feasible == (offset < 0)
 
 
 class TestWernerThresholds:
