@@ -60,6 +60,8 @@ class Assemblage:
 
     def __post_init__(self):
         stack = np.asarray(self.stack, dtype=complex)
+        if not self.outcome_counts or min(self.outcome_counts) < 1:
+            raise ValueError(f"outcome_counts {self.outcome_counts}: need a setting, each with an outcome")
         if stack.shape != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
             raise ValueError(f"stack shape {stack.shape} does not fit {self.outcome_counts}, {self.dims}")
         stack.setflags(write=False)

@@ -188,13 +188,13 @@ def _reconstruction_deviation(model, settings, asm, tol: Tolerances) -> float:
 
 
 def _model_exit(model, settings, asm, tol: Tolerances) -> int:
-    """EXIT_NUMERICAL unless the model validates against rho_B and
-    reconstructs the assemblage within tol.lp."""
+    """EXIT_NUMERICAL unless the model validates (inside lhs_reconstruct)
+    and reconstructs the assemblage and rho_B within tol.lp."""
     try:
-        model.validate(asm.bob_reduced, tol)
+        rec = lhs_reconstruct(model, settings, tol)
     except ValueError:
         return EXIT_NUMERICAL
-    dev = _reconstruction_deviation(model, settings, asm, tol)
+    dev = max(np.max(np.abs(rec.stack - asm.stack)), np.max(np.abs(rec.bob_reduced - asm.bob_reduced)))
     return EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
 
 

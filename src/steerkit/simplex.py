@@ -1,19 +1,31 @@
 """Phase-1 simplex for linear feasibility: find x >= 0 with A x = b.
 
-Revised simplex with Bland's anti-cycling rule. Rows with b < 0 are
-negated and an artificial variable per row (cost 1) starts as the basis.
-The method keeps T = [B^-1 | x_B], the basis inverse with the basic values
-as one more column, and the basic costs c_B. Each pivot forms y = c_B B^-1
-and prices the x columns, -y A_j, in blocks of 256 rows of a contiguous
-A^T, stopping at the first block with one below -1e-9; only then are the
-artificials priced, as 1 - y. The lowest such index enters, as if every
-column were priced. The ratio test on B^-1 A_j runs on Python floats, ties
-to the lowest basis index, and one row scale and one rank-1 update of T
-move B^-1 and x_B. So the pivots are a dense tableau's under the same
-rule, but a pivot reads A once instead of rewriting every tableau row.
+Revised simplex with Dantzig pricing and a Bland fallback. Rows with
+b < 0 are negated and an artificial variable per row (cost 1) starts as
+the basis. The method keeps T = [B^-1 | x_B], the basis inverse with the
+basic values as one more column, and the basic costs c_B. Each pivot
+forms y = c_B B^-1 and prices every column of [A | I] with one matvec:
+y A_j for the x columns, y_i - 1 for the artificials, the amount by which
+a unit of the column lowers the objective. The column that enters is the
+lowest index whose price is within 1e-9 of the largest, so rounding does
+not choose between equal prices, such as those of symmetric candidate
+states; the loop stops when no price exceeds 1e-9. The ratio test on
+B^-1 A_j runs on Python floats and ties to the lowest basis index, and
+one row scale and one rank-1 update of T move B^-1 and x_B.
 
-Pivot elements and reduced costs at or below 1e-9 count as zero: a pivot
-on a rounding-sized element multiplies the basis inverse's error by its
+A pivot whose step (the minimum ratio) is at most 1e-9 is degenerate.
+After _BLAND_AFTER degenerate pivots in a row, the lowest-index column
+with a price above 1e-9 enters instead (Bland's rule), until the next
+nondegenerate pivot. The loop terminates:
+- a nondegenerate pivot lowers the phase-1 objective by price x step > 0,
+  so no basis recurs across nondegenerate pivots, and there are finitely
+  many bases;
+- a run of degenerate pivots is finite: after _BLAND_AFTER of them Bland's
+  rule enters, which with the lowest-index ratio tie cannot cycle, so it
+  reaches a nondegenerate pivot or the optimum.
+
+Pivot elements and prices at or below 1e-9 count as zero: a pivot on a
+rounding-sized element multiplies the basis inverse's error by its
 inverse. With a 1e-11 threshold, a 16 x 256 LHS problem pivoted on a
 1.2e-11 element and drove a basic variable to -7.5e-3.
 """
@@ -27,7 +39,7 @@ import numpy as np
 __all__ = ["PhaseOneResult", "phase_one"]
 
 _PIVOT_EPS = 1e-9
-_PRICE_BLOCK = 256
+_BLAND_AFTER = 50  # consecutive degenerate pivots before Bland's rule enters
 
 
 @dataclass(frozen=True)
@@ -63,21 +75,15 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
     T = np.hstack([np.eye(m), b[:, None]])
     B_inv = T[:, :m]
 
-    iters = 0
+    iters = degenerate = 0
     while iters < max_iter:
-        # Bland: entering = lowest-index column with negative reduced cost,
-        # -y A_j for x columns, then 1 - y_i for artificials.
         y = c_B @ B_inv
-        for start in range(0, n, _PRICE_BLOCK):
-            hit = AT[start : start + _PRICE_BLOCK] @ y > _PIVOT_EPS
-            if hit.any():
-                enter = start + int(hit.argmax())
-                break
-        else:
-            art = np.flatnonzero(1.0 - y < -_PIVOT_EPS)
-            if not art.size:
-                break
-            enter = n + int(art[0])
+        price = np.concatenate([AT @ y, y - 1.0])
+        top = price.max(initial=0.0)
+        if top <= _PIVOT_EPS:
+            break
+        floor = _PIVOT_EPS if degenerate >= _BLAND_AFTER else top - _PIVOT_EPS
+        enter = int(np.argmax(price > floor))
         col = B_inv @ AT[enter] if enter < n else B_inv[:, enter - n].copy()
         # Ratio test, ties broken by lowest basis index (Bland).
         leave, best = -1, np.inf
@@ -92,6 +98,7 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
             # Unbounded phase-1 cannot happen (objective bounded below by 0);
             # numerically treat as a stall.
             break
+        degenerate = degenerate + 1 if best <= _PIVOT_EPS else 0
         T[leave] /= col[leave]
         col[leave] = 0.0
         T -= col[:, None] * T[leave]

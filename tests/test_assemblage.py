@@ -316,6 +316,16 @@ class TestBatchedPurityChecks:
         with pytest.raises(ValueError, match="stack shape"):
             Assemblage(("z",), (2,), np.zeros((3, 2, 2)), np.eye(2) / 2, (2, 2))
 
+    @pytest.mark.parametrize("counts", [(2, 0, 2), ()])
+    def test_setting_without_outcomes_rejected(self, counts):
+        # with counts (2, 0, 2), setting_sums would take setting 2's first
+        # row as the empty setting's sum, and no_signalling_check would
+        # report 0.25 where the empty sum misses rho_B by 0.5
+        stack = np.tile(np.eye(2) / 4, (sum(counts), 1, 1))
+        labels = tuple("abc"[: len(counts)])
+        with pytest.raises(ValueError, match="each with an outcome"):
+            Assemblage(labels, counts, stack, np.eye(2) / 2, (2, 2))
+
 
 def reference_distances(asm, prof):
     """Per-pair trace distances of the profile's normalized states, each an

@@ -103,6 +103,14 @@ class TestScenarios:
         assert code == report.EXIT_NUMERICAL, reason
         assert doc.result["status"] == "FeasibleModelFound"
 
+    def test_feasible_model_validated_once(self, monkeypatch):
+        calls = collections.Counter()
+        monkeypatch.setattr(steering.LHSModel, "validate", counting(calls, steering.LHSModel.validate))
+        doc, code = run(RunConfig(scenario="feasibility", theta=0.0, settings="z,x"))
+        assert doc.result["status"] == "FeasibleModelFound"
+        assert code == 0
+        assert calls["validate"] == 1
+
     def test_ghz(self):
         doc, code = run(RunConfig(scenario="ghz"))
         assert code == 0

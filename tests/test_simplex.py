@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
+from steerkit import simplex
 from steerkit.simplex import PhaseOneResult, phase_one
 
 
 def dense_tableau_reference(A, b, tol: float = 1e-8, max_iter: int = 100_000):
     """The dense-tableau phase 1 that phase_one replaced: the whole
-    (m+1) x (n+m+1) tableau is pivoted, with the same Bland rule (lowest
-    index entering below -1e-9, ratio ties to the lowest basis index) and
+    (m+1) x (n+m+1) tableau is pivoted, with phase_one's entering rule
+    applied to the tableau's own reduced-cost row (lowest index within
+    1e-9 of the most negative, or below -1e-9 after simplex._BLAND_AFTER
+    degenerate pivots in a row), ratio ties to the lowest basis index and
     the same residual, so both solvers must take the same pivots. Returns
     the result and the final basis matrix."""
     eps = 1e-9
@@ -33,15 +38,14 @@ def dense_tableau_reference(A, b, tol: float = 1e-8, max_iter: int = 100_000):
     T[m, -1] = -b.sum()
     basis = list(range(n, n + m))
 
-    iters = 0
+    iters = degenerate = 0
     while iters < max_iter:
-        enter = -1
-        for j in range(n + m):
-            if T[m, j] < -eps:
-                enter = j
-                break
-        if enter < 0:
+        cost = T[m, : n + m]
+        low = float(np.min(cost, initial=0.0))
+        if low >= -eps:
             break
+        ceiling = -eps if degenerate >= simplex._BLAND_AFTER else low + eps
+        enter = next(j for j in range(n + m) if cost[j] < ceiling)
         leave = -1
         best = np.inf
         for i in range(m):
@@ -54,6 +58,7 @@ def dense_tableau_reference(A, b, tol: float = 1e-8, max_iter: int = 100_000):
                     leave = i
         if leave < 0:
             break
+        degenerate = degenerate + 1 if best <= eps else 0
         piv = T[leave, enter]
         T[leave] /= piv
         for i in range(m + 1):
@@ -165,57 +170,97 @@ class TestEdgeCases:
         assert not res.x.any()
 
 
+def check_random_system(m, n, integer, feasible, seed):
+    A, b = random_system(seed, m, n, integer, feasible)
+    res = phase_one(A, b)
+    ref, basis_matrix = dense_tableau_reference(A, b)
+    assert res.iterations == ref.iterations
+    assert res.feasible == ref.feasible == feasible
+    # Same pivots give the same vertex up to rounding of the entering
+    # column, which the final basis B amplifies by its condition number
+    # (up to 1e5 for Gaussian data); over 20,000 random systems the
+    # largest difference was 2.4e-15 in units of cond(B) max(1, max x).
+    scale = np.linalg.cond(basis_matrix) * max(1.0, float(np.max(ref.x, initial=0.0)))
+    assert np.max(np.abs(res.x - ref.x), initial=0.0) <= 1e-12 * scale
+    assert np.all(res.x >= 0)
+    if res.feasible:
+        assert np.max(np.abs(A @ res.x - b), initial=0.0) <= 1e-8
+
+
+def grid_system(grid, offset, full):
+    """A Werner LHS LP at threshold + offset: the rows phase_one is handed,
+    or with full every row of the rank-deficient system."""
+    axes, states, threshold = GRIDS[grid]
+    asm, _ = werner_assemblage(threshold + offset, axes)
+    return full_lp_system(asm, states()) if full else lp_system(asm, states())[:2]
+
+
+def check_grid_lp(grid, offset, full):
+    A, b = grid_system(grid, offset, full)
+    res = phase_one(A, b)
+    ref, _ = dense_tableau_reference(A, b)
+    assert res.iterations == ref.iterations
+    assert res.feasible == ref.feasible == (offset < 0)
+    assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+
+
+SYSTEMS = dict(
+    m=st.integers(1, 8),
+    n=st.integers(1, 16),
+    integer=st.booleans(),
+    feasible=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestAgainstDenseTableau:
     @settings(max_examples=300, deadline=None)
-    @given(
-        m=st.integers(1, 8),
-        n=st.integers(1, 16),
-        integer=st.booleans(),
-        feasible=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**SYSTEMS)
     def test_random_systems(self, m, n, integer, feasible, seed):
-        A, b = random_system(seed, m, n, integer, feasible)
-        res = phase_one(A, b)
-        ref, basis_matrix = dense_tableau_reference(A, b)
-        assert res.iterations == ref.iterations
-        assert res.feasible == ref.feasible == feasible
-        # Same pivots give the same vertex up to rounding of the entering
-        # column, which the final basis B amplifies by its condition number
-        # (up to 1e5 for Gaussian data); over 20,000 random systems the
-        # largest difference was 2.4e-15 in units of cond(B) max(1, max x).
-        scale = np.linalg.cond(basis_matrix) * max(1.0, float(np.max(ref.x, initial=0.0)))
-        assert np.max(np.abs(res.x - ref.x), initial=0.0) <= 1e-12 * scale
-        assert np.all(res.x >= 0)
-        if res.feasible:
-            assert np.max(np.abs(A @ res.x - b), initial=0.0) <= 1e-8
+        check_random_system(m, n, integer, feasible, seed)
 
     @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
     @pytest.mark.parametrize("offset", [-0.01, 0.01])
     def test_lhs_grid_lps(self, grid, offset):
         # the 9 x 256 circle LP and the 16 x 2048 cube + Fibonacci LP
-        axes, states, threshold = GRIDS[grid]
-        asm, _ = werner_assemblage(threshold + offset, axes)
-        A, b, _ = lp_system(asm, states())
-        res = phase_one(A, b)
-        ref, _ = dense_tableau_reference(A, b)
-        assert res.iterations == ref.iterations
-        assert res.feasible == ref.feasible == (offset < 0)
-        assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+        check_grid_lp(grid, offset, full=False)
 
     @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
     @pytest.mark.parametrize("offset", [-0.01, 0.01])
     def test_full_lhs_grid_lps(self, grid, offset):
         # the same LPs with every row, 16 x 256 of rank 9 and 24 x 2048 of
         # rank 16, whose dependent rows keep artificials basic at zero
-        axes, states, threshold = GRIDS[grid]
-        asm, _ = werner_assemblage(threshold + offset, axes)
-        A, b = full_lp_system(asm, states())
-        res = phase_one(A, b)
-        ref, _ = dense_tableau_reference(A, b)
-        assert res.iterations == ref.iterations
-        assert res.feasible == ref.feasible == (offset < 0)
-        assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+        check_grid_lp(grid, offset, full=True)
+
+
+class TestBlandFallback:
+    """The same comparisons with Bland's rule entering after 0 degenerate
+    pivots (always) or after 1 (switching at every degenerate pivot and
+    back at every nondegenerate one). The LHS grid LPs never reach the
+    default threshold, so only these tests exercise the fallback."""
+
+    @pytest.mark.parametrize("bland_after", [0, 1])
+    @settings(max_examples=300, deadline=None)
+    @given(**SYSTEMS)
+    def test_random_systems(self, bland_after, m, n, integer, feasible, seed):
+        with mock.patch.object(simplex, "_BLAND_AFTER", bland_after):
+            check_random_system(m, n, integer, feasible, seed)
+
+    @pytest.mark.parametrize("bland_after", [0, 1])
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
+    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    def test_lhs_grid_lps(self, grid, offset, full, bland_after, monkeypatch):
+        monkeypatch.setattr(simplex, "_BLAND_AFTER", bland_after)
+        check_grid_lp(grid, offset, full)
+
+    @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
+    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    def test_fewer_pivots_than_bland(self, grid, offset, monkeypatch):
+        A, b = grid_system(grid, offset, full=False)
+        dantzig = phase_one(A, b).iterations
+        monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+        assert dantzig < phase_one(A, b).iterations
 
 
 class TestAgainstHighs:
