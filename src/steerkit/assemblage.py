@@ -114,8 +114,8 @@ class PurityProfile:
         return float(np.max(self.residual_mass, initial=0.0))
 
     def min_pairwise_distance(self) -> float:
-        pairs = self.distance_matrix[np.triu_indices(len(self.distance_matrix), k=1)]
-        return float(np.min(pairs, initial=np.inf))
+        off_diagonal = self.distance_matrix + np.diag(np.full(len(self.distance_matrix), np.inf))
+        return float(np.min(off_diagonal, initial=np.inf))
 
 
 def conditional_states(

@@ -14,6 +14,7 @@ import sys
 from .linalg import DEFAULT_TOL, Tolerances
 from .report import (
     EXIT_NUMERICAL,
+    EXIT_OK,
     EXIT_PRECONDITION,
     SCENARIOS,
     ReportDocument,
@@ -51,6 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _TOL_FLAGS:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
     return parser
+
+
+# Built once at import: parse_args leaves the parser unchanged.
+_PARSER = build_parser()
 
 
 def _read_config_file(path: str) -> dict:
@@ -113,8 +118,10 @@ def _emit(doc: ReportDocument, cfg: RunConfig) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help (code 0) or a usage error
+        return EXIT_PRECONDITION if exc.code else EXIT_OK
     try:
         cfg = make_config(args)
     except (ValueError, OSError) as exc:
@@ -122,13 +129,13 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     try:
         doc, code = run(cfg)
+        _emit(doc, cfg)
     except ParadoxInvariantError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    _emit(doc, cfg)
     return code
 
 

@@ -7,6 +7,7 @@ JSON schema or to a line-oriented ``key: value`` text form.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -46,6 +47,10 @@ SCENARIOS = (
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_NUMERICAL = 2
+
+# Specs whose parsed settings are kept: a theta or r sweep parses its one
+# spec once. Settings are immutable, so the tuples can be shared.
+_SETTINGS_CACHE = 64
 
 
 @dataclass
@@ -117,8 +122,10 @@ class ReportDocument:
         return self.to_json() if fmt == "json" else self.to_text()
 
 
-def parse_qubit_settings(spec: str):
-    """Parse a comma-separated qubit settings spec.
+@functools.lru_cache(maxsize=_SETTINGS_CACHE)
+def parse_qubit_settings(spec: str) -> tuple:
+    """Parse a comma-separated qubit settings spec into a tuple of
+    settings (cached: equal specs share one tuple).
 
     Tokens: ``z``, ``x``, ``y``, ``angle:A`` (radians), or
     ``bloch:nx:ny:nz``.
@@ -143,11 +150,12 @@ def parse_qubit_settings(spec: str):
             raise ValueError(f"unknown setting token {token!r}")
     if not out:
         raise ValueError(f"no settings parsed from {spec!r}")
-    return out
+    return tuple(out)
 
 
-def parse_qudit_settings(spec: str, d: int):
-    """Parse a comma-separated qudit settings spec: ``Z`` and/or ``X``."""
+@functools.lru_cache(maxsize=_SETTINGS_CACHE)
+def parse_qudit_settings(spec: str, d: int) -> tuple:
+    """Parse a comma-separated qudit settings spec, ``Z`` and/or ``X`` (cached)."""
     out = []
     for token in spec.split(","):
         token = token.strip().upper()
@@ -161,7 +169,7 @@ def parse_qudit_settings(spec: str, d: int):
             raise ValueError(f"unknown qudit setting token {token!r}")
     if not out:
         raise ValueError(f"no settings parsed from {spec!r}")
-    return out
+    return tuple(out)
 
 
 def _assemblage_checks(asm, prof) -> dict:

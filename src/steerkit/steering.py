@@ -12,7 +12,7 @@ import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile, row_keys, setting_sums
 from .linalg import DEFAULT_TOL, Tolerances, kron, projector_distances
-from .measurements import PAULI_X, PAULI_Y, MeasurementSetting
+from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState
 
@@ -216,22 +216,6 @@ class GhzExpectations:
     eigenstate_residuals: tuple
 
 
-def _settings_coincide(s1: MeasurementSetting, s2: MeasurementSetting, tol: Tolerances) -> bool:
-    """True if the projectors of two settings pair up, each pair within
-    trace distance tol.state_eq.
-
-    The projectors of one basis lie at trace distance 1 from each other, so
-    each is within tol.state_eq < 1/2 of at most one partner, and the
-    settings pair up iff every projector of each has one.
-    """
-    if s1.dim != s2.dim:
-        return False
-    k = s1.outcomes
-    dist = projector_distances(np.concatenate([s1.vectors, s2.vectors], axis=1).T)
-    close = dist[:k, k:] <= tol.state_eq
-    return bool(close.any(axis=0).all() and close.any(axis=1).all())
-
-
 def pure_state_paradox(
     psi: BipartitePureState,
     settings,
@@ -251,13 +235,17 @@ def pure_state_paradox(
     if len(settings) < 2:
         raise ValueError(f"need at least 2 settings, got {len(settings)}")
     asm = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
-    for i in range(len(settings)):
-        for j in range(i + 1, len(settings)):
-            if _settings_coincide(settings[i], settings[j], tol):
-                raise CoincidentSettingsError(
-                    f"settings {settings[i].label!r} and {settings[j].label!r} coincide"
-                )
-    k = len(settings)
+    # Validated, each setting is a basis of dA vectors at trace distance 1
+    # from each other, so each projector is within tol.state_eq < 1/2 of at
+    # most one partner: settings i and j coincide iff every projector of
+    # each has a partner in the other.
+    k, d = len(settings), psi.dA
+    vecs = np.concatenate([s.vectors for s in settings], axis=1).T
+    close = (projector_distances(vecs) <= tol.state_eq).reshape(k, d, k, d)
+    paired = close.any(axis=3).all(axis=1)
+    i, j = np.nonzero(np.triu(paired & paired.T, 1))
+    if i.size:
+        raise CoincidentSettingsError(f"settings {settings[i[0]].label!r} and {settings[j[0]].label!r} coincide")
     if not psi.entangled(tol):
         return ParadoxCertificate(
             applicable=False,

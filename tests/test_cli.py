@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from steerkit import assemblage, linalg, report, states, steering
+from steerkit import assemblage, cli, linalg, report, states, steering
 from steerkit.cli import main
 from steerkit.report import ReportDocument, RunConfig, run
 
@@ -143,6 +143,24 @@ class TestScenarios:
         mags = [r["result"]["contradiction_magnitude"] for r in doc.result["reports"]]
         assert np.allclose(mags, [1, 2, 3], atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "cfg, constructor, builds",
+        [
+            (RunConfig(scenario="sweep", param="theta", linspace="0.1:1.4:25"), "bloch_projectors", 2),
+            (RunConfig(scenario="sweep", param="r", values="0.5,1.0,1.5", d=4), "fourier_mub_basis", 1),
+        ],
+    )
+    def test_sweep_parses_settings_once(self, monkeypatch, cfg, constructor, builds):
+        report.parse_qubit_settings.cache_clear()
+        report.parse_qudit_settings.cache_clear()
+        calls = collections.Counter()
+        monkeypatch.setattr(report, constructor, counting(calls, getattr(report, constructor)))
+        _, code = run(cfg)
+        assert code == 0
+        assert calls[constructor] == builds
+        assert isinstance(report.parse_qubit_settings("z,x"), tuple)
+        assert isinstance(report.parse_qudit_settings("Z,X", 3), tuple)
+
     def test_sweep_empty_grid(self):
         with pytest.raises(ValueError):
             run(RunConfig(scenario="sweep", param="theta"))
@@ -198,6 +216,43 @@ class TestMain:
         capsys.readouterr()
         # explicit flag overrides the file value
         assert main(["paradox-qubit", "--config", str(cfg), "--theta", "0.9"]) == 0
+
+    def test_parser_reused_without_leaking_values(self, monkeypatch, tmp_path, capsys):
+        calls = collections.Counter()
+        monkeypatch.setattr(cli, "build_parser", counting(calls, cli.build_parser))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("settings=z,y\nlambdas=0.6,0.8\nformat=text\n")
+        assert main(["paradox-qubit", "--config", str(cfg), "--theta", "0.9"]) == 0
+        capsys.readouterr()
+        assert main(["paradox-qubit"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"]["theta"] == np.pi / 4
+        assert (out["config"]["settings"], out["config"]["lambdas"]) == ("", "")
+        assert calls["build_parser"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["paradox-qubit", "--theta", "abc"], ["paradox-qubit", "--bogus", "1"], []],
+        ids=["bad-float", "unknown-flag", "no-scenario"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == report.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: steerkit") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == report.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: steerkit")
+
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["ghz", "--output", str(target)]) == report.EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
+
+    def test_coinciding_settings_named(self, capsys):
+        assert main(["paradox-qubit", "--settings", "z,x,z"]) == report.EXIT_PRECONDITION
+        assert capsys.readouterr().err == "error: settings 'bloch(0,0,1)' and 'bloch(0,0,1)' coincide\n"
 
     def test_env_tolerance_override(self, monkeypatch, capsys):
         from steerkit.cli import build_parser, make_config

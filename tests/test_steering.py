@@ -9,7 +9,7 @@ from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
 from steerkit import assemblage
 from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check
-from steerkit.linalg import DEFAULT_TOL
+from steerkit.linalg import DEFAULT_TOL, projector_distances
 from steerkit.measurements import (
     MeasurementSetting,
     angle_projectors,
@@ -31,6 +31,7 @@ from steerkit.states import (
 )
 from steerkit.steering import (
     CoincidentSettingsError,
+    DegenerateSettingGeometryError,
     LHSModel,
     default_candidates,
     ghz_lhv_bruteforce,
@@ -175,6 +176,87 @@ class TestPureStateParadox:
         assert no_signalling_check(cert.assemblage) <= 1e-12
         assert doc["purity"]["max_residual_mass"] == cert.purity.max_residual_mass
         assert pure_state_paradox(theta_state(0.0), [Z, X]).assemblage is None
+
+
+def settings_coincide_reference(s1, s2, tol):
+    """True if the projectors of two settings pair up, each pair within
+    trace distance tol.state_eq: the rule applied one pair of settings at a
+    time, kept as the reference for pure_state_paradox's single distance
+    matrix over every setting."""
+    if s1.dim != s2.dim:
+        return False
+    k = s1.outcomes
+    dist = projector_distances(np.concatenate([s1.vectors, s2.vectors], axis=1).T)
+    close = dist[:k, k:] <= tol.state_eq
+    return bool(close.any(axis=0).all() and close.any(axis=1).all())
+
+
+class TestSettingCoincidence:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 5), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_first_pair_matches_pairwise_rule(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        bases = [haar_unitary(rng, d)]
+        while len(bases) < k:
+            if rng.random() < 0.3:
+                bases.append(haar_unitary(rng, d))
+                continue
+            # An earlier basis, columns permuted, rotated by exp(i eps H) with
+            # |H| = 1 and eps from 1e-13 to 1e-7, around tol.state_eq = 1e-9.
+            u = bases[rng.integers(len(bases))][:, rng.permutation(d)]
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            vals, vecs = np.linalg.eigh(g + g.conj().T)
+            eps = 10 ** rng.uniform(-13, -7)
+            u = (vecs * np.exp(1j * eps * vals / np.max(np.abs(vals)))) @ vecs.conj().T @ u
+            if d > 2 and rng.random() < 0.3:
+                u[:, :2] = u[:, :2] @ haar_unitary(rng, 2)  # shares all but two projectors
+            bases.append(u)
+        settings_ = [MeasurementSetting(f"s{i}", u) for i, u in enumerate(bases)]
+        pairs = [
+            (i, j)
+            for i in range(k)
+            for j in range(i + 1, k)
+            if settings_coincide_reference(settings_[i], settings_[j], DEFAULT_TOL)
+        ]
+        try:
+            pure_state_paradox(qudit_schmidt_state(np.full(d, 1 / np.sqrt(d))), settings_)
+            named = None
+        except CoincidentSettingsError as err:
+            named = str(err)
+        except DegenerateSettingGeometryError:  # distinct settings sharing a projector
+            named = None
+        assert named == (f"settings 's{pairs[0][0]}' and 's{pairs[0][1]}' coincide" if pairs else None)
+
+    def test_first_coinciding_pair_named(self):
+        settings_ = [Z, X, MeasurementSetting("z again", Z.vectors), MeasurementSetting("x again", X.vectors)]
+        with pytest.raises(CoincidentSettingsError, match=r"^settings 'bloch\(0,0,1\)' and 'z again' coincide$"):
+            pure_state_paradox(theta_state(0.5), settings_)
+
+
+class TestParadoxProperty:
+    """Every pure state with generic settings either certifies the k-vs-1
+    trace contradiction or reports separable."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lam=st.lists(st.floats(0, 1), min_size=2, max_size=5).filter(any),
+        k=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certifies_or_reports_separable(self, lam, k, seed):
+        lam = np.array(lam) / max(lam)  # largest entry 1, so the norm cannot underflow
+        psi = qudit_schmidt_state(lam / np.linalg.norm(lam))
+        d = lam.size
+        rng = np.random.default_rng(seed)
+        settings_ = [basis_from_unitary(haar_unitary(rng, d), f"haar{i}") for i in range(k)]
+        assert no_signalling_check(conditional_states(psi, settings_, (d, d))) <= 1e-12
+        cert = pure_state_paradox(psi, settings_)
+        if cert.applicable:
+            assert abs(cert.lhs_trace_sum - k) <= DEFAULT_TOL.lp
+            assert abs(cert.quantum_trace_sum - 1) <= DEFAULT_TOL.lp
+        else:
+            assert cert.reason == "separable: paradox not applicable"
+            assert not psi.entangled(DEFAULT_TOL)
 
 
 class TestSeparableLhsModel:
