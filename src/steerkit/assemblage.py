@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,15 @@ def row_keys(outcome_counts) -> np.ndarray:
     return np.array(keys, dtype=int).reshape(-1, 2)
 
 
-def setting_sums(values, outcome_counts) -> np.ndarray:
-    """Sum over each setting's rows of per-outcome data in row order (axis
-    0), one entry per setting. Every count must be positive."""
-    return np.add.reduceat(values, np.cumsum((0,) + tuple(outcome_counts[:-1])), axis=0)
+def _per_state(x: np.ndarray):
+    """A Python scalar for one state's 0-d result; a batch's array as is."""
+    return x.item() if x.ndim == 0 else x
+
+
+def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:
+    """Sum over each setting's rows of per-outcome data in row order (along
+    axis), one entry per setting. Every count must be positive."""
+    return np.add.reduceat(values, np.cumsum((0,) + tuple(outcome_counts[:-1])), axis=axis)
 
 
 @dataclass(frozen=True)
@@ -49,20 +55,22 @@ class Assemblage:
 
     stack[row] is the state for index[row], in the row order of row_keys.
     For every setting the outcome states sum to Bob's reduced state and
-    their traces sum to 1.
+    their traces sum to 1. The assemblage of a batch of P states that
+    share the settings has a leading axis of length P on stack and
+    bob_reduced.
     """
 
     setting_labels: tuple
     outcome_counts: tuple
-    stack: np.ndarray  # (sum(outcome_counts), dB, dB)
-    bob_reduced: np.ndarray
+    stack: np.ndarray  # ([P,] sum(outcome_counts), dB, dB)
+    bob_reduced: np.ndarray  # ([P,] dB, dB)
     dims: tuple  # (dA, dB)
 
     def __post_init__(self):
         stack = np.asarray(self.stack, dtype=complex)
         if not self.outcome_counts or min(self.outcome_counts) < 1:
             raise ValueError(f"outcome_counts {self.outcome_counts}: need a setting, each with an outcome")
-        if stack.shape != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
+        if stack.ndim > 4 or stack.shape[-3:] != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
             raise ValueError(f"stack shape {stack.shape} does not fit {self.outcome_counts}, {self.dims}")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
@@ -73,10 +81,10 @@ class Assemblage:
         return tuple(map(tuple, row_keys(self.outcome_counts).tolist()))
 
     def state(self, n: int, a: int) -> np.ndarray:
-        return self.stack[self.index.index((n, a))]
+        return self.stack[..., self.index.index((n, a)), :, :]
 
-    def probability(self, n: int, a: int) -> float:
-        return float(np.trace(self.state(n, a)).real)
+    def probability(self, n: int, a: int):
+        return _per_state(np.trace(self.state(n, a), axis1=-2, axis2=-1).real)
 
 
 @dataclass(frozen=True)
@@ -95,27 +103,40 @@ class PurityProfile:
     entry is within r_i + r_j <= 2 * tol.rank1 of the states' own trace
     distance, whatever the dimension. Every pair involving a state that is
     not rank 1 is an eigendecomposition of the difference.
+
+    The profile of a batch of P states keeps every row, so that the states
+    line up: each field but index has a leading axis of length P, index
+    lists every row, and a vacuous row has rank_one True, residual_mass 0,
+    a zero principal and distance inf to every row. all_rank_one,
+    max_residual_mass and min_pairwise_distance then give one value per
+    state.
     """
 
-    probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
+    probabilities: np.ndarray  # ([P,] rows) tr(rho~^n_a)
     index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
-    rank_one: np.ndarray  # (m,) bool
-    residual_mass: np.ndarray  # (m,) subdominant eigenvalue mass
-    principals: np.ndarray  # (m, dB) principal eigenvectors
-    distance_matrix: np.ndarray  # (m, m) pairwise trace distances
+    rank_one: np.ndarray  # ([P,] m) bool
+    residual_mass: np.ndarray  # ([P,] m) subdominant eigenvalue mass
+    principals: np.ndarray  # ([P,] m, dB) principal eigenvectors
+    distance_matrix: np.ndarray  # ([P,] m, m) pairwise trace distances
 
-    @property
-    def all_rank_one(self) -> bool:
-        return bool(np.all(self.rank_one))
+    # Cached: the paradox's checks, its JSON and the report's checks all
+    # read these.
+    @functools.cached_property
+    def all_rank_one(self):
+        return _per_state(self.rank_one.all(axis=-1))
 
-    @property
-    def max_residual_mass(self) -> float:
+    @functools.cached_property
+    def max_residual_mass(self):
         """Largest subdominant eigenvalue mass over nonvacuous outcomes."""
-        return float(np.max(self.residual_mass, initial=0.0))
+        return _per_state(self.residual_mass.max(axis=-1, initial=0.0))
 
-    def min_pairwise_distance(self) -> float:
-        off_diagonal = self.distance_matrix + np.diag(np.full(len(self.distance_matrix), np.inf))
-        return float(np.min(off_diagonal, initial=np.inf))
+    @functools.cached_property
+    def _min_distance(self):
+        off_diagonal = self.distance_matrix + np.diag(np.full(self.distance_matrix.shape[-1], np.inf))
+        return _per_state(off_diagonal.min(axis=(-2, -1), initial=np.inf))
+
+    def min_pairwise_distance(self):
+        return self._min_distance
 
 
 def conditional_states(
@@ -126,10 +147,12 @@ def conditional_states(
 ) -> Assemblage:
     """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting.
 
-    state is a BipartitePureState or a density matrix on dA*dB. For a pure
-    state with dA x dB coefficient matrix Psi, P_a = u_a u_a^dag gives
-    rho~_a = w_a w_a^dag with w_a = Psi^T conj(u_a): one product forms
-    every w_a, and neither projectors nor the bipartite density are built.
+    state is a BipartitePureState (one state or a batch: the assemblage
+    then has a leading axis over the states) or a density matrix on dA*dB.
+    For a pure state with dA x dB coefficient matrix Psi, P_a = u_a u_a^dag
+    gives rho~_a = w_a w_a^dag with w_a = Psi^T conj(u_a): one product
+    forms every w_a of every state, and neither projectors nor the
+    bipartite density are built. The settings are validated once per call.
     """
     dA, dB = dims
     settings = list(settings)
@@ -146,8 +169,9 @@ def conditional_states(
     if isinstance(state, BipartitePureState):
         if (state.dA, state.dB) != (dA, dB):
             raise ValueError(f"state dims {(state.dA, state.dB)} do not match dims {dims}")
-        w = (state.coefficients.T @ np.concatenate([s.vectors for s in settings], axis=1).conj()).T
-        stack = w[:, :, None] * w.conj()[:, None, :]
+        vectors = np.concatenate([s.vectors for s in settings], axis=1)
+        w = np.swapaxes(np.swapaxes(state.coefficients, -1, -2) @ vectors.conj(), -1, -2)
+        stack = w[..., :, None] * w.conj()[..., None, :]
         bob = state.reduced_bob()
     else:
         rho_ab = as_matrix(state)
@@ -166,29 +190,40 @@ def conditional_states(
     )
 
 
-def no_signalling_check(a: Assemblage) -> float:
-    """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings."""
-    return float(np.max(np.abs(setting_sums(a.stack, a.outcome_counts) - a.bob_reduced)))
+def no_signalling_check(a: Assemblage):
+    """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings;
+    for a batch, an array with one value per state."""
+    dev = np.abs(setting_sums(a.stack, a.outcome_counts, axis=-3) - a.bob_reduced[..., None, :, :])
+    return _per_state(dev.max(axis=(-3, -2, -1)))
 
 
 def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfile:
     """Classify every conditional state as rank-1 / mixed / vacuous and
     compute pairwise trace distances of the normalized nonvacuous states.
-    One batched eigendecomposition checks every state; pairs of rank-1
-    states take their distance from the principal vectors (see
-    PurityProfile), and each other state's row is one batched
+    One batched eigendecomposition checks every state of every member of a
+    batch; pairs of rank-1 states take their distance from the principal
+    vectors (see PurityProfile), and each other state's row is one batched
     trace_distance."""
-    probs = np.trace(a.stack, axis1=1, axis2=2).real
+    stack = a.stack.reshape((-1,) + a.stack.shape[-3:])  # one state is a batch of one
+    probs = np.trace(stack, axis1=2, axis2=3).real
     live = probs > tol.rank1
-    flags, principals, residuals = is_rank_one(a.stack[live], tol)
-    normalized = a.stack[live] / probs[live, None, None]
-    m = len(normalized)
-    pure = np.flatnonzero(flags)
-    dist = np.zeros((m, m))
-    dist[np.ix_(pure, pure)] = projector_distances(principals[pure])
-    for i in np.flatnonzero(~flags):
+    flags = np.ones(live.shape, dtype=bool)
+    residuals = np.zeros(live.shape)
+    principals = np.zeros(live.shape + stack.shape[-1:], dtype=complex)
+    flags[live], principals[live], residuals[live] = is_rank_one(stack[live], tol)
+    dist = projector_distances(principals)
+    rows = np.arange(live.shape[1])
+    for p, i in zip(*np.nonzero(~flags)):
         # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
-        cols = np.flatnonzero((np.arange(m) > i) | flags)
+        cols = np.flatnonzero(live[p] & ((rows > i) | flags[p]))
         if cols.size:
-            dist[i, cols] = dist[cols, i] = trace_distance(normalized[i], normalized[cols], tol)
-    return PurityProfile(probs, row_keys(a.outcome_counts)[live], flags, residuals, principals, dist)
+            pair = np.append(i, cols)
+            normalized = stack[p, pair] / probs[p, pair, None, None]
+            dist[p, i, cols] = dist[p, cols, i] = trace_distance(normalized[0], normalized[1:], tol)
+    keys = row_keys(a.outcome_counts)
+    if a.stack.ndim == 3:
+        live = live[0]
+        pick = np.ix_(live, live)
+        return PurityProfile(probs[0], keys[live], flags[0, live], residuals[0, live], principals[0, live], dist[0][pick])
+    dist[~(live[:, :, None] & live[:, None, :])] = np.inf
+    return PurityProfile(probs, keys, flags, residuals, principals, dist)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field  # noqa: F401  bench/tracing.py wraps report.asdict
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .measurements import (
 )
 from .states import ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
 from .steering import (
+    ParadoxInvariantError,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
     lhs_feasibility_lp,
@@ -180,37 +181,63 @@ def _assemblage_checks(asm, prof) -> dict:
     }
 
 
-def _certificate_exit(cert, tol: Tolerances) -> int:
-    if not cert.applicable:
+def _certificate_exit(result: dict, tol: Tolerances) -> int:
+    if not result["applicable"]:
         return EXIT_PRECONDITION
     ok = (
-        abs(cert.lhs_trace_sum - cert.k) <= tol.lp
-        and abs(cert.quantum_trace_sum - 1.0) <= tol.lp
+        abs(result["lhs_trace_sum"] - result["k"]) <= tol.lp
+        and abs(result["quantum_trace_sum"] - 1.0) <= tol.lp
     )
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _reconstruction_deviation(model, settings, asm, tol: Tolerances) -> float:
-    rec = lhs_reconstruct(model, settings, tol)
-    return float(np.max(np.abs(rec.stack - asm.stack)))
+def _config_dict(cfg: RunConfig) -> dict:
+    """cfg's fields in order, the tolerances as a dict of their own."""
+    return {**vars(cfg), "tolerances": dict(vars(cfg.tolerances))}
 
 
-def _model_exit(model, settings, asm, tol: Tolerances) -> int:
-    """EXIT_NUMERICAL unless the model validates (inside lhs_reconstruct)
-    and reconstructs the assemblage and rho_B within tol.lp."""
+def _model_exit(model, settings, asm, tol: Tolerances):
+    """(exit code, max |reconstructed - assemblage| over the stack).
+
+    The code is EXIT_NUMERICAL unless the model validates (inside
+    lhs_reconstruct) and reconstructs the assemblage and rho_B within
+    tol.lp; a model that does not validate has deviation NaN."""
     try:
         rec = lhs_reconstruct(model, settings, tol)
     except ValueError:
-        return EXIT_NUMERICAL
-    dev = max(np.max(np.abs(rec.stack - asm.stack)), np.max(np.abs(rec.bob_reduced - asm.bob_reduced)))
-    return EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
+        return EXIT_NUMERICAL, float("nan")
+    dev = float(np.max(np.abs(rec.stack - asm.stack)))
+    bob = np.max(np.abs(rec.bob_reduced - asm.bob_reduced))
+    return (EXIT_OK if max(dev, bob) <= tol.lp else EXIT_NUMERICAL), dev
 
 
-def _run_paradox(psi, settings, cfg: RunConfig):
-    tol = cfg.tolerances
+def _paradox_points(psi, settings, tol: Tolerances, tails=()) -> list:
+    """(result, checks, exit code) for each state of a batch, in order, from
+    one paradox certificate; tails[i], when given, is state i's truncation
+    weight."""
     cert = pure_state_paradox(psi, settings, tol)
-    checks = _assemblage_checks(cert.assemblage, cert.purity) if cert.applicable else {}
-    return cert.to_json(), checks, _certificate_exit(cert, tol)
+    checks = iter(())
+    if cert.purity is not None:
+        columns = _assemblage_checks(cert.assemblage, cert.purity)
+        checks = (dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values())))
+    points = [
+        (result, next(checks) if result["applicable"] else {}, _certificate_exit(result, tol))
+        for result in cert.to_json()
+    ]
+    for (result, _, _), tail in zip(points, tails):
+        result["truncation_weight"] = tail
+    return points
+
+
+def _qubit_points(cfg: RunConfig, thetas: list) -> list:
+    settings = parse_qubit_settings(cfg.settings or "z,x")
+    return _paradox_points(theta_state(thetas), settings, cfg.tolerances)
+
+
+def _nopa_points(cfg: RunConfig, rs: list) -> list:
+    psi, tails = nopa_truncated(rs, cfg.d)
+    settings = parse_qudit_settings(cfg.settings or "Z,X", cfg.d)
+    return _paradox_points(psi, settings, cfg.tolerances, tails.tolist())
 
 
 def run(cfg: RunConfig):
@@ -220,8 +247,7 @@ def run(cfg: RunConfig):
     code = EXIT_OK
 
     if cfg.scenario == "paradox-qubit":
-        settings = parse_qubit_settings(cfg.settings or "z,x")
-        result, checks, code = _run_paradox(theta_state(cfg.theta), settings, cfg)
+        [(result, checks, code)] = _qubit_points(cfg, [cfg.theta])
 
     elif cfg.scenario == "paradox-qudit":
         if cfg.lambdas:
@@ -229,15 +255,12 @@ def run(cfg: RunConfig):
             lam = lam / np.linalg.norm(lam)
         else:
             lam = np.full(cfg.d, 1 / np.sqrt(cfg.d))
-        psi = qudit_schmidt_state(lam)
+        psi = qudit_schmidt_state(lam[None])
         settings = parse_qudit_settings(cfg.settings or "Z,X", psi.dA)
-        result, checks, code = _run_paradox(psi, settings, cfg)
+        [(result, checks, code)] = _paradox_points(psi, settings, tol)
 
     elif cfg.scenario == "paradox-nopa":
-        psi, tail = nopa_truncated(cfg.r, cfg.d)
-        settings = parse_qudit_settings(cfg.settings or "Z,X", cfg.d)
-        result, checks, code = _run_paradox(psi, settings, cfg)
-        result["truncation_weight"] = tail
+        [(result, checks, code)] = _nopa_points(cfg, [cfg.r])
 
     elif cfg.scenario == "separable-lhs":
         beta = np.array([np.cos(cfg.beta_angle), np.sin(cfg.beta_angle)])
@@ -246,10 +269,9 @@ def run(cfg: RunConfig):
         psi = separable_state(beta)
         model = separable_lhs_model(psi, settings, tol)
         asm = conditional_states(psi, settings, (2, 2), tol)
-        dev = _reconstruction_deviation(model, settings, asm, tol)
+        code, dev = _model_exit(model, settings, asm, tol)
         result = {"model": model.to_json(), "reconstruction_deviation": dev}
         checks = _assemblage_checks(asm, purity_profile(asm, tol))
-        code = EXIT_OK if dev <= tol.lp else EXIT_NUMERICAL
 
     elif cfg.scenario == "feasibility":
         settings = parse_qubit_settings(cfg.settings or "z,x")
@@ -259,7 +281,7 @@ def run(cfg: RunConfig):
         result = outcome.to_json()
         checks = _assemblage_checks(asm, purity_profile(asm, tol))
         if outcome.feasible:
-            code = _model_exit(outcome.model, settings, asm, tol)
+            code, _ = _model_exit(outcome.model, settings, asm, tol)
 
     elif cfg.scenario == "ghz":
         exp = ghz_operator_expectations(ghz_state())
@@ -288,7 +310,7 @@ def run(cfg: RunConfig):
     doc = ReportDocument(
         schema=SCHEMA_VERSION,
         scenario=cfg.scenario,
-        config=asdict(cfg),
+        config=_config_dict(cfg),
         result=result,
         checks=checks,
         duration_s=time.perf_counter() - t0,
@@ -328,25 +350,51 @@ def _sweep_point_config(cfg: RunConfig, value: float) -> RunConfig:
     return point
 
 
+def _batch_points(cfg: RunConfig, values) -> list:
+    """The report dict and exit code of each theta or r sweep point, from
+    one batched paradox. The point configs differ only in the swept
+    field, so their dicts come from one template, and each point's
+    duration_s is an equal share of the batch's time."""
+    t0 = time.perf_counter()
+    template = _sweep_point_config(cfg, values[0])
+    points = (_qubit_points if cfg.param == "theta" else _nopa_points)(template, values)
+    config = _config_dict(template)
+    share = (time.perf_counter() - t0) / len(values)
+    return [
+        (
+            {
+                "schema": SCHEMA_VERSION,
+                "scenario": template.scenario,
+                "config": {**config, cfg.param: value, "tolerances": dict(config["tolerances"])},
+                "result": result,
+                "checks": checks,
+                "duration_s": share,
+            },
+            code,
+        )
+        for value, (result, checks, code) in zip(values, points)
+    ]
+
+
 def _run_sweep(cfg: RunConfig, t0: float):
     values = _grid_values(cfg)
     if not values:
         raise ValueError("sweep grid is empty")
-    reports = []
-    worst = EXIT_OK
-    magnitudes = []
-    ns_devs = []
-    for value in values:
-        point = _sweep_point_config(cfg, value)
-        doc, code = run(point)
-        worst = max(worst, code)
-        reports.append(vars(doc))
-        mag = doc.result.get("contradiction_magnitude")
-        if mag is not None:
-            magnitudes.append(mag)
-        dev = doc.checks.get("no_signalling_deviation")
-        if dev is not None:
-            ns_devs.append(dev)
+    points = None
+    if cfg.param in ("theta", "r"):
+        try:
+            points = _batch_points(cfg, values)
+        except (ValueError, TypeError, ParadoxInvariantError):
+            pass  # the point-by-point run below raises the first failing point's error
+    if points is None:
+        points = []
+        for value in values:
+            doc, code = run(_sweep_point_config(cfg, value))
+            points.append((vars(doc), code))
+    reports = [report for report, _ in points]
+    worst = max(code for _, code in points)
+    magnitudes = [r["result"]["contradiction_magnitude"] for r in reports if r["result"].get("applicable")]
+    ns_devs = [r["checks"]["no_signalling_deviation"] for r in reports if "no_signalling_deviation" in r["checks"]]
     summary = {
         "points": len(values),
         "min_contradiction_magnitude": min(magnitudes) if magnitudes else None,
@@ -356,7 +404,7 @@ def _run_sweep(cfg: RunConfig, t0: float):
     doc = ReportDocument(
         schema=SCHEMA_VERSION,
         scenario="sweep",
-        config=asdict(cfg),
+        config=_config_dict(cfg),
         result={"reports": reports, "summary": summary},
         checks={"worst_exit_code": worst},
         duration_s=time.perf_counter() - t0,

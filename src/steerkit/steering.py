@@ -6,7 +6,7 @@ GHZ all-versus-nothing enumeration."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,6 +128,10 @@ class LHSModel:
         }
 
 
+_APPLIES = "entangled pure state: trace contradiction established"
+_SEPARABLE = "separable: paradox not applicable"
+
+
 @dataclass(frozen=True)
 class ParadoxCertificate:
     """Verdict record for the k-vs-1 trace contradiction.
@@ -135,6 +139,12 @@ class ParadoxCertificate:
     assemblage and purity are the conditional states the verdict was
     drawn from and their purity profile; both are None when the paradox
     does not apply.
+
+    The certificate of a batch of P states has one entry per state in
+    applicable, lhs_trace_sum and quantum_trace_sum (arrays) and in reason
+    and collapsed_assignments (tuples). Its assemblage and purity are
+    batches over the states the paradox applies to, in order. A state it
+    does not apply to has NaN trace sums and no assignments.
     """
 
     applicable: bool
@@ -149,32 +159,44 @@ class ParadoxCertificate:
     note: str | None = None
 
     @property
-    def contradiction_magnitude(self) -> float:
+    def contradiction_magnitude(self):
         return self.lhs_trace_sum - self.quantum_trace_sum
 
-    def to_json(self) -> dict:
-        doc = {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "k": self.k,
-            "lhs_trace_sum": self.lhs_trace_sum,
-            "quantum_trace_sum": self.quantum_trace_sum,
-            "contradiction_magnitude": self.contradiction_magnitude,
-            "collapsed_assignments": [
-                {"setting": n, "outcome": a, "hidden": xi}
-                for (n, a), xi in sorted(self.collapsed_assignments.items())
-            ],
-            "tolerances": asdict(self.tolerances),
-        }
-        if self.note:
-            doc["note"] = self.note
+    def to_json(self):
+        """The certificate as a dict; for a batch, a list of one dict per
+        state, in order."""
+        batch = np.ndim(self.applicable) == 1
+        numbers = (np.atleast_1d(v).tolist() for v in (self.applicable, self.lhs_trace_sum, self.quantum_trace_sum))
+        texts = (self.reason, self.collapsed_assignments) if batch else ((self.reason,), (self.collapsed_assignments,))
+        purity = iter(())
         if self.purity is not None:
-            doc["purity"] = {
-                "all_rank_one": self.purity.all_rank_one,
-                "max_residual_mass": self.purity.max_residual_mass,
-                "min_pairwise_distance": self.purity.min_pairwise_distance(),
+            p = self.purity
+            purity = zip(*(np.atleast_1d(v).tolist() for v in (p.all_rank_one, p.max_residual_mass, p.min_pairwise_distance())))
+        docs = []
+        for applicable, lhs, quantum, reason, assigned in zip(*numbers, *texts):
+            doc = {
+                "applicable": applicable,
+                "reason": reason,
+                "k": self.k,
+                "lhs_trace_sum": lhs,
+                "quantum_trace_sum": quantum,
+                "contradiction_magnitude": lhs - quantum,
+                "collapsed_assignments": [
+                    {"setting": n, "outcome": a, "hidden": xi} for (n, a), xi in sorted(assigned.items())
+                ],
+                "tolerances": dict(vars(self.tolerances)),
             }
-        return doc
+            if applicable:
+                if self.note:
+                    doc["note"] = self.note
+                all_rank_one, max_residual, min_distance = next(purity)
+                doc["purity"] = {
+                    "all_rank_one": all_rank_one,
+                    "max_residual_mass": max_residual,
+                    "min_pairwise_distance": min_distance,
+                }
+            docs.append(doc)
+        return docs if batch else docs[0]
 
 
 @dataclass(frozen=True)
@@ -217,7 +239,7 @@ class GhzExpectations:
 
 
 def pure_state_paradox(
-    psi: BipartitePureState,
+    psi,
     settings,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ParadoxCertificate:
@@ -230,7 +252,14 @@ def pure_state_paradox(
     against the quantum value 1.
 
     Separable inputs yield applicable=False rather than an error.
+
+    psi may also be a batch of P states (see BipartitePureState). The
+    settings are then validated and compared once, one eigendecomposition
+    covers the conditional states of every entangled state, and the
+    certificate covers the batch (see ParadoxCertificate). A failed check
+    raises the error of the first failing state, in order.
     """
+    batch = psi.vector.ndim == 2
     settings = list(settings)
     if len(settings) < 2:
         raise ValueError(f"need at least 2 settings, got {len(settings)}")
@@ -246,52 +275,51 @@ def pure_state_paradox(
     i, j = np.nonzero(np.triu(paired & paired.T, 1))
     if i.size:
         raise CoincidentSettingsError(f"settings {settings[i[0]].label!r} and {settings[j[0]].label!r} coincide")
-    if not psi.entangled(tol):
-        return ParadoxCertificate(
-            applicable=False,
-            reason="separable: paradox not applicable",
-            k=k,
-            lhs_trace_sum=float("nan"),
-            quantum_trace_sum=float("nan"),
-            assemblage=None,
-            purity=None,
-            collapsed_assignments={},
-            tolerances=tol,
-        )
 
-    prof = purity_profile(asm, tol)
+    entangled = np.atleast_1d(psi.entangled(tol))
+    lhs = np.full(entangled.size, np.nan)
+    quantum = np.full(entangled.size, np.nan)
+    assignments = [{} for _ in entangled]
+    sub = prof = None
+    if entangled.any():
+        sub = asm
+        if batch and not entangled.all():
+            sub = Assemblage(asm.setting_labels, asm.outcome_counts, asm.stack[entangled], asm.bob_reduced[entangled], asm.dims)
+        prof = purity_profile(sub, tol)
+        gaps = np.atleast_1d(prof.min_pairwise_distance())
+        failed = np.flatnonzero(~np.atleast_1d(prof.all_rank_one) | (gaps <= tol.state_eq))
+        if failed.size:
+            p = failed[0]
+            rank_one, residual = np.atleast_2d(prof.rank_one), np.atleast_2d(prof.residual_mass)
+            bad = np.flatnonzero(~rank_one[p])
+            if bad.size:
+                worst = bad[np.argmax(residual[p, bad])]
+                n, a = prof.index[worst]
+                raise ParadoxInvariantError(
+                    f"conditional state for setting {n}, outcome {a} is not rank-1 "
+                    f"(residual mass {residual[p, worst]:.3e}); purity is guaranteed "
+                    "for pure entangled inputs, so this is a numerical failure"
+                )
+            raise DegenerateSettingGeometryError(
+                "some normalized conditional states coincide across outcomes or "
+                "settings; the single-term collapse needs them pairwise distinct "
+                f"(min trace distance {gaps[p]:.3e})"
+            )
+        probs = np.atleast_2d(prof.probabilities)
+        lhs[entangled] = np.sum(probs, axis=1)
+        quantum[entangled] = np.trace(sub.bob_reduced, axis1=-2, axis2=-1).real
+        # Collapse: each nonvacuous equation consumes its own hidden state, in
+        # lexicographic (setting, outcome) order, with the response forced to 1.
+        keys = list(map(tuple, row_keys(asm.outcome_counts).tolist()))
+        for state, live in zip(np.flatnonzero(entangled), (probs > tol.rank1).tolist()):
+            assignments[state] = {key: xi for xi, key in enumerate(itertools.compress(keys, live), start=1)}
 
-    bad = np.flatnonzero(~prof.rank_one)
-    if bad.size:
-        worst = bad[np.argmax(prof.residual_mass[bad])]
-        n, a = prof.index[worst]
-        raise ParadoxInvariantError(
-            f"conditional state for setting {n}, outcome {a} is not rank-1 "
-            f"(residual mass {prof.residual_mass[worst]:.3e}); purity is guaranteed "
-            "for pure entangled inputs, so this is a numerical failure"
-        )
-    if prof.min_pairwise_distance() <= tol.state_eq:
-        raise DegenerateSettingGeometryError(
-            "some normalized conditional states coincide across outcomes or "
-            "settings; the single-term collapse needs them pairwise distinct "
-            f"(min trace distance {prof.min_pairwise_distance():.3e})"
-        )
-
-    # Collapse: each nonvacuous equation consumes its own hidden state, in
-    # lexicographic (setting, outcome) order, with the response forced to 1.
-    assignments = {(n, a): xi for xi, (n, a) in enumerate(prof.index.tolist(), start=1)}
-    quantum = float(np.trace(asm.bob_reduced).real)
+    note = "k-setting extension of the two-setting collapse" if k > 2 and entangled.any() else None
+    reasons = tuple(_APPLIES if e else _SEPARABLE for e in entangled.tolist())
+    if batch:
+        return ParadoxCertificate(entangled, reasons, k, lhs, quantum, sub, prof, tuple(assignments), tol, note)
     return ParadoxCertificate(
-        applicable=True,
-        reason="entangled pure state: trace contradiction established",
-        k=k,
-        lhs_trace_sum=float(np.sum(prof.probabilities)),
-        quantum_trace_sum=quantum,
-        assemblage=asm,
-        purity=prof,
-        collapsed_assignments=assignments,
-        tolerances=tol,
-        note="k-setting extension of the two-setting collapse" if k > 2 else None,
+        bool(entangled[0]), reasons[0], k, float(lhs[0]), float(quantum[0]), sub, prof, assignments[0], tol, note
     )
 
 

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerkit import assemblage, cli, linalg, report, states, steering
 from steerkit.cli import main
@@ -79,6 +81,20 @@ class TestScenarios:
         doc, code = run(RunConfig(scenario="separable-lhs", beta_angle=0.5, alphas="0.3,1.1"))
         assert code == 0
         assert doc.result["reconstruction_deviation"] <= 1e-10
+
+    def test_separable_lhs_exit_code_from_its_one_reconstruction(self, monkeypatch):
+        calls = collections.Counter()
+        monkeypatch.setattr(report, "lhs_reconstruct", counting(calls, report.lhs_reconstruct))
+        cfg = RunConfig(scenario="separable-lhs", beta_angle=0.5, alphas="0.3,1.1")
+        doc, code = run(cfg)
+        assert code == 0 and doc.result["reconstruction_deviation"] <= 1e-12
+        assert calls == {"lhs_reconstruct": 1}
+        # A model that fails validation is a numerical failure, not an error.
+        not_psd = steering.LHSModel(np.array([1.0]), [np.diag([1.5, -0.5])], np.full((4, 1), 0.5), (2, 2))
+        monkeypatch.setattr(report, "separable_lhs_model", lambda psi, angles, tol: not_psd)
+        doc, code = run(cfg)
+        assert code == report.EXIT_NUMERICAL
+        assert np.isnan(doc.result["reconstruction_deviation"])
 
     def test_feasibility_entangled(self):
         doc, code = run(RunConfig(scenario="feasibility", theta=np.pi / 4, settings="z,x"))
@@ -164,6 +180,99 @@ class TestScenarios:
     def test_sweep_empty_grid(self):
         with pytest.raises(ValueError):
             run(RunConfig(scenario="sweep", param="theta"))
+
+
+def _without_duration(doc: dict) -> str:
+    """A report as JSON text without its duration_s, NaN-safe to compare."""
+    return json.dumps({k: v for k, v in doc.items() if k != "duration_s"})
+
+
+class TestBatchedSweep:
+    """theta and r sweeps run as one batched paradox; every point must still
+    be the report that a single run of that point's config gives."""
+
+    @staticmethod
+    def assert_points_are_single_runs(cfg, values):
+        doc, worst = run(cfg)
+        reports = doc.result["reports"]
+        assert len(reports) == len(values)
+        codes = []
+        for value, point in zip(values, reports):
+            single, code = run(report._sweep_point_config(cfg, value))
+            assert _without_duration(point) == _without_duration(vars(single))
+            assert point["duration_s"] >= 0
+            codes.append(code)
+        assert worst == max(codes)
+        return reports
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        inner=st.lists(st.floats(0.0, np.pi / 2), min_size=0, max_size=12),
+        ends=st.sets(st.sampled_from([0.0, np.pi / 2])),
+        spec=st.sampled_from(["z,x", "z,x,y", "x,angle:0.4,y"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_theta_points_equal_single_runs(self, inner, ends, spec, seed):
+        values = inner + sorted(ends)
+        np.random.default_rng(seed).shuffle(values)
+        if not values:
+            values = [0.7]
+        cfg = RunConfig(scenario="sweep", param="theta", values=",".join(map(repr, values)), settings=spec)
+        self.assert_points_are_single_runs(cfg, [float(v) for v in values])
+
+    def test_r_points_equal_single_runs_with_vacuous_rows(self):
+        # At d = 18, tanh(0.3)^(2m) falls below tol.rank1 from m = 9: nine
+        # vacuous Z outcomes at r = 0.3, none at r = 1.0, in one batch.
+        cfg = RunConfig(scenario="sweep", param="r", values="0.3,1.0", d=18)
+        reports = self.assert_points_are_single_runs(cfg, [0.3, 1.0])
+        assert [len(r["result"]["collapsed_assignments"]) for r in reports] == [27, 36]
+
+    def test_summary_ignores_points_where_the_paradox_does_not_apply(self):
+        summaries = []
+        for grid in ("0,0.5,1.0", "0.5,1.0,0"):
+            doc, code = run(RunConfig(scenario="sweep", param="theta", values=grid))
+            assert code == report.EXIT_PRECONDITION
+            summaries.append(doc.result["summary"])
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["min_contradiction_magnitude"] == pytest.approx(1.0, abs=1e-9)
+        assert summaries[0]["max_contradiction_magnitude"] == pytest.approx(1.0, abs=1e-9)
+        doc, code = run(RunConfig(scenario="sweep", param="theta", values=f"0,{np.pi / 2!r}"))
+        assert code == report.EXIT_PRECONDITION
+        summary = doc.result["summary"]
+        assert summary["min_contradiction_magnitude"] is None
+        assert summary["max_contradiction_magnitude"] is None
+
+    @staticmethod
+    def fail_rank_one_at(monkeypatch, theta):
+        """Make is_rank_one reject the z-outcome-0 state of the point at theta."""
+        exact = assemblage.is_rank_one
+
+        def flaky(rho, tol):
+            flags, principals, residual = exact(rho, tol)
+            hit = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - np.cos(theta) ** 2) <= 1e-12
+            return flags & ~hit, principals, np.where(hit, 0.5, residual)
+
+        monkeypatch.setattr(assemblage, "is_rank_one", flaky)
+
+    def test_first_failing_point_decides(self, monkeypatch, capsys):
+        argv = ["sweep", "--param", "theta", "--values", "0.3,0.6,0.9,2.0"]
+        assert main(argv) == report.EXIT_PRECONDITION
+        assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got 2.0\n"
+        self.fail_rank_one_at(monkeypatch, 0.6)
+        assert main(argv) == report.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: conditional state for setting 0, outcome 0 is not rank-1")
+        assert main(["sweep", "--param", "theta", "--values", "0.3,2.0,0.6"]) == report.EXIT_PRECONDITION
+        assert "got 2.0" in capsys.readouterr().err
+
+    def test_one_eigendecomposition_and_validation_per_sweep(self, monkeypatch):
+        calls = collections.Counter()
+        monkeypatch.setattr(linalg, "hermitian_eig", counting(calls, linalg.hermitian_eig))
+        monkeypatch.setattr(assemblage, "validate_setting", counting(calls, assemblage.validate_setting))
+        monkeypatch.setattr(report, "pure_state_paradox", counting(calls, report.pure_state_paradox))
+        doc, code = run(RunConfig(scenario="sweep", param="theta", linspace="0.1:1.4:40", settings="z,x"))
+        assert code == 0 and len(doc.result["reports"]) == 40
+        assert calls == {"hermitian_eig": 1, "validate_setting": 2, "pure_state_paradox": 1}
 
 
 class TestReportDocument:

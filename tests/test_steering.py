@@ -1,3 +1,4 @@
+import json
 import re
 from unittest import mock
 
@@ -33,6 +34,7 @@ from steerkit.steering import (
     CoincidentSettingsError,
     DegenerateSettingGeometryError,
     LHSModel,
+    ParadoxInvariantError,
     default_candidates,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
@@ -615,3 +617,80 @@ class TestGhz:
         count, witness = ghz_lhv_bruteforce(targets=(-1, -1, -1, -1))
         assert count == 8
         assert witness == 1
+
+
+class TestStateBatches:
+    """A batch of P states runs the paradox once; each state's share of it
+    must be what the state gives on its own."""
+
+    GRID = [0.0, 0.3, 0.6, np.pi / 4, 1.2, np.pi / 2]
+
+    def test_constructors_match_single_states(self):
+        batch = theta_state(self.GRID)
+        assert batch.vector.shape == (len(self.GRID), 4)
+        for i, theta in enumerate(self.GRID):
+            single = theta_state(theta)
+            assert np.array_equal(batch.vector[i], single.vector)
+            assert np.array_equal(batch.schmidt_coeffs[i], single.schmidt_coeffs)
+            assert batch.entangled()[i] == single.entangled()
+        rs = [0.05, 0.3, 1.0, 2.5]
+        psi, tails = nopa_truncated(rs, 18)
+        for i, r in enumerate(rs):
+            single, tail = nopa_truncated(r, 18)
+            assert np.array_equal(psi.vector[i], single.vector)
+            assert tails[i] == tail
+            assert np.array_equal(psi.reduced_bob()[i], single.reduced_bob())
+
+    def test_constructor_errors_name_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"got 2\.0$"):
+            theta_state([0.3, 2.0, -1.0])
+        with pytest.raises(ValueError, match=r"got -1\.0$"):
+            nopa_truncated([0.5, -1.0, -2.0], 4)
+
+    def test_projector_distances_per_stack(self):
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+        vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+        batched = projector_distances(vecs)
+        for p in range(3):
+            assert np.array_equal(batched[p], projector_distances(vecs[p]))
+
+    def test_paradox_batch_matches_single_certificates(self):
+        cert = pure_state_paradox(theta_state(self.GRID), [Z, X, Y])
+        singles = [pure_state_paradox(theta_state(theta), [Z, X, Y]) for theta in self.GRID]
+        assert cert.applicable.tolist() == [s.applicable for s in singles] == [False, True, True, True, True, False]
+        docs = cert.to_json()
+        assert [json.dumps(doc) for doc in docs] == [json.dumps(s.to_json()) for s in singles]
+        # assemblage and purity cover the entangled states only, in order
+        live = [s for s in singles if s.applicable]
+        assert cert.assemblage.stack.shape == (len(live), 6, 2, 2)
+        assert no_signalling_check(cert.assemblage).tolist() == [no_signalling_check(s.assemblage) for s in live]
+        assert cert.purity.max_residual_mass.tolist() == [s.purity.max_residual_mass for s in live]
+
+    def test_vacuous_rows_line_up_in_a_batch(self):
+        psi, _ = nopa_truncated([0.3, 1.0], 18)
+        settings_ = [computational_basis(18), fourier_mub_basis(18)]
+        prof = pure_state_paradox(psi, settings_).purity
+        live = prof.probabilities > DEFAULT_TOL.rank1
+        assert live.sum(axis=1).tolist() == [27, 36]
+        assert prof.rank_one.shape == (2, 36) and prof.index.shape == (36, 2)
+        assert np.all(np.isinf(prof.distance_matrix[0][~live[0]]))
+        for p, r in enumerate((0.3, 1.0)):
+            single = pure_state_paradox(nopa_truncated(r, 18)[0], settings_).purity
+            assert prof.min_pairwise_distance()[p] == single.min_pairwise_distance()
+            assert np.array_equal(prof.residual_mass[p][live[p]], single.residual_mass)
+
+    def test_batch_error_is_the_first_failing_state(self, monkeypatch):
+        exact = assemblage.is_rank_one
+
+        def flaky(rho, tol):
+            # z outcome 1 of theta = 0.6 and z outcome 0 of theta = 0.9
+            flags, principals, residual = exact(rho, tol)
+            tr = np.trace(rho, axis1=-2, axis2=-1).real
+            first = np.abs(tr - np.sin(0.6) ** 2) <= 1e-12
+            second = np.abs(tr - np.cos(0.9) ** 2) <= 1e-12
+            return flags & ~first & ~second, principals, np.where(first, 0.25, np.where(second, 0.5, residual))
+
+        monkeypatch.setattr(assemblage, "is_rank_one", flaky)
+        with pytest.raises(ParadoxInvariantError, match=r"setting 0, outcome 1 is not rank-1 \(residual mass 2\.500e-01\)"):
+            pure_state_paradox(theta_state([0.3, 0.6, 0.9]), [Z, X])
