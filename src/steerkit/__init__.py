@@ -14,12 +14,14 @@ from .linalg import (
 from .states import (
     BipartitePureState,
     MultiQubitPureState,
+    PureStates,
     density,
     ghz_state,
     nopa_truncated,
     qudit_schmidt_state,
     separable_state,
     theta_state,
+    theta_states,
 )
 from .measurements import (
     MeasurementSetting,

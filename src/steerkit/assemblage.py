@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .linalg import (
     trace_distance,
 )
 from .measurements import MeasurementSetting, validate_setting
-from .states import BipartitePureState
+from .states import BipartitePureState, PureStates
 
 __all__ = [
     "Assemblage",
@@ -38,11 +37,6 @@ def row_keys(outcome_counts) -> np.ndarray:
     return np.array(keys, dtype=int).reshape(-1, 2)
 
 
-def _per_state(x: np.ndarray):
-    """A Python scalar for one state's 0-d result; a batch's array as is."""
-    return x.item() if x.ndim == 0 else x
-
-
 def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:
     """Sum over each setting's rows of per-outcome data in row order (along
     axis), one entry per setting. Every count must be positive."""
@@ -55,22 +49,20 @@ class Assemblage:
 
     stack[row] is the state for index[row], in the row order of row_keys.
     For every setting the outcome states sum to Bob's reduced state and
-    their traces sum to 1. The assemblage of a batch of P states that
-    share the settings has a leading axis of length P on stack and
-    bob_reduced.
+    their traces sum to 1.
     """
 
     setting_labels: tuple
     outcome_counts: tuple
-    stack: np.ndarray  # ([P,] sum(outcome_counts), dB, dB)
-    bob_reduced: np.ndarray  # ([P,] dB, dB)
+    stack: np.ndarray  # (sum(outcome_counts), dB, dB)
+    bob_reduced: np.ndarray
     dims: tuple  # (dA, dB)
 
     def __post_init__(self):
         stack = np.asarray(self.stack, dtype=complex)
         if not self.outcome_counts or min(self.outcome_counts) < 1:
             raise ValueError(f"outcome_counts {self.outcome_counts}: need a setting, each with an outcome")
-        if stack.ndim > 4 or stack.shape[-3:] != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
+        if stack.shape != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
             raise ValueError(f"stack shape {stack.shape} does not fit {self.outcome_counts}, {self.dims}")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
@@ -81,10 +73,10 @@ class Assemblage:
         return tuple(map(tuple, row_keys(self.outcome_counts).tolist()))
 
     def state(self, n: int, a: int) -> np.ndarray:
-        return self.stack[..., self.index.index((n, a)), :, :]
+        return self.stack[self.index.index((n, a))]
 
-    def probability(self, n: int, a: int):
-        return _per_state(np.trace(self.state(n, a), axis1=-2, axis2=-1).real)
+    def probability(self, n: int, a: int) -> float:
+        return float(np.trace(self.state(n, a)).real)
 
 
 @dataclass(frozen=True)
@@ -102,41 +94,22 @@ class PurityProfile:
     trace distance exactly r from its principal projector, so each such
     entry is within r_i + r_j <= 2 * tol.rank1 of the states' own trace
     distance, whatever the dimension. Every pair involving a state that is
-    not rank 1 is an eigendecomposition of the difference.
-
-    The profile of a batch of P states keeps every row, so that the states
-    line up: each field but index has a leading axis of length P, index
-    lists every row, and a vacuous row has rank_one True, residual_mass 0,
-    a zero principal and distance inf to every row. all_rank_one,
-    max_residual_mass and min_pairwise_distance then give one value per
-    state.
+    not rank 1 is an eigendecomposition of the difference. all_rank_one,
+    max_residual_mass and min_distance sum the arrays up.
     """
 
-    probabilities: np.ndarray  # ([P,] rows) tr(rho~^n_a)
+    probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
     index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
-    rank_one: np.ndarray  # ([P,] m) bool
-    residual_mass: np.ndarray  # ([P,] m) subdominant eigenvalue mass
-    principals: np.ndarray  # ([P,] m, dB) principal eigenvectors
-    distance_matrix: np.ndarray  # ([P,] m, m) pairwise trace distances
+    rank_one: np.ndarray  # (m,) bool
+    residual_mass: np.ndarray  # (m,) subdominant eigenvalue mass
+    principals: np.ndarray  # (m, dB) principal eigenvectors
+    distance_matrix: np.ndarray  # (m, m) pairwise trace distances
+    all_rank_one: bool
+    max_residual_mass: float  # largest residual_mass, 0 with no nonvacuous row
+    min_distance: float  # smallest off-diagonal distance, inf with fewer than two rows
 
-    # Cached: the paradox's checks, its JSON and the report's checks all
-    # read these.
-    @functools.cached_property
-    def all_rank_one(self):
-        return _per_state(self.rank_one.all(axis=-1))
-
-    @functools.cached_property
-    def max_residual_mass(self):
-        """Largest subdominant eigenvalue mass over nonvacuous outcomes."""
-        return _per_state(self.residual_mass.max(axis=-1, initial=0.0))
-
-    @functools.cached_property
-    def _min_distance(self):
-        off_diagonal = self.distance_matrix + np.diag(np.full(self.distance_matrix.shape[-1], np.inf))
-        return _per_state(off_diagonal.min(axis=(-2, -1), initial=np.inf))
-
-    def min_pairwise_distance(self):
-        return self._min_distance
+    def min_pairwise_distance(self) -> float:
+        return self.min_distance
 
 
 def conditional_states(
@@ -144,15 +117,16 @@ def conditional_states(
     settings,
     dims,
     tol: Tolerances = DEFAULT_TOL,
-) -> Assemblage:
+):
     """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting.
 
-    state is a BipartitePureState (one state or a batch: the assemblage
-    then has a leading axis over the states) or a density matrix on dA*dB.
-    For a pure state with dA x dB coefficient matrix Psi, P_a = u_a u_a^dag
-    gives rho~_a = w_a w_a^dag with w_a = Psi^T conj(u_a): one product
-    forms every w_a of every state, and neither projectors nor the
-    bipartite density are built. The settings are validated once per call.
+    state is a BipartitePureState, a density matrix on dA*dB, or a
+    PureStates batch, whose assemblages come as a list, in order. The
+    settings are validated once per call. For pure states with dA x dB
+    coefficient matrix Psi, P_a = u_a u_a^dag gives rho~_a = w_a w_a^dag
+    with w_a = Psi^T conj(u_a): one product forms every w_a of every state
+    (a single state is the batch of one), and neither projectors nor
+    bipartite densities are built.
     """
     dA, dB = dims
     settings = list(settings)
@@ -166,64 +140,96 @@ def conditional_states(
         report = validate_setting(s, tol)
         if not report.passed:
             raise ValueError(f"invalid setting {s.label!r}: {report}")
-    if isinstance(state, BipartitePureState):
-        if (state.dA, state.dB) != (dA, dB):
-            raise ValueError(f"state dims {(state.dA, state.dB)} do not match dims {dims}")
-        vectors = np.concatenate([s.vectors for s in settings], axis=1)
-        w = np.swapaxes(np.swapaxes(state.coefficients, -1, -2) @ vectors.conj(), -1, -2)
-        stack = w[..., :, None] * w.conj()[..., None, :]
-        bob = state.reduced_bob()
-    else:
-        rho_ab = as_matrix(state)
-        if rho_ab.shape != (dA * dB, dA * dB):
-            raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
-        projs = np.concatenate([s.projectors for s in settings])
-        # sigma[n, m, k] = sum_ij P[n, j, i] rho[i, m, j, k]
-        stack = np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0]))
-        bob = partial_trace(rho_ab, dA, dB, keep="B")
-    return Assemblage(
-        setting_labels=tuple(s.label for s in settings),
-        outcome_counts=tuple(s.outcomes for s in settings),
-        stack=stack,
-        bob_reduced=bob,
-        dims=(dA, dB),
-    )
+    labels, counts = tuple(s.label for s in settings), tuple(s.outcomes for s in settings)
+    if isinstance(state, (BipartitePureState, PureStates)):
+        batch = state if isinstance(state, PureStates) else PureStates.of(state)
+        if (batch.dA, batch.dB) != (dA, dB):
+            raise ValueError(f"state dims {(batch.dA, batch.dB)} do not match dims {dims}")
+        psi_t = batch.coefficients.swapaxes(1, 2)
+        w = (psi_t @ np.concatenate([s.vectors for s in settings], axis=1).conj()).swapaxes(1, 2)
+        stacks = w[..., :, None] * w.conj()[..., None, :]
+        bobs = psi_t @ batch.coefficients.conj()
+        asms = [Assemblage(labels, counts, stack, bob, (dA, dB)) for stack, bob in zip(stacks, bobs)]
+        return asms if batch is state else asms[0]
+    rho_ab = as_matrix(state)
+    if rho_ab.shape != (dA * dB, dA * dB):
+        raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
+    projs = np.concatenate([s.projectors for s in settings])
+    # sigma[n, m, k] = sum_ij P[n, j, i] rho[i, m, j, k]
+    stack = np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0]))
+    return Assemblage(labels, counts, stack, partial_trace(rho_ab, dA, dB, keep="B"), (dA, dB))
 
 
-def no_signalling_check(a: Assemblage):
-    """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings;
-    for a batch, an array with one value per state."""
-    dev = np.abs(setting_sums(a.stack, a.outcome_counts, axis=-3) - a.bob_reduced[..., None, :, :])
-    return _per_state(dev.max(axis=(-3, -2, -1)))
+def no_signalling_check(a):
+    """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings.
+
+    a is an Assemblage, or a list of assemblages of one row layout whose
+    deviations then come as a list, in order, from one computation.
+    """
+    batch = _batch(a)
+    stacks, bobs = _stack([x.stack for x in batch]), _stack([x.bob_reduced for x in batch])
+    dev = np.max(np.abs(setting_sums(stacks, batch[0].outcome_counts, axis=1) - bobs[:, None]), axis=(1, 2, 3))
+    return float(dev[0]) if isinstance(a, Assemblage) else dev.tolist()
 
 
-def purity_profile(a: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PurityProfile:
+def _batch(a) -> list:
+    """An assemblage as a batch of one, or a nonempty list of assemblages
+    that share their outcome counts and dims."""
+    batch = [a] if isinstance(a, Assemblage) else list(a)
+    if not batch:
+        raise ValueError("need at least one assemblage")
+    if any((x.outcome_counts, x.dims) != (batch[0].outcome_counts, batch[0].dims) for x in batch):
+        raise ValueError("the assemblages of a batch must share their outcome counts and dims")
+    return batch
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """arrays along a new leading axis: a view for a batch of one, else a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
     """Classify every conditional state as rank-1 / mixed / vacuous and
     compute pairwise trace distances of the normalized nonvacuous states.
-    One batched eigendecomposition checks every state of every member of a
-    batch; pairs of rank-1 states take their distance from the principal
-    vectors (see PurityProfile), and each other state's row is one batched
-    trace_distance."""
-    stack = a.stack.reshape((-1,) + a.stack.shape[-3:])  # one state is a batch of one
-    probs = np.trace(stack, axis1=2, axis2=3).real
+
+    a is an Assemblage, or a list of assemblages of one row layout whose
+    profiles then come as a list, in order. The assemblages that share
+    their nonvacuous rows go together: one batched eigendecomposition
+    checks all their states, pairs of rank-1 states take their distance
+    from the principal vectors (see PurityProfile), and each other state's
+    row is one batched trace_distance.
+    """
+    batch = _batch(a)
+    counts = batch[0].outcome_counts
+    stacks = _stack([x.stack for x in batch])
+    probs = np.trace(stacks, axis1=2, axis2=3).real
     live = probs > tol.rank1
-    flags = np.ones(live.shape, dtype=bool)
-    residuals = np.zeros(live.shape)
-    principals = np.zeros(live.shape + stack.shape[-1:], dtype=complex)
-    flags[live], principals[live], residuals[live] = is_rank_one(stack[live], tol)
-    dist = projector_distances(principals)
-    rows = np.arange(live.shape[1])
-    for p, i in zip(*np.nonzero(~flags)):
-        # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
-        cols = np.flatnonzero(live[p] & ((rows > i) | flags[p]))
-        if cols.size:
-            pair = np.append(i, cols)
-            normalized = stack[p, pair] / probs[p, pair, None, None]
-            dist[p, i, cols] = dist[p, cols, i] = trace_distance(normalized[0], normalized[1:], tol)
-    keys = row_keys(a.outcome_counts)
-    if a.stack.ndim == 3:
-        live = live[0]
-        pick = np.ix_(live, live)
-        return PurityProfile(probs[0], keys[live], flags[0, live], residuals[0, live], principals[0, live], dist[0][pick])
-    dist[~(live[:, :, None] & live[:, None, :])] = np.inf
-    return PurityProfile(probs, keys, flags, residuals, principals, dist)
+    keys = row_keys(counts)
+    groups = {}
+    for p, row in enumerate(live):
+        groups.setdefault(row.tobytes(), []).append(p)
+    profiles = [None] * len(batch)
+    for members in groups.values():
+        mask = live[members[0]]
+        rows = np.zeros(live.shape, dtype=bool)
+        rows[members] = mask
+        states = stacks[rows]  # the members' nonvacuous states, member by member
+        g, m, d = len(members), states.shape[0] // len(members), states.shape[-1]
+        flags, principals, residuals = is_rank_one(states, tol)
+        flags, principals, residuals = flags.reshape(g, m), principals.reshape(g, m, d), residuals.reshape(g, m)
+        normalized = (states / probs[rows, None, None]).reshape(g, m, d, d)
+        dist = projector_distances(principals)
+        for j, i in zip(*np.nonzero(~flags)):
+            # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
+            cols = np.flatnonzero((np.arange(m) > i) | flags[j])
+            if cols.size:
+                dist[j, i, cols] = dist[j, cols, i] = trace_distance(normalized[j, i], normalized[j, cols], tol)
+        summaries = zip(
+            flags.all(axis=1).tolist(),
+            residuals.max(axis=1, initial=0.0).tolist(),
+            (dist + np.diag(np.full(m, np.inf))).min(axis=(1, 2), initial=np.inf).tolist(),
+        )
+        index = keys[mask]
+        for j, (p, summary) in enumerate(zip(members, summaries)):
+            profiles[p] = PurityProfile(probs[p], index, flags[j], residuals[j], principals[j], dist[j], *summary)
+    return profiles[0] if isinstance(a, Assemblage) else profiles

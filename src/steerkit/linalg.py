@@ -139,17 +139,17 @@ def projector_distances(vecs: np.ndarray) -> np.ndarray:
     accuracy where sqrt(1 - |<v_i|v_j>|^2) cancels to 0 for nearly equal
     states. An (..., m, d) stack gives the (..., m, m) distances within
     each set of m vectors. Rows go in blocks of at most _BLOCK_ENTRIES
-    residual entries (at least one row).
+    residual entries, or of one row of every set where that is more.
     """
     m, d = vecs.shape[-2:]
     dist = np.zeros(vecs.shape[:-1] + (m,))
     step = max(1, _BLOCK_ENTRIES // max(1, vecs.size))
     for i in range(0, m, step):
         v, w = vecs[..., i : i + step, :], vecs[..., i:, :]
-        r = w[..., None, :, :] - (v.conj() @ np.swapaxes(w, -1, -2))[..., None] * v[..., :, None, :]
+        r = w[..., None, :, :] - (v.conj() @ w.swapaxes(-1, -2))[..., None] * v[..., None, :]
         dist[..., i : i + step, i:] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
     dist = np.triu(dist, 1)
-    return dist + np.swapaxes(dist, -1, -2)
+    return dist + dist.swapaxes(-1, -2)
 
 
 def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):
@@ -180,15 +180,12 @@ def schmidt_decompose(psi, dA: int, dB: int, tol: Tolerances = DEFAULT_TOL):
     Returns (coeffs, left_vecs, right_vecs): nonnegative coefficients in
     descending order with sum of squares 1, and orthonormal vectors as
     columns so that psi = sum_m coeffs[m] * kron(left[:,m], right[:,m]).
-    A (P, dA*dB) stack is decomposed row by row, every output with a
-    leading axis of length P.
     """
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi if psi.ndim == 2 else psi.ravel()
-    if psi.shape[-1] != dA * dB:
-        raise ValueError(f"schmidt_decompose: vector length {psi.shape[-1]} != dA*dB = {dA * dB}")
-    for nrm in np.linalg.norm(psi, axis=-1).ravel().tolist():
-        if abs(nrm - 1.0) > max(tol.eig, 1e-8):
-            raise ValueError(f"schmidt_decompose: input norm {nrm} is not 1")
-    u, s, vh = np.linalg.svd(psi.reshape(psi.shape[:-1] + (dA, dB)), full_matrices=False)
-    return s.copy(), u.copy(), np.swapaxes(vh, -1, -2).copy()
+    psi = np.asarray(psi, dtype=complex).ravel()
+    if psi.size != dA * dB:
+        raise ValueError(f"schmidt_decompose: vector length {psi.size} != dA*dB = {dA * dB}")
+    nrm = float(np.linalg.norm(psi))
+    if abs(nrm - 1.0) > max(tol.eig, 1e-8):
+        raise ValueError(f"schmidt_decompose: input norm {nrm} is not 1")
+    u, s, vh = np.linalg.svd(psi.reshape(dA, dB), full_matrices=False)
+    return s.copy(), u.copy(), vh.T.copy()

@@ -22,9 +22,8 @@ from .measurements import (
     computational_basis,
     fourier_mub_basis,
 )
-from .states import ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
+from .states import ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state, theta_states
 from .steering import (
-    ParadoxInvariantError,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
     lhs_feasibility_lp,
@@ -173,20 +172,20 @@ def parse_qudit_settings(spec: str, d: int) -> tuple:
     return tuple(out)
 
 
-def _assemblage_checks(asm, prof) -> dict:
+def _assemblage_checks(no_signalling_deviation: float, prof) -> dict:
     return {
-        "no_signalling_deviation": no_signalling_check(asm),
+        "no_signalling_deviation": no_signalling_deviation,
         "all_rank_one": prof.all_rank_one,
         "max_purity_residual": prof.max_residual_mass,
     }
 
 
-def _certificate_exit(result: dict, tol: Tolerances) -> int:
-    if not result["applicable"]:
+def _certificate_exit(cert, tol: Tolerances) -> int:
+    if not cert.applicable:
         return EXIT_PRECONDITION
     ok = (
-        abs(result["lhs_trace_sum"] - result["k"]) <= tol.lp
-        and abs(result["quantum_trace_sum"] - 1.0) <= tol.lp
+        abs(cert.lhs_trace_sum - cert.k) <= tol.lp
+        and abs(cert.quantum_trace_sum - 1.0) <= tol.lp
     )
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -211,33 +210,19 @@ def _model_exit(model, settings, asm, tol: Tolerances):
     return (EXIT_OK if max(dev, bob) <= tol.lp else EXIT_NUMERICAL), dev
 
 
-def _paradox_points(psi, settings, tol: Tolerances, tails=()) -> list:
-    """(result, checks, exit code) for each state of a batch, in order, from
-    one paradox certificate; tails[i], when given, is state i's truncation
-    weight."""
-    cert = pure_state_paradox(psi, settings, tol)
-    checks = iter(())
-    if cert.purity is not None:
-        columns = _assemblage_checks(cert.assemblage, cert.purity)
-        checks = (dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values())))
-    points = [
-        (result, next(checks) if result["applicable"] else {}, _certificate_exit(result, tol))
-        for result in cert.to_json()
+def _paradox_points(certs: list, tol: Tolerances) -> list:
+    """(result, checks, exit code) of each paradox certificate, in order;
+    one no_signalling_check covers every applicable one."""
+    applicable = [cert.assemblage for cert in certs if cert.applicable]
+    deviations = iter(no_signalling_check(applicable) if applicable else ())
+    return [
+        (
+            cert.to_json(),
+            _assemblage_checks(next(deviations), cert.purity) if cert.applicable else {},
+            _certificate_exit(cert, tol),
+        )
+        for cert in certs
     ]
-    for (result, _, _), tail in zip(points, tails):
-        result["truncation_weight"] = tail
-    return points
-
-
-def _qubit_points(cfg: RunConfig, thetas: list) -> list:
-    settings = parse_qubit_settings(cfg.settings or "z,x")
-    return _paradox_points(theta_state(thetas), settings, cfg.tolerances)
-
-
-def _nopa_points(cfg: RunConfig, rs: list) -> list:
-    psi, tails = nopa_truncated(rs, cfg.d)
-    settings = parse_qudit_settings(cfg.settings or "Z,X", cfg.d)
-    return _paradox_points(psi, settings, cfg.tolerances, tails.tolist())
 
 
 def run(cfg: RunConfig):
@@ -247,7 +232,8 @@ def run(cfg: RunConfig):
     code = EXIT_OK
 
     if cfg.scenario == "paradox-qubit":
-        [(result, checks, code)] = _qubit_points(cfg, [cfg.theta])
+        settings = parse_qubit_settings(cfg.settings or "z,x")
+        [(result, checks, code)] = _paradox_points([pure_state_paradox(theta_state(cfg.theta), settings, tol)], tol)
 
     elif cfg.scenario == "paradox-qudit":
         if cfg.lambdas:
@@ -255,12 +241,15 @@ def run(cfg: RunConfig):
             lam = lam / np.linalg.norm(lam)
         else:
             lam = np.full(cfg.d, 1 / np.sqrt(cfg.d))
-        psi = qudit_schmidt_state(lam[None])
+        psi = qudit_schmidt_state(lam)
         settings = parse_qudit_settings(cfg.settings or "Z,X", psi.dA)
-        [(result, checks, code)] = _paradox_points(psi, settings, tol)
+        [(result, checks, code)] = _paradox_points([pure_state_paradox(psi, settings, tol)], tol)
 
     elif cfg.scenario == "paradox-nopa":
-        [(result, checks, code)] = _nopa_points(cfg, [cfg.r])
+        psi, tail = nopa_truncated(cfg.r, cfg.d)
+        settings = parse_qudit_settings(cfg.settings or "Z,X", cfg.d)
+        [(result, checks, code)] = _paradox_points([pure_state_paradox(psi, settings, tol)], tol)
+        result["truncation_weight"] = tail
 
     elif cfg.scenario == "separable-lhs":
         beta = np.array([np.cos(cfg.beta_angle), np.sin(cfg.beta_angle)])
@@ -271,7 +260,7 @@ def run(cfg: RunConfig):
         asm = conditional_states(psi, settings, (2, 2), tol)
         code, dev = _model_exit(model, settings, asm, tol)
         result = {"model": model.to_json(), "reconstruction_deviation": dev}
-        checks = _assemblage_checks(asm, purity_profile(asm, tol))
+        checks = _assemblage_checks(no_signalling_check(asm), purity_profile(asm, tol))
 
     elif cfg.scenario == "feasibility":
         settings = parse_qubit_settings(cfg.settings or "z,x")
@@ -279,7 +268,7 @@ def run(cfg: RunConfig):
         asm = conditional_states(psi, settings, (2, 2), tol)
         outcome = lhs_feasibility_lp(asm, tol=tol)
         result = outcome.to_json()
-        checks = _assemblage_checks(asm, purity_profile(asm, tol))
+        checks = _assemblage_checks(no_signalling_check(asm), purity_profile(asm, tol))
         if outcome.feasible:
             code, _ = _model_exit(outcome.model, settings, asm, tol)
 
@@ -350,43 +339,45 @@ def _sweep_point_config(cfg: RunConfig, value: float) -> RunConfig:
     return point
 
 
-def _batch_points(cfg: RunConfig, values) -> list:
-    """The report dict and exit code of each theta or r sweep point, from
-    one batched paradox. The point configs differ only in the swept
-    field, so their dicts come from one template, and each point's
-    duration_s is an equal share of the batch's time."""
+def _theta_points(cfg: RunConfig, values: list) -> list:
+    """The report dict and exit code of each point of a theta sweep, from
+    one batch of paradoxes. The point configs differ only in theta, so
+    their dicts come from one template, and each point's duration_s is an
+    equal share of the batch's time."""
     t0 = time.perf_counter()
     template = _sweep_point_config(cfg, values[0])
-    points = (_qubit_points if cfg.param == "theta" else _nopa_points)(template, values)
+    tol = template.tolerances
+    settings = parse_qubit_settings(template.settings)
+    # A point-by-point sweep stops at the first point that raises: the
+    # points before the first angle out of range run as one batch, whose
+    # errors come first, and then that point runs on its own to raise.
+    valid = next((i for i, t in enumerate(values) if not 0.0 <= t <= np.pi / 2), len(values))
+    certs = pure_state_paradox(theta_states(values[:valid]), settings, tol) if valid else []
+    if valid < len(values):
+        run(_sweep_point_config(cfg, values[valid]))
     config = _config_dict(template)
     share = (time.perf_counter() - t0) / len(values)
-    return [
-        (
-            {
-                "schema": SCHEMA_VERSION,
-                "scenario": template.scenario,
-                "config": {**config, cfg.param: value, "tolerances": dict(config["tolerances"])},
-                "result": result,
-                "checks": checks,
-                "duration_s": share,
-            },
-            code,
-        )
-        for value, (result, checks, code) in zip(values, points)
-    ]
+    points = []
+    for value, (result, checks, code) in zip(values, _paradox_points(certs, tol)):
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "scenario": template.scenario,
+            "config": {**config, "theta": value, "tolerances": dict(config["tolerances"])},
+            "result": result,
+            "checks": checks,
+            "duration_s": share,
+        }
+        points.append((doc, code))
+    return points
 
 
 def _run_sweep(cfg: RunConfig, t0: float):
     values = _grid_values(cfg)
     if not values:
         raise ValueError("sweep grid is empty")
-    points = None
-    if cfg.param in ("theta", "r"):
-        try:
-            points = _batch_points(cfg, values)
-        except (ValueError, TypeError, ParadoxInvariantError):
-            pass  # the point-by-point run below raises the first failing point's error
-    if points is None:
+    if cfg.param == "theta":
+        points = _theta_points(cfg, values)
+    else:
         points = []
         for value in values:
             doc, code = run(_sweep_point_config(cfg, value))

@@ -15,7 +15,9 @@ from .linalg import DEFAULT_TOL, Tolerances, schmidt_decompose
 __all__ = [
     "BipartitePureState",
     "MultiQubitPureState",
+    "PureStates",
     "theta_state",
+    "theta_states",
     "qudit_schmidt_state",
     "nopa_truncated",
     "separable_state",
@@ -24,21 +26,9 @@ __all__ = [
 ]
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each vector along the last axis, one at a time, so
-    that a batch carries the same bits as its members built singly."""
-    return np.array([np.linalg.norm(v) for v in x.reshape(-1, x.shape[-1])]).reshape(x.shape[:-1])
-
-
 @dataclass(frozen=True)
 class BipartitePureState:
-    """Unit vector on a dA x dB bipartite system with cached Schmidt data.
-
-    A 2-D vector of shape (P, dA*dB) is a batch of P states: vector,
-    coefficients, the Schmidt data, entangled() and reduced_bob() then
-    carry a leading axis of length P. density_matrix and to_json take
-    single states only.
-    """
+    """Unit vector on a dA x dB bipartite system with cached Schmidt data."""
 
     vector: np.ndarray
     dA: int
@@ -48,17 +38,15 @@ class BipartitePureState:
     schmidt_right: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex)
-        vec = vec if vec.ndim == 2 else vec.ravel()
-        if vec.shape[-1] != self.dA * self.dB:
+        vec = np.asarray(self.vector, dtype=complex).ravel()
+        if vec.size != self.dA * self.dB:
             raise ValueError(
-                f"vector length {vec.shape[-1]} does not match dA*dB = {self.dA * self.dB}"
+                f"vector length {vec.size} does not match dA*dB = {self.dA * self.dB}"
             )
-        nrm = _row_norms(vec)
-        for n in nrm.ravel().tolist():
-            if abs(n - 1.0) > 1e-8:
-                raise ValueError(f"state vector norm {n} is not 1")
-        vec = vec / nrm[..., None]
+        nrm = float(np.linalg.norm(vec))
+        if abs(nrm - 1.0) > 1e-8:
+            raise ValueError(f"state vector norm {nrm} is not 1")
+        vec = vec / nrm
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         coeffs, left, right = schmidt_decompose(vec, self.dA, self.dB)
@@ -66,17 +54,15 @@ class BipartitePureState:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def entangled(self, tol: Tolerances = DEFAULT_TOL):
+    def entangled(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """True iff Bob's subdominant Schmidt mass sum_{m>0} c_m^2 exceeds
-        tol.rank1, the mass tolerance that decides purity; one flag per
-        state of a batch."""
-        mass = np.sum(self.schmidt_coeffs[..., 1:] ** 2, axis=-1)
-        return mass > tol.rank1 if mass.ndim else bool(mass > tol.rank1)
+        tol.rank1, the mass tolerance that decides purity."""
+        return float(np.sum(self.schmidt_coeffs[1:] ** 2)) > tol.rank1
 
     @property
     def coefficients(self) -> np.ndarray:
         """dA x dB matrix Psi with |psi> = sum_im Psi[i, m] |i>|m>."""
-        return self.vector.reshape(self.vector.shape[:-1] + (self.dA, self.dB))
+        return self.vector.reshape(self.dA, self.dB)
 
     def density_matrix(self) -> np.ndarray:
         return density(self.vector)
@@ -84,7 +70,7 @@ class BipartitePureState:
     def reduced_bob(self) -> np.ndarray:
         """rho_B = Psi^T Psi^*, without forming the bipartite density."""
         psi = self.coefficients
-        return np.swapaxes(psi, -1, -2) @ psi.conj()
+        return psi.T @ psi.conj()
 
     def to_json(self) -> dict:
         return {
@@ -97,6 +83,40 @@ class BipartitePureState:
         dA, dB = (int(x) for x in doc["dims"])
         vec = np.array([complex(re, im) for re, im in doc["amplitudes"]])
         return BipartitePureState(vec, dA, dB)
+
+
+@dataclass(frozen=True)
+class PureStates:
+    """A batch of P pure states of one dA x dB system, for the paradox to
+    run once over all of them: row p of each field is state p's
+    coefficient matrix and descending Schmidt coefficients, as on a
+    BipartitePureState."""
+
+    coefficients: np.ndarray  # (P, dA, dB)
+    schmidt_coeffs: np.ndarray  # (P, min(dA, dB))
+
+    @staticmethod
+    def of(psi: BipartitePureState) -> "PureStates":
+        """The batch of one."""
+        return PureStates(psi.coefficients[None], psi.schmidt_coeffs[None])
+
+    @property
+    def dA(self) -> int:
+        return self.coefficients.shape[1]
+
+    @property
+    def dB(self) -> int:
+        return self.coefficients.shape[2]
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, rows: slice) -> "PureStates":
+        return PureStates(self.coefficients[rows], self.schmidt_coeffs[rows])
+
+    def entangled(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """BipartitePureState.entangled of each state, as a bool array."""
+        return np.sum(self.schmidt_coeffs[:, 1:] ** 2, axis=1) > tol.rank1
 
 
 @dataclass(frozen=True)
@@ -121,62 +141,70 @@ class MultiQubitPureState:
         return density(self.vector)
 
 
-def theta_state(theta) -> BipartitePureState:
-    """cos(theta)|00> + sin(theta)|11> for theta in [0, pi/2]; a 1-D array
-    of angles gives the batch of their states.
+def theta_state(theta: float) -> BipartitePureState:
+    """cos(theta)|00> + sin(theta)|11> for theta in [0, pi/2].
 
     Boundary values construct fine but are separable; the paradox routines
     then refuse them with a typed verdict rather than an error.
     """
-    angles = np.asarray(theta, dtype=float)
-    for i, angle in enumerate(angles.ravel().tolist()):
-        if not (0.0 <= angle <= np.pi / 2):
-            raise ValueError(f"theta must lie in [0, pi/2], got {np.ravel(theta)[i]}")
-    vec = np.zeros(angles.shape + (4,), dtype=complex)
-    vec[..., 0] = np.cos(angles)
-    vec[..., 3] = np.sin(angles)
+    if not (0.0 <= theta <= np.pi / 2):
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    vec = np.zeros(4, dtype=complex)
+    vec[0] = np.cos(theta)
+    vec[3] = np.sin(theta)
     return BipartitePureState(vec, 2, 2)
 
 
+def theta_states(thetas) -> PureStates:
+    """The batch of theta_state(t) for each t, in order, without building
+    a state object per angle. Each row is normalized by its own
+    np.linalg.norm, as BipartitePureState normalizes, so that it equals the
+    single state's bit for bit.
+    """
+    for theta in thetas:
+        if not (0.0 <= theta <= np.pi / 2):
+            raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    angles = np.asarray(thetas, dtype=float)
+    vecs = np.zeros((len(angles), 4), dtype=complex)
+    vecs[:, 0] = np.cos(angles)
+    vecs[:, 3] = np.sin(angles)
+    vecs /= np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    coefficients = vecs.reshape(-1, 2, 2)
+    return PureStates(coefficients, np.linalg.svd(coefficients, full_matrices=False)[1])
+
+
 def qudit_schmidt_state(lambdas) -> BipartitePureState:
-    """sum_m lambda_m |mm> for a nonnegative unit-norm coefficient vector;
-    a (P, d) array gives the batch of P states."""
-    lam = np.asarray(lambdas, dtype=float)
-    lam = lam if lam.ndim == 2 else lam.ravel()
-    d = lam.shape[-1]
+    """sum_m lambda_m |mm> for a nonnegative unit-norm coefficient vector."""
+    lam = np.asarray(lambdas, dtype=float).ravel()
+    d = lam.size
     if d < 2:
         raise ValueError(f"need at least 2 Schmidt coefficients, got {d}")
     if np.any(lam < 0):
         raise ValueError("Schmidt coefficients must be nonnegative")
-    for ss in np.sum(lam**2, axis=-1).ravel().tolist():
-        if abs(ss - 1.0) > 1e-8:
-            raise ValueError(f"Schmidt coefficients must have unit square sum, got {ss}")
-    vec = np.zeros(lam.shape[:-1] + (d * d,), dtype=complex)
-    vec[..., np.arange(d) * (d + 1)] = lam
+    ss = float(np.sum(lam**2))
+    if abs(ss - 1.0) > 1e-8:
+        raise ValueError(f"Schmidt coefficients must have unit square sum, got {ss}")
+    vec = np.zeros(d * d, dtype=complex)
+    vec[np.arange(d) * (d + 1)] = lam
     return BipartitePureState(vec, d, d)
 
 
-def nopa_truncated(r, d: int):
+def nopa_truncated(r: float, d: int):
     """Truncated two-mode squeezed vacuum on d Fock levels per side.
 
     Raw coefficients tanh(r)^m / cosh(r) are renormalized to a genuine unit
     vector; the discarded tail mass tanh(r)^(2d) is returned alongside for
-    diagnostics. A 1-D array of r gives the batch of their states and an
-    array of tail masses.
+    diagnostics.
     """
-    squeeze = np.asarray(r, dtype=float)
-    for i, value in enumerate(squeeze.ravel().tolist()):
-        if value <= 0:
-            raise ValueError(f"squeezing parameter r must be > 0, got {np.ravel(r)[i]}")
+    if r <= 0:
+        raise ValueError(f"squeezing parameter r must be > 0, got {r}")
     if d < 2:
         raise ValueError(f"truncation dimension d must be >= 2, got {d}")
-    t = np.tanh(squeeze)
-    raw = t[..., None] ** np.arange(d) / np.cosh(squeeze)[..., None]
-    lam = raw / _row_norms(raw)[..., None]
-    # Geometric tail of sum raw^2, one scalar power per state: numpy's
-    # vectorised power can round differently from the scalar one.
-    tails = np.array([t_i ** (2 * d) for t_i in t.ravel()]).reshape(t.shape)
-    return qudit_schmidt_state(lam), (float(tails) if tails.ndim == 0 else tails)
+    t = np.tanh(r)
+    raw = t ** np.arange(d) / np.cosh(r)
+    lam = raw / np.linalg.norm(raw)
+    truncation_weight = float(t ** (2 * d))  # geometric tail of sum raw^2
+    return qudit_schmidt_state(lam), truncation_weight
 
 
 def separable_state(beta) -> BipartitePureState:

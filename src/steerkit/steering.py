@@ -14,7 +14,7 @@ from .assemblage import Assemblage, PurityProfile, conditional_states, purity_pr
 from .linalg import DEFAULT_TOL, Tolerances, kron, projector_distances
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
-from .states import BipartitePureState, MultiQubitPureState
+from .states import BipartitePureState, MultiQubitPureState, PureStates
 
 __all__ = [
     "CoincidentSettingsError",
@@ -139,12 +139,6 @@ class ParadoxCertificate:
     assemblage and purity are the conditional states the verdict was
     drawn from and their purity profile; both are None when the paradox
     does not apply.
-
-    The certificate of a batch of P states has one entry per state in
-    applicable, lhs_trace_sum and quantum_trace_sum (arrays) and in reason
-    and collapsed_assignments (tuples). Its assemblage and purity are
-    batches over the states the paradox applies to, in order. A state it
-    does not apply to has NaN trace sums and no assignments.
     """
 
     applicable: bool
@@ -159,44 +153,32 @@ class ParadoxCertificate:
     note: str | None = None
 
     @property
-    def contradiction_magnitude(self):
+    def contradiction_magnitude(self) -> float:
         return self.lhs_trace_sum - self.quantum_trace_sum
 
-    def to_json(self):
-        """The certificate as a dict; for a batch, a list of one dict per
-        state, in order."""
-        batch = np.ndim(self.applicable) == 1
-        numbers = (np.atleast_1d(v).tolist() for v in (self.applicable, self.lhs_trace_sum, self.quantum_trace_sum))
-        texts = (self.reason, self.collapsed_assignments) if batch else ((self.reason,), (self.collapsed_assignments,))
-        purity = iter(())
+    def to_json(self) -> dict:
+        doc = {
+            "applicable": self.applicable,
+            "reason": self.reason,
+            "k": self.k,
+            "lhs_trace_sum": self.lhs_trace_sum,
+            "quantum_trace_sum": self.quantum_trace_sum,
+            "contradiction_magnitude": self.contradiction_magnitude,
+            "collapsed_assignments": [
+                {"setting": n, "outcome": a, "hidden": xi}
+                for (n, a), xi in sorted(self.collapsed_assignments.items())
+            ],
+            "tolerances": dict(vars(self.tolerances)),
+        }
+        if self.note:
+            doc["note"] = self.note
         if self.purity is not None:
-            p = self.purity
-            purity = zip(*(np.atleast_1d(v).tolist() for v in (p.all_rank_one, p.max_residual_mass, p.min_pairwise_distance())))
-        docs = []
-        for applicable, lhs, quantum, reason, assigned in zip(*numbers, *texts):
-            doc = {
-                "applicable": applicable,
-                "reason": reason,
-                "k": self.k,
-                "lhs_trace_sum": lhs,
-                "quantum_trace_sum": quantum,
-                "contradiction_magnitude": lhs - quantum,
-                "collapsed_assignments": [
-                    {"setting": n, "outcome": a, "hidden": xi} for (n, a), xi in sorted(assigned.items())
-                ],
-                "tolerances": dict(vars(self.tolerances)),
+            doc["purity"] = {
+                "all_rank_one": self.purity.all_rank_one,
+                "max_residual_mass": self.purity.max_residual_mass,
+                "min_pairwise_distance": self.purity.min_pairwise_distance(),
             }
-            if applicable:
-                if self.note:
-                    doc["note"] = self.note
-                all_rank_one, max_residual, min_distance = next(purity)
-                doc["purity"] = {
-                    "all_rank_one": all_rank_one,
-                    "max_residual_mass": max_residual,
-                    "min_pairwise_distance": min_distance,
-                }
-            docs.append(doc)
-        return docs if batch else docs[0]
+        return doc
 
 
 @dataclass(frozen=True)
@@ -238,11 +220,16 @@ class GhzExpectations:
     eigenstate_residuals: tuple
 
 
+# Conditional-state entries per chunk of a batch of states: 4 MB of
+# complex, so that a batch of any size runs in bounded memory.
+_BATCH_ENTRIES = 1 << 18
+
+
 def pure_state_paradox(
     psi,
     settings,
     tol: Tolerances = DEFAULT_TOL,
-) -> ParadoxCertificate:
+):
     """Run the trace-sum contradiction for a pure bipartite state.
 
     For an entangled input and k pairwise-distinct settings: every
@@ -253,17 +240,25 @@ def pure_state_paradox(
 
     Separable inputs yield applicable=False rather than an error.
 
-    psi may also be a batch of P states (see BipartitePureState). The
-    settings are then validated and compared once, one eigendecomposition
-    covers the conditional states of every entangled state, and the
-    certificate covers the batch (see ParadoxCertificate). A failed check
-    raises the error of the first failing state, in order.
+    psi is a BipartitePureState, the batch of one, or a PureStates batch,
+    whose certificates come as a list, in order. A batch goes in chunks of
+    at most _BATCH_ENTRIES conditional-state entries (at least one state);
+    each chunk validates and compares the settings once and makes one
+    conditional_states and one purity_profile call. A failed check raises
+    the error of the first failing state.
     """
-    batch = psi.vector.ndim == 2
     settings = list(settings)
+    if isinstance(psi, BipartitePureState):
+        return _paradoxes(PureStates.of(psi), settings, tol)[0]
+    step = max(1, _BATCH_ENTRIES // max(1, len(settings) * psi.dA * psi.dB**2))
+    return [cert for lo in range(0, len(psi), step) for cert in _paradoxes(psi[lo : lo + step], settings, tol)]
+
+
+def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
+    """The certificates of one chunk of a batch, in order."""
     if len(settings) < 2:
         raise ValueError(f"need at least 2 settings, got {len(settings)}")
-    asm = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
+    asms = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
     # Validated, each setting is a basis of dA vectors at trace distance 1
     # from each other, so each projector is within tol.state_eq < 1/2 of at
     # most one partner: settings i and j coincide iff every projector of
@@ -276,51 +271,48 @@ def pure_state_paradox(
     if i.size:
         raise CoincidentSettingsError(f"settings {settings[i[0]].label!r} and {settings[j[0]].label!r} coincide")
 
-    entangled = np.atleast_1d(psi.entangled(tol))
-    lhs = np.full(entangled.size, np.nan)
-    quantum = np.full(entangled.size, np.nan)
-    assignments = [{} for _ in entangled]
-    sub = prof = None
-    if entangled.any():
-        sub = asm
-        if batch and not entangled.all():
-            sub = Assemblage(asm.setting_labels, asm.outcome_counts, asm.stack[entangled], asm.bob_reduced[entangled], asm.dims)
-        prof = purity_profile(sub, tol)
-        gaps = np.atleast_1d(prof.min_pairwise_distance())
-        failed = np.flatnonzero(~np.atleast_1d(prof.all_rank_one) | (gaps <= tol.state_eq))
-        if failed.size:
-            p = failed[0]
-            rank_one, residual = np.atleast_2d(prof.rank_one), np.atleast_2d(prof.residual_mass)
-            bad = np.flatnonzero(~rank_one[p])
-            if bad.size:
-                worst = bad[np.argmax(residual[p, bad])]
-                n, a = prof.index[worst]
-                raise ParadoxInvariantError(
-                    f"conditional state for setting {n}, outcome {a} is not rank-1 "
-                    f"(residual mass {residual[p, worst]:.3e}); purity is guaranteed "
-                    "for pure entangled inputs, so this is a numerical failure"
-                )
-            raise DegenerateSettingGeometryError(
-                "some normalized conditional states coincide across outcomes or "
-                "settings; the single-term collapse needs them pairwise distinct "
-                f"(min trace distance {gaps[p]:.3e})"
-            )
-        probs = np.atleast_2d(prof.probabilities)
-        lhs[entangled] = np.sum(probs, axis=1)
-        quantum[entangled] = np.trace(sub.bob_reduced, axis1=-2, axis2=-1).real
+    entangled = psi.entangled(tol).tolist()
+    live = [asm for asm, e in zip(asms, entangled) if e]
+    verdicts = iter(())
+    if live:
+        profiles = purity_profile(live, tol)
+        for prof in profiles:
+            _require_collapsible(prof, tol)
+        lhs = np.sum([prof.probabilities for prof in profiles], axis=1).tolist()
+        quantum = np.trace([asm.bob_reduced for asm in live], axis1=1, axis2=2).real.tolist()
+        verdicts = zip(live, profiles, lhs, quantum)
+    note = "k-setting extension of the two-setting collapse" if k > 2 else None
+    certs = []
+    for e in entangled:
+        if not e:
+            certs.append(ParadoxCertificate(False, _SEPARABLE, k, float("nan"), float("nan"), None, None, {}, tol))
+            continue
+        asm, prof, lhs, quantum = next(verdicts)
         # Collapse: each nonvacuous equation consumes its own hidden state, in
         # lexicographic (setting, outcome) order, with the response forced to 1.
-        keys = list(map(tuple, row_keys(asm.outcome_counts).tolist()))
-        for state, live in zip(np.flatnonzero(entangled), (probs > tol.rank1).tolist()):
-            assignments[state] = {key: xi for xi, key in enumerate(itertools.compress(keys, live), start=1)}
+        assignments = {(n, a): xi for xi, (n, a) in enumerate(prof.index.tolist(), start=1)}
+        certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, assignments, tol, note))
+    return certs
 
-    note = "k-setting extension of the two-setting collapse" if k > 2 and entangled.any() else None
-    reasons = tuple(_APPLIES if e else _SEPARABLE for e in entangled.tolist())
-    if batch:
-        return ParadoxCertificate(entangled, reasons, k, lhs, quantum, sub, prof, tuple(assignments), tol, note)
-    return ParadoxCertificate(
-        bool(entangled[0]), reasons[0], k, float(lhs[0]), float(quantum[0]), sub, prof, assignments[0], tol, note
-    )
+
+def _require_collapsible(prof: PurityProfile, tol: Tolerances) -> None:
+    """Raise unless every nonvacuous conditional state is rank 1 and no two
+    coincide, as the single-term collapse needs."""
+    if not prof.all_rank_one:
+        bad = np.flatnonzero(~prof.rank_one)
+        worst = bad[np.argmax(prof.residual_mass[bad])]
+        n, a = prof.index[worst]
+        raise ParadoxInvariantError(
+            f"conditional state for setting {n}, outcome {a} is not rank-1 "
+            f"(residual mass {prof.residual_mass[worst]:.3e}); purity is guaranteed "
+            "for pure entangled inputs, so this is a numerical failure"
+        )
+    if prof.min_distance <= tol.state_eq:
+        raise DegenerateSettingGeometryError(
+            "some normalized conditional states coincide across outcomes or "
+            "settings; the single-term collapse needs them pairwise distinct "
+            f"(min trace distance {prof.min_distance:.3e})"
+        )
 
 
 def separable_lhs_model(

@@ -188,7 +188,7 @@ def _without_duration(doc: dict) -> str:
 
 
 class TestBatchedSweep:
-    """theta and r sweeps run as one batched paradox; every point must still
+    """A theta sweep runs as one batch of paradoxes; every point must still
     be the report that a single run of that point's config gives."""
 
     @staticmethod
@@ -220,12 +220,16 @@ class TestBatchedSweep:
         cfg = RunConfig(scenario="sweep", param="theta", values=",".join(map(repr, values)), settings=spec)
         self.assert_points_are_single_runs(cfg, [float(v) for v in values])
 
-    def test_r_points_equal_single_runs_with_vacuous_rows(self):
-        # At d = 18, tanh(0.3)^(2m) falls below tol.rank1 from m = 9: nine
-        # vacuous Z outcomes at r = 0.3, none at r = 1.0, in one batch.
+    def test_r_sweep_runs_point_by_point(self, monkeypatch):
+        # An r sweep's conditional states grow as d^3 per point, so each
+        # point runs on its own: memory stays that of one point.
+        batches = []
+        exact = report.pure_state_paradox
+        monkeypatch.setattr(report, "pure_state_paradox", lambda psi, *args: batches.append(type(psi)) or exact(psi, *args))
         cfg = RunConfig(scenario="sweep", param="r", values="0.3,1.0", d=18)
         reports = self.assert_points_are_single_runs(cfg, [0.3, 1.0])
         assert [len(r["result"]["collapsed_assignments"]) for r in reports] == [27, 36]
+        assert batches == [states.BipartitePureState] * 4  # the sweep's two points, then the two single runs
 
     def test_summary_ignores_points_where_the_paradox_does_not_apply(self):
         summaries = []
@@ -264,6 +268,9 @@ class TestBatchedSweep:
         assert err.startswith("numerical failure: conditional state for setting 0, outcome 0 is not rank-1")
         assert main(["sweep", "--param", "theta", "--values", "0.3,2.0,0.6"]) == report.EXIT_PRECONDITION
         assert "got 2.0" in capsys.readouterr().err
+        # A value that no point config takes fails as that point's config.
+        assert main(["sweep", "--param", "theta", "--values", "0.3,nan"]) == report.EXIT_PRECONDITION
+        assert capsys.readouterr().err == "error: cannot convert float NaN to integer\n"
 
     def test_one_eigendecomposition_and_validation_per_sweep(self, monkeypatch):
         calls = collections.Counter()

@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 from unittest import mock
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
-from steerkit import assemblage
-from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check
+from steerkit import assemblage, steering
+from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check, purity_profile
 from steerkit.linalg import DEFAULT_TOL, projector_distances
 from steerkit.measurements import (
     MeasurementSetting,
@@ -23,12 +24,14 @@ from steerkit.simplex import phase_one
 from steerkit.states import (
     BipartitePureState,
     MultiQubitPureState,
+    PureStates,
     density,
     ghz_state,
     nopa_truncated,
     qudit_schmidt_state,
     separable_state,
     theta_state,
+    theta_states,
 )
 from steerkit.steering import (
     CoincidentSettingsError,
@@ -620,32 +623,25 @@ class TestGhz:
 
 
 class TestStateBatches:
-    """A batch of P states runs the paradox once; each state's share of it
+    """A PureStates batch runs the paradox once; each state's share of it
     must be what the state gives on its own."""
 
     GRID = [0.0, 0.3, 0.6, np.pi / 4, 1.2, np.pi / 2]
 
-    def test_constructors_match_single_states(self):
-        batch = theta_state(self.GRID)
-        assert batch.vector.shape == (len(self.GRID), 4)
+    def test_theta_states_match_single_states(self):
+        batch = theta_states(self.GRID)
+        assert len(batch) == len(self.GRID) and (batch.dA, batch.dB) == (2, 2)
         for i, theta in enumerate(self.GRID):
             single = theta_state(theta)
-            assert np.array_equal(batch.vector[i], single.vector)
+            assert np.array_equal(batch.coefficients[i], single.coefficients)
             assert np.array_equal(batch.schmidt_coeffs[i], single.schmidt_coeffs)
             assert batch.entangled()[i] == single.entangled()
-        rs = [0.05, 0.3, 1.0, 2.5]
-        psi, tails = nopa_truncated(rs, 18)
-        for i, r in enumerate(rs):
-            single, tail = nopa_truncated(r, 18)
-            assert np.array_equal(psi.vector[i], single.vector)
-            assert tails[i] == tail
-            assert np.array_equal(psi.reduced_bob()[i], single.reduced_bob())
+        one = PureStates.of(theta_state(0.3))
+        assert np.array_equal(one.coefficients, batch[1:2].coefficients)
 
-    def test_constructor_errors_name_the_first_bad_value(self):
+    def test_theta_states_error_names_the_first_bad_value(self):
         with pytest.raises(ValueError, match=r"got 2\.0$"):
-            theta_state([0.3, 2.0, -1.0])
-        with pytest.raises(ValueError, match=r"got -1\.0$"):
-            nopa_truncated([0.5, -1.0, -2.0], 4)
+            theta_states([0.3, 2.0, -1.0])
 
     def test_projector_distances_per_stack(self):
         rng = np.random.default_rng(5)
@@ -656,29 +652,50 @@ class TestStateBatches:
             assert np.array_equal(batched[p], projector_distances(vecs[p]))
 
     def test_paradox_batch_matches_single_certificates(self):
-        cert = pure_state_paradox(theta_state(self.GRID), [Z, X, Y])
+        certs = pure_state_paradox(theta_states(self.GRID), [Z, X, Y])
         singles = [pure_state_paradox(theta_state(theta), [Z, X, Y]) for theta in self.GRID]
-        assert cert.applicable.tolist() == [s.applicable for s in singles] == [False, True, True, True, True, False]
-        docs = cert.to_json()
-        assert [json.dumps(doc) for doc in docs] == [json.dumps(s.to_json()) for s in singles]
-        # assemblage and purity cover the entangled states only, in order
-        live = [s for s in singles if s.applicable]
-        assert cert.assemblage.stack.shape == (len(live), 6, 2, 2)
-        assert no_signalling_check(cert.assemblage).tolist() == [no_signalling_check(s.assemblage) for s in live]
-        assert cert.purity.max_residual_mass.tolist() == [s.purity.max_residual_mass for s in live]
+        assert [c.applicable for c in certs] == [s.applicable for s in singles] == [False, True, True, True, True, False]
+        assert [json.dumps(c.to_json()) for c in certs] == [json.dumps(s.to_json()) for s in singles]
+        for cert, single in zip(certs, singles):
+            if cert.applicable:
+                assert np.array_equal(cert.assemblage.stack, single.assemblage.stack)
+                assert np.array_equal(cert.purity.distance_matrix, single.purity.distance_matrix)
+        asms = [c.assemblage for c in certs if c.applicable]
+        assert no_signalling_check(asms) == [no_signalling_check(a) for a in asms]
 
-    def test_vacuous_rows_line_up_in_a_batch(self):
-        psi, _ = nopa_truncated([0.3, 1.0], 18)
+    def test_chunks_bound_a_batch(self, monkeypatch):
+        thetas = np.linspace(0.1, 1.4, 7)
+        whole = pure_state_paradox(theta_states(thetas), [Z, X])
+        calls = []
+        exact = steering.conditional_states
+        monkeypatch.setattr(steering, "conditional_states", lambda psi, *args: calls.append(len(psi)) or exact(psi, *args))
+        # One state of two settings holds 4 conditional states of 2 x 2.
+        monkeypatch.setattr(steering, "_BATCH_ENTRIES", 3 * 16)
+        chunked = pure_state_paradox(theta_states(thetas), [Z, X])
+        assert calls == [3, 3, 1]
+        assert [json.dumps(c.to_json()) for c in chunked] == [json.dumps(c.to_json()) for c in whole]
+
+    def test_purity_profiles_group_by_nonvacuous_rows(self, monkeypatch):
+        # At d = 18, tanh(0.3)^(2m) falls below tol.rank1 from m = 9: nine
+        # vacuous Z outcomes at r = 0.3, none at r = 1.0.
         settings_ = [computational_basis(18), fourier_mub_basis(18)]
-        prof = pure_state_paradox(psi, settings_).purity
-        live = prof.probabilities > DEFAULT_TOL.rank1
-        assert live.sum(axis=1).tolist() == [27, 36]
-        assert prof.rank_one.shape == (2, 36) and prof.index.shape == (36, 2)
-        assert np.all(np.isinf(prof.distance_matrix[0][~live[0]]))
-        for p, r in enumerate((0.3, 1.0)):
-            single = pure_state_paradox(nopa_truncated(r, 18)[0], settings_).purity
-            assert prof.min_pairwise_distance()[p] == single.min_pairwise_distance()
-            assert np.array_equal(prof.residual_mass[p][live[p]], single.residual_mass)
+        asms = [conditional_states(nopa_truncated(r, 18)[0], settings_, (18, 18)) for r in (0.3, 1.0, 0.3)]
+        calls = collections.Counter()
+        exact = assemblage.is_rank_one
+        monkeypatch.setattr(assemblage, "is_rank_one", lambda rho, tol: calls.update([len(rho)]) or exact(rho, tol))
+        profiles = purity_profile(asms)
+        assert calls == {2 * 27: 1, 36: 1}
+        for prof, asm in zip(profiles, asms):
+            single = purity_profile(asm)
+            assert np.array_equal(prof.index, single.index)
+            assert np.array_equal(prof.distance_matrix, single.distance_matrix)
+            assert (prof.all_rank_one, prof.max_residual_mass, prof.min_distance) == (
+                single.all_rank_one,
+                single.max_residual_mass,
+                single.min_distance,
+            )
+        with pytest.raises(ValueError, match="share their outcome counts"):
+            purity_profile([asms[0], conditional_states(nopa_truncated(0.3, 18)[0], settings_[:1], (18, 18))])
 
     def test_batch_error_is_the_first_failing_state(self, monkeypatch):
         exact = assemblage.is_rank_one
@@ -693,4 +710,4 @@ class TestStateBatches:
 
         monkeypatch.setattr(assemblage, "is_rank_one", flaky)
         with pytest.raises(ParadoxInvariantError, match=r"setting 0, outcome 1 is not rank-1 \(residual mass 2\.500e-01\)"):
-            pure_state_paradox(theta_state([0.3, 0.6, 0.9]), [Z, X])
+            pure_state_paradox(theta_states([0.3, 0.6, 0.9]), [Z, X])
