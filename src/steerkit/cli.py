@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Usage: ``steerkit SCENARIO [flags]``. All flags can also come from a
-``key=value`` config file via ``--config``; explicit flags win. The env
-var STEERKIT_TOLERANCE_LP overrides the LP tolerance.
+Usage: ``steerkit SCENARIO [flags]``. Each flag is a field of RunConfig
+or, as ``--tol-<name>``, of Tolerances. All flags can also come from a
+``key=value`` config file via ``--config``, its keys the flag names with
+``_`` for ``-``; explicit flags win. The env var STEERKIT_TOLERANCE_LP
+overrides the LP tolerance.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import MISSING, fields
 
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import Tolerances
 from .report import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -23,10 +26,21 @@ from .report import (
 )
 from .steering import ParadoxInvariantError
 
-_FLOAT_FLAGS = ("theta", "r", "beta_angle")
-_INT_FLAGS = ("d", "k")
-_STR_FLAGS = ("settings", "lambdas", "alphas", "param", "values", "linspace", "output", "format")
-_TOL_FLAGS = ("tol_herm", "tol_eig", "tol_state_eq", "tol_rank1", "tol_lp")
+
+def _run_inputs() -> dict:
+    """Flag name -> (type, add_argument extras) of every run input.
+
+    RunConfig's fields with a plain default are inputs under their own
+    names (scenario has none, and tolerances come as one input per
+    Tolerances field, named tol_<field>). Each type is the type of the
+    field's default; the extras are the field's metadata.
+    """
+    inputs = {f.name: (type(f.default), f.metadata) for f in fields(RunConfig) if f.default is not MISSING}
+    inputs.update((f"tol_{f.name}", (type(f.default), f.metadata)) for f in fields(Tolerances))
+    return inputs
+
+
+_INPUTS = _run_inputs()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,21 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", default="", help="key=value file; flags override it")
-    parser.add_argument("--theta", type=float, default=None)
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--r", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--beta-angle", type=float, default=None, dest="beta_angle")
-    parser.add_argument("--settings", default=None)
-    parser.add_argument("--lambdas", default=None, help="comma-separated Schmidt coefficients")
-    parser.add_argument("--alphas", default=None, help="comma-separated setting angles")
-    parser.add_argument("--param", default=None, help="sweep parameter: theta, d, r or k")
-    parser.add_argument("--values", default=None, help="comma-separated sweep grid")
-    parser.add_argument("--linspace", default=None, help="sweep grid as lo:hi:num")
-    parser.add_argument("--output", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", default=None, choices=("json", "text"))
-    for name in _TOL_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
+    for name, (kind, extras) in _INPUTS.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None, dest=name, **extras)
     return parser
 
 
@@ -72,40 +73,24 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, val: str):
-    if key in _FLOAT_FLAGS or key in _TOL_FLAGS:
-        return float(val)
-    if key in _INT_FLAGS:
-        return int(val)
-    return val
-
-
 def make_config(args: argparse.Namespace) -> RunConfig:
-    merged = {}
+    """The RunConfig of parsed flags over the --config file's values, the
+    file's values converted to the types of the flags."""
+    values = {}
     if args.config:
         for key, val in _read_config_file(args.config).items():
-            if key == "scenario":
-                continue
-            merged[key] = _coerce(key, val)
-    for key in _FLOAT_FLAGS + _INT_FLAGS + _STR_FLAGS + _TOL_FLAGS:
-        val = getattr(args, key, None)
+            if key not in _INPUTS:
+                raise ValueError(f"unknown config key {key!r}")
+            values[key] = _INPUTS[key][0](val)
+    for key in _INPUTS:
+        val = getattr(args, key)
         if val is not None:
-            merged[key] = val
-
-    tol_kwargs = {
-        key: merged.pop(f"tol_{key}", getattr(DEFAULT_TOL, key))
-        for key in ("herm", "eig", "state_eq", "rank1", "lp")
-    }
+            values[key] = val
+    tol = {key[len("tol_") :]: values.pop(key) for key in list(values) if key.startswith("tol_")}
     env_lp = os.environ.get("STEERKIT_TOLERANCE_LP")
     if env_lp:
-        tol_kwargs["lp"] = float(env_lp)
-
-    cfg = RunConfig(scenario=args.scenario, tolerances=Tolerances(**tol_kwargs))
-    for key, val in merged.items():
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, val)
-    return cfg
+        tol["lp"] = float(env_lp)
+    return RunConfig(scenario=args.scenario, tolerances=Tolerances(**tol), **values)
 
 
 def _emit(doc: ReportDocument, cfg: RunConfig) -> None:

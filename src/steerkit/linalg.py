@@ -22,6 +22,7 @@ __all__ = [
     "is_rank_one",
     "schmidt_decompose",
     "herm_deviation",
+    "unit_norm",
 ]
 
 
@@ -58,6 +59,15 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
+
+
+def unit_norm(v, what: str, atol: float = 1e-8) -> float:
+    """The 2-norm of v. Raises ValueError, naming v as what, unless it is
+    within atol of 1; a NaN norm is never within it."""
+    nrm = float(np.linalg.norm(v))
+    if not abs(nrm - 1.0) <= atol:
+        raise ValueError(f"{what} norm {nrm} is not 1")
+    return nrm
 
 
 def herm_deviation(m: np.ndarray) -> float:
@@ -184,8 +194,6 @@ def schmidt_decompose(psi, dA: int, dB: int, tol: Tolerances = DEFAULT_TOL):
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != dA * dB:
         raise ValueError(f"schmidt_decompose: vector length {psi.size} != dA*dB = {dA * dB}")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > max(tol.eig, 1e-8):
-        raise ValueError(f"schmidt_decompose: input norm {nrm} is not 1")
+    unit_norm(psi, "schmidt_decompose: input", max(tol.eig, 1e-8))
     u, s, vh = np.linalg.svd(psi.reshape(dA, dB), full_matrices=False)
     return s.copy(), u.copy(), vh.T.copy()

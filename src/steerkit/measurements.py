@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, unit_norm
 
 __all__ = [
     "PAULI_X",
@@ -92,9 +92,7 @@ def bloch_projectors(n) -> MeasurementSetting:
     n = np.asarray(n, dtype=float).ravel()
     if n.size != 3:
         raise ValueError(f"Bloch vector must have 3 components, got {n.size}")
-    nrm = float(np.linalg.norm(n))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"Bloch vector norm {nrm} is not 1")
+    unit_norm(n, "Bloch vector")
     x, y, z = n
     if z >= 0:
         u = np.array([[1 + z, -(x - 1j * y)], [x + 1j * y, 1 + z]])

@@ -44,6 +44,8 @@ SCENARIOS = (
     "sweep",
 )
 
+FORMATS = ("json", "text")
+
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_NUMERICAL = 2
@@ -55,7 +57,11 @@ _SETTINGS_CACHE = 64
 
 @dataclass
 class RunConfig:
-    """One scenario invocation. Unused fields stay at their defaults."""
+    """One scenario invocation. Unused fields stay at their defaults.
+
+    Every field with a plain default is also a CLI flag and a config-file
+    key of the same name; a field's metadata holds its flag's help or
+    choices."""
 
     scenario: str
     theta: float = np.pi / 4
@@ -63,20 +69,20 @@ class RunConfig:
     r: float = 1.0
     k: int = 2
     settings: str = ""
-    lambdas: str = ""
+    lambdas: str = field(default="", metadata={"help": "comma-separated Schmidt coefficients"})
     beta_angle: float = np.pi / 4
-    alphas: str = "0.3,1.1"
-    param: str = ""
-    values: str = ""
-    linspace: str = ""
-    output: str = ""
-    format: str = "json"
+    alphas: str = field(default="0.3,1.1", metadata={"help": "comma-separated setting angles"})
+    param: str = field(default="", metadata={"help": "sweep parameter: theta, d, r or k"})
+    values: str = field(default="", metadata={"help": "comma-separated sweep grid"})
+    linspace: str = field(default="", metadata={"help": "sweep grid as lo:hi:num"})
+    output: str = field(default="", metadata={"help": "write the report here instead of stdout"})
+    format: str = field(default="json", metadata={"choices": FORMATS})
     tolerances: Tolerances = field(default_factory=lambda: DEFAULT_TOL)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.format not in ("json", "text"):
+        if self.format not in FORMATS:
             raise ValueError(f"format must be 'json' or 'text', got {self.format!r}")
 
 
@@ -307,6 +313,10 @@ def run(cfg: RunConfig):
     return doc, code
 
 
+# The scenario that each point of a sweep over the key runs.
+_SWEEP_SCENARIOS = {"theta": "paradox-qubit", "d": "paradox-qudit", "r": "paradox-nopa", "k": "paradox-qubit"}
+
+
 def _grid_values(cfg: RunConfig):
     if cfg.values:
         return [float(x) for x in cfg.values.split(",")]
@@ -317,26 +327,29 @@ def _grid_values(cfg: RunConfig):
 
 
 def _sweep_point_config(cfg: RunConfig, value: float) -> RunConfig:
-    base = {
-        "theta": ("paradox-qubit", {"theta": value}),
-        "d": ("paradox-qudit", {"d": int(round(value))}),
-        "r": ("paradox-nopa", {"r": value, "d": cfg.d}),
-        "k": ("paradox-qubit", {"theta": cfg.theta, "k": int(round(value))}),
-    }
-    if cfg.param not in base:
-        raise ValueError(f"sweep param must be one of {sorted(base)}, got {cfg.param!r}")
-    scenario, overrides = base[cfg.param]
-    point = RunConfig(scenario=scenario, format=cfg.format, tolerances=cfg.tolerances)
-    for key, val in overrides.items():
-        setattr(point, key, val)
-    if cfg.param == "k":
-        # Distinct Bloch settings in the x-z plane, k of them.
-        kk = int(round(value))
-        angles = [i * np.pi / (2 * kk) for i in range(kk)]
-        point.settings = ",".join(f"bloch:{np.sin(2*al):.12g}:0:{np.cos(2*al):.12g}" for al in angles)
-    elif cfg.param == "theta":
-        point.settings = cfg.settings or "z,x"
-    return point
+    """The config of the sweep point at value. Only the swept value is
+    converted: a d or k must be finite and is rounded to an int."""
+    if cfg.param not in _SWEEP_SCENARIOS:
+        raise ValueError(f"sweep param must be one of {sorted(_SWEEP_SCENARIOS)}, got {cfg.param!r}")
+    if cfg.param == "theta":
+        point = {"theta": value, "settings": cfg.settings or "z,x"}
+    elif cfg.param == "r":
+        point = {"r": value, "d": cfg.d}
+    else:
+        if not np.isfinite(value):
+            raise ValueError(f"sweep {cfg.param} must be finite, got {value}")
+        point = {cfg.param: int(round(value))}
+        if cfg.param == "k":
+            point.update(theta=cfg.theta, settings=_k_settings(point["k"]))
+    return RunConfig(_SWEEP_SCENARIOS[cfg.param], format=cfg.format, tolerances=cfg.tolerances, **point)
+
+
+def _k_settings(k: int) -> str:
+    """k distinct Bloch settings in the x-z plane, as a settings spec."""
+    if k < 2:
+        raise ValueError(f"need at least 2 settings, got {k}")
+    angles = [i * np.pi / (2 * k) for i in range(k)]
+    return ",".join(f"bloch:{np.sin(2*al):.12g}:0:{np.cos(2*al):.12g}" for al in angles)
 
 
 def _theta_points(cfg: RunConfig, values: list) -> list:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, schmidt_decompose
+from .linalg import DEFAULT_TOL, Tolerances, schmidt_decompose, unit_norm
 
 __all__ = [
     "BipartitePureState",
@@ -34,8 +34,6 @@ class BipartitePureState:
     dA: int
     dB: int
     schmidt_coeffs: np.ndarray = field(repr=False, default=None)
-    schmidt_left: np.ndarray = field(repr=False, default=None)
-    schmidt_right: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=complex).ravel()
@@ -43,16 +41,12 @@ class BipartitePureState:
             raise ValueError(
                 f"vector length {vec.size} does not match dA*dB = {self.dA * self.dB}"
             )
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"state vector norm {nrm} is not 1")
-        vec = vec / nrm
+        vec = vec / unit_norm(vec, "state vector")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-        coeffs, left, right = schmidt_decompose(vec, self.dA, self.dB)
-        for name, arr in (("schmidt_coeffs", coeffs), ("schmidt_left", left), ("schmidt_right", right)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        coeffs = schmidt_decompose(vec, self.dA, self.dB)[0]
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "schmidt_coeffs", coeffs)
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """True iff Bob's subdominant Schmidt mass sum_{m>0} c_m^2 exceeds
@@ -130,10 +124,7 @@ class MultiQubitPureState:
         vec = np.asarray(self.vector, dtype=complex).ravel()
         if vec.size != 2**self.n_qubits:
             raise ValueError(f"vector length {vec.size} != 2^{self.n_qubits}")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"state vector norm {nrm} is not 1")
-        vec = vec / nrm
+        vec = vec / unit_norm(vec, "state vector")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
@@ -181,9 +172,7 @@ def qudit_schmidt_state(lambdas) -> BipartitePureState:
         raise ValueError(f"need at least 2 Schmidt coefficients, got {d}")
     if np.any(lam < 0):
         raise ValueError("Schmidt coefficients must be nonnegative")
-    ss = float(np.sum(lam**2))
-    if abs(ss - 1.0) > 1e-8:
-        raise ValueError(f"Schmidt coefficients must have unit square sum, got {ss}")
+    unit_norm(lam, "Schmidt coefficient vector")
     vec = np.zeros(d * d, dtype=complex)
     vec[np.arange(d) * (d + 1)] = lam
     return BipartitePureState(vec, d, d)
@@ -212,11 +201,8 @@ def separable_state(beta) -> BipartitePureState:
     b = np.asarray(beta, dtype=complex).ravel()
     if b.size != 2:
         raise ValueError(f"beta must be a 2-vector, got length {b.size}")
-    nrm = float(np.linalg.norm(b))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"beta norm {nrm} is not 1")
     vec = np.zeros(4, dtype=complex)
-    vec[:2] = b / nrm
+    vec[:2] = b / unit_norm(b, "beta")
     return BipartitePureState(vec, 2, 2)
 
 
@@ -230,7 +216,5 @@ def ghz_state() -> MultiQubitPureState:
 def density(psi) -> np.ndarray:
     """Projector |psi><psi| of a unit vector."""
     v = np.asarray(psi, dtype=complex).ravel()
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"density: input norm {nrm} is not 1")
+    unit_norm(v, "density: input")
     return np.outer(v, v.conj())

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 
 import numpy as np
@@ -270,7 +271,7 @@ class TestBatchedSweep:
         assert "got 2.0" in capsys.readouterr().err
         # A value that no point config takes fails as that point's config.
         assert main(["sweep", "--param", "theta", "--values", "0.3,nan"]) == report.EXIT_PRECONDITION
-        assert capsys.readouterr().err == "error: cannot convert float NaN to integer\n"
+        assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got nan\n"
 
     def test_one_eigendecomposition_and_validation_per_sweep(self, monkeypatch):
         calls = collections.Counter()
@@ -280,6 +281,96 @@ class TestBatchedSweep:
         doc, code = run(RunConfig(scenario="sweep", param="theta", linspace="0.1:1.4:40", settings="z,x"))
         assert code == 0 and len(doc.result["reports"]) == 40
         assert calls == {"hermitian_eig": 1, "validate_setting": 2, "pure_state_paradox": 1}
+
+
+class TestSweepValues:
+    """Only the swept value is converted: a d or k must be finite and is
+    rounded, and a theta or r reaches its own checks unchanged."""
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("theta", "0.3,inf", "theta must lie in [0, pi/2], got inf"),
+            ("theta", "0.3,nan", "theta must lie in [0, pi/2], got nan"),
+            ("d", "2,inf", "sweep d must be finite, got inf"),
+            ("d", "2,nan", "sweep d must be finite, got nan"),
+            ("r", "0.5,inf", "Schmidt coefficient vector norm nan is not 1"),
+            ("r", "0.5,nan", "Schmidt coefficient vector norm nan is not 1"),
+            ("k", "2,inf", "sweep k must be finite, got inf"),
+            ("k", "2,nan", "sweep k must be finite, got nan"),
+            ("k", "0", "need at least 2 settings, got 0"),
+            ("k", "-3", "need at least 2 settings, got -3"),
+            ("k", "2,0,-3", "need at least 2 settings, got 0"),
+        ],
+    )
+    def test_bad_value_is_a_one_line_error(self, param, values, message, capsys):
+        assert main(["sweep", "--param", param, "--values", values]) == report.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_d_and_k_rounded(self):
+        doc, code = run(RunConfig(scenario="sweep", param="d", linspace="2:7:4"))
+        assert code == 0
+        assert [p["config"]["d"] for p in doc.result["reports"]] == [2, 4, 5, 7]
+        doc, code = run(RunConfig(scenario="sweep", param="k", values="2.4,2.6"))
+        assert code == 0
+        assert [(p["config"]["k"], p["result"]["k"]) for p in doc.result["reports"]] == [(2, 2), (3, 3)]
+
+
+class TestRunInputs:
+    """RunConfig's and Tolerances' fields are the one list of run inputs:
+    each is a flag and a config-file key with one type."""
+
+    # A sample value per field type; "text" is also a valid format.
+    SAMPLES = {float: "0.25", int: "3", str: "text"}
+    INPUTS = [(f.name, f.name, False) for f in dataclasses.fields(RunConfig) if f.name not in ("scenario", "tolerances")]
+    INPUTS += [(f"tol_{f.name}", f.name, True) for f in dataclasses.fields(linalg.Tolerances)]
+
+    @pytest.mark.parametrize("key, name, is_tol", INPUTS, ids=[key for key, _, _ in INPUTS])
+    def test_flag_and_config_line_agree(self, key, name, is_tol, tmp_path):
+        owner = linalg.Tolerances if is_tol else RunConfig
+        default = next(f.default for f in dataclasses.fields(owner) if f.name == name)
+        sample = self.SAMPLES[type(default)]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={sample}\n")
+        by_flag = cli.make_config(cli.build_parser().parse_args(["ghz", f"--{key.replace('_', '-')}", sample]))
+        by_file = cli.make_config(cli.build_parser().parse_args(["ghz", "--config", str(path)]))
+        values = [getattr(cfg.tolerances if is_tol else cfg, name) for cfg in (by_flag, by_file)]
+        assert values[0] == values[1] == type(default)(sample) != default
+        assert type(values[0]) is type(values[1]) is type(default)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("format=xml", "error: format must be 'json' or 'text', got 'xml'"),
+            ("tolerances=1", "error: unknown config key 'tolerances'"),
+            ("d=2.5", "error: invalid literal for int() with base 10: '2.5'"),
+            ("tol-lp=-1", "error: tolerance lp must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_config_line_is_a_one_line_error(self, line, message, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        assert main(["ghz", "--config", str(path)]) == report.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
+
+    def test_help_lists_the_same_flags(self):
+        helps = {
+            "--config": "key=value file; flags override it",
+            "--lambdas": "comma-separated Schmidt coefficients",
+            "--alphas": "comma-separated setting angles",
+            "--param": "sweep parameter: theta, d, r or k",
+            "--values": "comma-separated sweep grid",
+            "--linspace": "sweep grid as lo:hi:num",
+            "--output": "write the report here instead of stdout",
+        }
+        flags = ["--theta", "--d", "--r", "--k", "--beta-angle", "--settings", "--format"]
+        flags += ["--tol-herm", "--tol-eig", "--tol-state-eq", "--tol-rank1", "--tol-lp"]
+        actions = {a.option_strings[-1]: a for a in cli.build_parser()._actions if a.option_strings}
+        assert set(actions) == {"--help", *helps, *flags}
+        assert {flag: actions[flag].help for flag in [*helps, *flags]} == {**helps, **dict.fromkeys(flags)}
+        assert actions["--format"].choices == ("json", "text")
 
 
 class TestReportDocument:
@@ -369,6 +460,18 @@ class TestMain:
     def test_coinciding_settings_named(self, capsys):
         assert main(["paradox-qubit", "--settings", "z,x,z"]) == report.EXIT_PRECONDITION
         assert capsys.readouterr().err == "error: settings 'bloch(0,0,1)' and 'bloch(0,0,1)' coincide\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["paradox-nopa", "--r", "inf"], "error: Schmidt coefficient vector norm nan is not 1"),
+            (["paradox-qudit", "--lambdas", "0,0"], "error: Schmidt coefficient vector norm nan is not 1"),
+        ],
+    )
+    def test_nan_state_is_an_error(self, argv, message, capsys):
+        assert main(argv) == report.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
 
     def test_env_tolerance_override(self, monkeypatch, capsys):
         from steerkit.cli import build_parser, make_config

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from steerkit.linalg import DEFAULT_TOL, hermitian_eig, partial_trace
+from steerkit.linalg import DEFAULT_TOL, hermitian_eig, partial_trace, schmidt_decompose, unit_norm
+from steerkit.measurements import bloch_projectors
 from steerkit.states import (
     BipartitePureState,
+    MultiQubitPureState,
     density,
     ghz_state,
     nopa_truncated,
@@ -153,6 +155,43 @@ class TestDensity:
             assert abs(np.trace(rho) - 1) < 1e-12
             w, _ = hermitian_eig(rho)
             assert np.min(w) >= -DEFAULT_TOL.eig
+
+
+class TestUnitNorm:
+    """Every unit-norm check goes through linalg.unit_norm, which rejects a
+    NaN norm: a comparison with NaN is False, so abs(nrm - 1) > tol let it
+    through."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BipartitePureState(np.array([np.nan, 0, 0, 1]), 2, 2),
+            lambda: MultiQubitPureState(np.array([np.nan, 1]), 1),
+            lambda: qudit_schmidt_state([np.nan, 1.0]),
+            lambda: separable_state([np.nan, 1.0]),
+            lambda: density([np.nan, 1.0]),
+            lambda: bloch_projectors([np.nan, 0, 1]),
+            lambda: schmidt_decompose(np.array([np.nan, 0, 0, 1]), 2, 2),
+        ],
+        ids=["bipartite", "multi-qubit", "qudit-schmidt", "separable", "density", "bloch", "schmidt-decompose"],
+    )
+    def test_nan_rejected(self, build):
+        with pytest.raises(ValueError, match="norm nan is not 1"):
+            build()
+
+    def test_threshold(self):
+        assert unit_norm([1 + 5e-9], "v") == 1 + 5e-9
+        for bad in (1 + 2e-8, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^v norm"):
+                unit_norm([bad], "v")
+        # schmidt_decompose keeps its looser max(tol.eig, 1e-8) bound.
+        assert unit_norm([1 + 5e-8], "v", atol=1e-7) == 1 + 5e-8
+
+    def test_schmidt_coefficients_bounded_by_their_norm(self):
+        lam = np.array([0.8, 0.6]) * (1 + 9e-9)  # square sum 1 + 1.8e-8
+        assert np.allclose(qudit_schmidt_state(lam).schmidt_coeffs, [0.8, 0.6])
+        with pytest.raises(ValueError, match="Schmidt coefficient vector norm"):
+            qudit_schmidt_state(np.array([0.8, 0.6]) * (1 + 2e-8))
 
 
 class TestSerialization:
