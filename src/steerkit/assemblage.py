@@ -88,21 +88,21 @@ class PurityProfile:
     nonvacuous rows only, in the same order, and describe the normalized
     states.
 
-    Between two rank-1 states the distance is that of their principal
-    projectors, sqrt(1 - |<v|w>|^2), taken as the norm of w's component
-    orthogonal to v. A normalized PSD state with residual mass r lies at
-    trace distance exactly r from its principal projector, so each such
-    entry is within r_i + r_j <= 2 * tol.rank1 of the states' own trace
-    distance, whatever the dimension. Every pair involving a state that is
-    not rank 1 is an eigendecomposition of the difference. all_rank_one,
-    max_residual_mass and min_distance sum the arrays up.
+    residual_mass is an upper bound r on a state's subdominant eigenvalue
+    mass, and the state lies within trace distance r of its principal
+    projector (within delta = r/3 where is_rank_one's witness accepts it).
+    Between two rank-1 states the distance is that of these projectors, so
+    it is within r_i + r_j <= 2 * tol.rank1 (delta_i + delta_j for witness
+    states) of the states' own trace distance, whatever the dimension. Every
+    pair involving a state that is not rank 1 is an eigendecomposition of
+    the difference. all_rank_one, max_residual_mass and min_distance sum up.
     """
 
     probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
     index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
     rank_one: np.ndarray  # (m,) bool
-    residual_mass: np.ndarray  # (m,) subdominant eigenvalue mass
-    principals: np.ndarray  # (m, dB) principal eigenvectors
+    residual_mass: np.ndarray  # (m,) bound on the subdominant eigenvalue mass
+    principals: np.ndarray  # (m, dB) witness vectors or top eigenvectors
     distance_matrix: np.ndarray  # (m, m) pairwise trace distances
     all_rank_one: bool
     max_residual_mass: float  # largest residual_mass, 0 with no nonvacuous row
@@ -194,10 +194,10 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
 
     a is an Assemblage, or a list of assemblages of one row layout whose
     profiles then come as a list, in order. The assemblages that share
-    their nonvacuous rows go together: one batched eigendecomposition
-    checks all their states, pairs of rank-1 states take their distance
-    from the principal vectors (see PurityProfile), and each other state's
-    row is one batched trace_distance.
+    their nonvacuous rows go together: one is_rank_one call checks all
+    their states (no eigendecomposition for pure inputs), pairs of rank-1
+    states take their distance from the principal vectors (see
+    PurityProfile), and each other state's row is one batched trace_distance.
     """
     batch = _batch(a)
     counts = batch[0].outcome_counts
@@ -213,11 +213,11 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
         mask = live[members[0]]
         rows = np.zeros(live.shape, dtype=bool)
         rows[members] = mask
-        states = stacks[rows]  # the members' nonvacuous states, member by member
+        states = stacks.reshape(-1, *stacks.shape[2:]) if rows.all() else stacks[rows]  # member by member
         g, m, d = len(members), states.shape[0] // len(members), states.shape[-1]
         flags, principals, residuals = is_rank_one(states, tol)
         flags, principals, residuals = flags.reshape(g, m), principals.reshape(g, m, d), residuals.reshape(g, m)
-        normalized = (states / probs[rows, None, None]).reshape(g, m, d, d)
+        normalized = None if flags.all() else (states / probs[rows, None, None]).reshape(g, m, d, d)
         dist = projector_distances(principals)
         for j, i in zip(*np.nonzero(~flags)):
             # Later states and earlier rank-1 ones; earlier mixed rows did the rest.

@@ -137,51 +137,77 @@ def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + _dagger(diff)) / 2)), axis=-1)
 
 
-# Residual entries per block of rows: 256 KB of complex, which stays in
-# cache and bounds the memory for any number of states.
-_BLOCK_ENTRIES = 1 << 14
+_GRAM_CLOSE = 1e-3  # closer pairs take their distance from residuals
+_WITNESS_ENTRIES = 1 << 18  # entries per witness block: 4 MB of complex temporaries
 
 
 def projector_distances(vecs: np.ndarray) -> np.ndarray:
     """Trace distances between the projectors onto unit vectors vecs[i].
 
-    Each is the norm of v_j's component orthogonal to v_i, which keeps full
-    accuracy where sqrt(1 - |<v_i|v_j>|^2) cancels to 0 for nearly equal
-    states. An (..., m, d) stack gives the (..., m, m) distances within
-    each set of m vectors. Rows go in blocks of at most _BLOCK_ENTRIES
-    residual entries, or of one row of every set where that is more.
+    The distance is sqrt(1 - |G_ij|^2) for the Gram matrix G = V^* V^T, one
+    product; an error eps in |G_ij|^2 moves it by about eps / (2 dist), below
+    1e-12 where dist >= _GRAM_CLOSE. Closer pairs, where the square root
+    cancels, take the norm of v_j's component orthogonal to v_i, which keeps
+    full accuracy. An (..., m, d) stack gives the (..., m, m) distances
+    within each set of m vectors.
     """
-    m, d = vecs.shape[-2:]
-    dist = np.zeros(vecs.shape[:-1] + (m,))
-    step = max(1, _BLOCK_ENTRIES // max(1, vecs.size))
-    for i in range(0, m, step):
-        v, w = vecs[..., i : i + step, :], vecs[..., i:, :]
-        r = w[..., None, :, :] - (v.conj() @ w.swapaxes(-1, -2))[..., None] * v[..., None, :]
-        dist[..., i : i + step, i:] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
-    dist = np.triu(dist, 1)
+    upper = ~np.tri(vecs.shape[-2], dtype=bool)  # i < j
+    g = vecs.conj() @ vecs.swapaxes(-1, -2)
+    dist = np.sqrt(np.maximum(0.0, 1.0 - (g.real**2 + g.imag**2))) * upper
+    *lead, i, j = np.nonzero((dist < _GRAM_CLOSE) & upper)
+    if i.size:
+        r = vecs[(*lead, j)] - g[(*lead, i, j)][:, None] * vecs[(*lead, i)]
+        dist[(*lead, i, j)] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
     return dist + dist.swapaxes(-1, -2)
 
 
 def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):
     """Test whether a PSD matrix, or each in a stack, is rank one up to
-    tolerance.
+    tolerance. Returns (flag, principal vector, residual_mass) as numpy
+    values; residual_mass bounds sum_{i>=1} |l_i| / tr rho from above.
+    Zero-trace input is rejected: it signals a probability-zero outcome.
 
-    Returns (flag, principal eigenvector, residual_mass) as numpy values,
-    where residual_mass is the subdominant eigenvalue mass relative to the
-    trace.
-    Zero-trace input is rejected: it signals a probability-zero outcome and
-    the caller must decide what that means.
+    The witness, O(d^2) per matrix: t = tr rho, v the unit column with the
+    largest diagonal entry, R = rho/t - vv^dag (of rho's Hermitian part,
+    formed explicitly) and delta = sqrt(d)/2 ||R||_F >= T = ||R||_1 / 2. As
+    R is traceless, 1 - l_0/t <= T and the negative l_i sum to >= -tT, so
+    sum_{i>=1} |l_i| / t <= 3T, l_min >= -tT and l_0 >= t (1 - T). Matrices
+    with t > tol.rank1, 3 delta <= tol.rank1 and t delta <= tol.eig *
+    max(1, t (1 - delta)) thus pass both checks of the eigendecomposition
+    (rank one, PSD within tol.eig) and take residual 3 delta and principal
+    v; the others go through hermitian_eig, in one call.
     """
-    w, v = hermitian_eig(rho, tol)
-    low = w[..., -1]
-    not_psd = low < -tol.eig * np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    if np.any(not_psd):
-        raise ValueError(f"is_rank_one: input not PSD, min eigenvalue {np.min(low[not_psd]):.3e}")
-    tr = np.sum(w, axis=-1)
-    if np.any(tr <= tol.rank1):
-        raise ValueError(f"is_rank_one: trace {np.min(tr):.3e} is not positive")
-    residual = np.sum(np.abs(w[..., 1:]), axis=-1) / tr
-    return residual <= tol.rank1, v[..., 0].copy(), residual
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"is_rank_one input must be square, got shape {rho.shape}")
+    d = rho.shape[-1]
+    flat = rho.reshape(-1, d, d)
+    principal, residual = np.empty(flat.shape[:2], dtype=complex), np.empty(len(flat))
+    accept, step = np.zeros(len(flat), dtype=bool), max(1, _WITNESS_ENTRIES // max(1, d * d))
+    for s in range(0, len(flat), step):
+        block = _require_hermitian(flat[s : s + step], tol, "is_rank_one input")
+        diag = np.diagonal(block, axis1=1, axis2=2).real.copy()  # rows summed in order, whatever the layout
+        t = diag.sum(axis=1)
+        col = block[np.arange(len(block)), :, diag.argmax(axis=1)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = col / np.sqrt(np.sum(col.real**2 + col.imag**2, axis=1))[:, None]
+            a = np.sqrt(t)[:, None] * v  # t R = block - a a^dag
+            r = (block - a[:, :, None] * a.conj()[:, None, :]).reshape(len(block), -1).view(float)
+            delta = 0.5 * np.sqrt(d) * np.sqrt(np.einsum("ij,ij->i", r, r)) / t
+        principal[s : s + step], residual[s : s + step] = v, 3 * delta
+        psd = t * delta <= tol.eig * np.maximum(1.0, t * (1 - delta))
+        accept[s : s + step] = (t > tol.rank1) & (3 * delta <= tol.rank1) & psd
+    if (rest := np.flatnonzero(~accept)).size:
+        w, vecs = hermitian_eig(flat[rest], tol)
+        not_psd = w[:, -1] < -tol.eig * np.maximum(1.0, np.max(np.abs(w), axis=-1))
+        if np.any(not_psd):
+            raise ValueError(f"is_rank_one: input not PSD, min eigenvalue {np.min(w[not_psd, -1]):.3e}")
+        tr = np.sum(w, axis=-1)
+        if np.any(tr <= tol.rank1):
+            raise ValueError(f"is_rank_one: trace {np.min(tr):.3e} is not positive")
+        principal[rest], residual[rest] = vecs[..., 0], np.sum(np.abs(w[:, 1:]), axis=-1) / tr
+    residual = residual.reshape(rho.shape[:-2])[()]
+    return residual <= tol.rank1, principal.reshape(rho.shape[:-1]), residual
 
 
 def schmidt_decompose(psi, dA: int, dB: int, tol: Tolerances = DEFAULT_TOL):

@@ -244,7 +244,9 @@ def run(cfg: RunConfig):
     elif cfg.scenario == "paradox-qudit":
         if cfg.lambdas:
             lam = np.array([float(x) for x in cfg.lambdas.split(",")])
-            lam = lam / np.linalg.norm(lam)
+            if not 0 < (norm := np.linalg.norm(lam)) < np.inf:
+                raise ValueError(f"lambdas norm must be finite and > 0, got {norm}")
+            lam = lam / norm
         else:
             lam = np.full(cfg.d, 1 / np.sqrt(cfg.d))
         psi = qudit_schmidt_state(lam)

@@ -181,18 +181,18 @@ def qudit_schmidt_state(lambdas) -> BipartitePureState:
 def nopa_truncated(r: float, d: int):
     """Truncated two-mode squeezed vacuum on d Fock levels per side.
 
-    Raw coefficients tanh(r)^m / cosh(r) are renormalized to a genuine unit
-    vector; the discarded tail mass tanh(r)^(2d) is returned alongside for
-    diagnostics.
+    Raw coefficients tanh(r)^m (the 1/cosh(r) factor cancels) are
+    renormalized to a genuine unit vector; the discarded tail mass
+    tanh(r)^(2d) is returned alongside for diagnostics.
     """
-    if r <= 0:
-        raise ValueError(f"squeezing parameter r must be > 0, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"squeezing parameter r must be finite and > 0, got {r}")
     if d < 2:
         raise ValueError(f"truncation dimension d must be >= 2, got {d}")
     t = np.tanh(r)
-    raw = t ** np.arange(d) / np.cosh(r)
+    raw = t ** np.arange(d)
     lam = raw / np.linalg.norm(raw)
-    truncation_weight = float(t ** (2 * d))  # geometric tail of sum raw^2
+    truncation_weight = float(t ** (2 * d))  # tail of the squares (t^m / cosh r)^2, which sum to 1
     return qudit_schmidt_state(lam), truncation_weight
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steerkit import linalg
 from steerkit.assemblage import (
     Assemblage,
     conditional_states,
@@ -162,6 +163,17 @@ class TestPurityProfile:
         prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
         assert prof.rank_one.shape == (4,)
         assert not np.any(prof.rank_one)
+
+    def test_only_mixed_rows_are_eigendecomposed(self, monkeypatch):
+        # Phi+ mixed with |11>: both z outcomes leave Bob pure, the x ones do not.
+        rho = 0.6 * theta_state(np.pi / 4).density_matrix() + 0.4 * np.diag([0.0, 0, 0, 1])
+        asm = conditional_states(rho, [Z, X], (2, 2))
+        calls = []
+        exact = linalg.hermitian_eig
+        monkeypatch.setattr(linalg, "hermitian_eig", lambda h, tol: calls.append(h.copy()) or exact(h, tol))
+        prof = purity_profile(asm)
+        assert prof.rank_one.tolist() == [True, True, False, False]
+        assert len(calls) == 1 and np.array_equal(calls[0], asm.stack[2:])
 
     def test_vacuous_outcome_flagged(self):
         rho = theta_state(0.0).density_matrix()  # |00>, z-outcome 1 has p = 0

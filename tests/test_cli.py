@@ -64,7 +64,7 @@ class TestScenarios:
         monkeypatch.setattr(assemblage, "trace_distance", counting(calls, linalg.trace_distance))
         _, code = run(RunConfig(scenario="paradox-qudit", d=6))
         assert code == 0
-        assert calls == {"hermitian_eig": 1}
+        assert calls == {}
 
         calls.clear()
         rho = 0.5 * states.qudit_schmidt_state(np.full(3, 1 / np.sqrt(3))).density_matrix() + np.eye(9) / 18
@@ -280,7 +280,7 @@ class TestBatchedSweep:
         monkeypatch.setattr(report, "pure_state_paradox", counting(calls, report.pure_state_paradox))
         doc, code = run(RunConfig(scenario="sweep", param="theta", linspace="0.1:1.4:40", settings="z,x"))
         assert code == 0 and len(doc.result["reports"]) == 40
-        assert calls == {"hermitian_eig": 1, "validate_setting": 2, "pure_state_paradox": 1}
+        assert calls == {"validate_setting": 2, "pure_state_paradox": 1}
 
 
 class TestSweepValues:
@@ -294,8 +294,8 @@ class TestSweepValues:
             ("theta", "0.3,nan", "theta must lie in [0, pi/2], got nan"),
             ("d", "2,inf", "sweep d must be finite, got inf"),
             ("d", "2,nan", "sweep d must be finite, got nan"),
-            ("r", "0.5,inf", "Schmidt coefficient vector norm nan is not 1"),
-            ("r", "0.5,nan", "Schmidt coefficient vector norm nan is not 1"),
+            ("r", "0.5,inf", "squeezing parameter r must be finite and > 0, got inf"),
+            ("r", "0.5,nan", "squeezing parameter r must be finite and > 0, got nan"),
             ("k", "2,inf", "sweep k must be finite, got inf"),
             ("k", "2,nan", "sweep k must be finite, got nan"),
             ("k", "0", "need at least 2 settings, got 0"),
@@ -303,6 +303,7 @@ class TestSweepValues:
             ("k", "2,0,-3", "need at least 2 settings, got 0"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_value_is_a_one_line_error(self, param, values, message, capsys):
         assert main(["sweep", "--param", param, "--values", values]) == report.EXIT_PRECONDITION
         out, err = capsys.readouterr()
@@ -464,10 +465,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["paradox-nopa", "--r", "inf"], "error: Schmidt coefficient vector norm nan is not 1"),
-            (["paradox-qudit", "--lambdas", "0,0"], "error: Schmidt coefficient vector norm nan is not 1"),
+            (["paradox-nopa", "--r", "inf"], "error: squeezing parameter r must be finite and > 0, got inf"),
+            (["paradox-qudit", "--lambdas", "0,0"], "error: lambdas norm must be finite and > 0, got 0.0"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_state_is_an_error(self, argv, message, capsys):
         assert main(argv) == report.EXIT_PRECONDITION
         out, err = capsys.readouterr()
