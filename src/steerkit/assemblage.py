@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
+    _SHAPE_CACHE,
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
@@ -30,11 +32,19 @@ __all__ = [
 
 
 def row_keys(outcome_counts) -> np.ndarray:
-    """(setting, outcome) of each row of per-outcome data, as a (rows, 2)
-    int array: rows run over the settings in order and, within a setting,
-    over its outcomes. Every per-outcome array in steerkit uses this order."""
-    keys = [(n, a) for n, count in enumerate(outcome_counts) for a in range(count)]
-    return np.array(keys, dtype=int).reshape(-1, 2)
+    """(setting, outcome) of each row of per-outcome data, as a read-only
+    (rows, 2) int array: rows run over the settings in order and, within a
+    setting, over its outcomes. Every per-outcome array in steerkit uses
+    this order. Built once per outcome_counts."""
+    return _row_keys(tuple(outcome_counts))
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _row_keys(outcome_counts: tuple) -> np.ndarray:
+    keys = np.array([(n, a) for n, count in enumerate(outcome_counts) for a in range(count)], dtype=int)
+    keys = keys.reshape(-1, 2)
+    keys.setflags(write=False)
+    return keys
 
 
 def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:

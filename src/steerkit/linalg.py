@@ -1,11 +1,12 @@
 """Dense complex linear algebra shared by the whole toolkit.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex. All functions are
-pure; nothing here keeps state.
+pure; the only state kept is read-only constant arrays, cached per shape.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,16 @@ def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
 
 
 _GRAM_CLOSE = 1e-3  # closer pairs take their distance from residuals
+_SHAPE_CACHE = 64  # shapes whose constant arrays (masks, index arrays) are kept
 _WITNESS_ENTRIES = 1 << 18  # entries per witness block: 4 MB of complex temporaries
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _strict_upper(m: int) -> np.ndarray:
+    """Read-only m x m mask of the entries i < j."""
+    upper = ~np.tri(m, dtype=bool)
+    upper.setflags(write=False)
+    return upper
 
 
 def projector_distances(vecs: np.ndarray) -> np.ndarray:
@@ -151,7 +161,7 @@ def projector_distances(vecs: np.ndarray) -> np.ndarray:
     full accuracy. An (..., m, d) stack gives the (..., m, m) distances
     within each set of m vectors.
     """
-    upper = ~np.tri(vecs.shape[-2], dtype=bool)  # i < j
+    upper = _strict_upper(vecs.shape[-2])
     g = vecs.conj() @ vecs.swapaxes(-1, -2)
     dist = np.sqrt(np.maximum(0.0, 1.0 - (g.real**2 + g.imag**2))) * upper
     *lead, i, j = np.nonzero((dist < _GRAM_CLOSE) & upper)

@@ -7,6 +7,7 @@ of n.sigma; qudit outcomes follow basis index order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,9 @@ class MeasurementSetting:
     """Labeled rank-1 projective measurement on a d-dimensional system,
     stored as a read-only complex d x k matrix whose column a is outcome a's
     vector. Only the shape is checked here; see validate_setting. Two
-    settings are equal iff their labels and vectors are."""
+    settings are equal iff their labels and vectors are. A setting never
+    changes, so what is derived from its vectors alone is computed on first
+    use and kept."""
 
     label: str
     vectors: np.ndarray
@@ -47,14 +50,25 @@ class MeasurementSetting:
         if u.ndim != 2 or u.shape[1] == 0:
             raise ValueError(f"a setting needs a d x k matrix with k >= 1, got shape {u.shape}")
         u.setflags(write=False)
-        object.__setattr__(self, "vectors", u)
+        object.__setattr__(self, "vectors", u.view())  # a view of a read-only array cannot be made writeable
 
     def __eq__(self, other):
         same = isinstance(other, MeasurementSetting) and self.label == other.label
         return same and np.array_equal(self.vectors, other.vectors)
 
-    def __hash__(self):  # + 0 maps -0.0, which array_equal counts equal, to 0.0
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:  # + 0 maps -0.0, which array_equal counts equal, to 0.0
         return hash((self.label, self.vectors.shape, (self.vectors + 0).tobytes()))
+
+    @functools.cached_property
+    def _deviations(self) -> tuple:
+        """(max|U^dag U - 1|, max|U U^dag - 1|) of the vectors U."""
+        u = self.vectors
+        orth = float(np.max(np.abs(u.conj().T @ u - np.eye(self.outcomes))))
+        return orth, float(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))))
 
     @property
     def dim(self) -> int:
@@ -143,9 +157,8 @@ def validate_setting(s: MeasurementSetting, tol: Tolerances = DEFAULT_TOL) -> Se
     Reports max|U^dag U - 1| (orthonormality) and max|U U^dag - 1|
     (completeness); passes iff both are within tol.eig. The projectors
     u u^dag are then Hermitian, idempotent and pairwise orthogonal by
-    construction, so nothing else is checked.
+    construction, so nothing else is checked. The deviations are computed
+    once per setting; the comparison with tol.eig is made on every call.
     """
-    u = s.vectors
-    orth = float(np.max(np.abs(u.conj().T @ u - np.eye(s.outcomes))))
-    comp = float(np.max(np.abs(u @ u.conj().T - np.eye(s.dim))))
+    orth, comp = s._deviations
     return SettingValidation(orth, comp, max(orth, comp) <= tol.eig)

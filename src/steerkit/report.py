@@ -244,9 +244,13 @@ def run(cfg: RunConfig):
     elif cfg.scenario == "paradox-qudit":
         if cfg.lambdas:
             lam = np.array([float(x) for x in cfg.lambdas.split(",")])
-            if not 0 < (norm := np.linalg.norm(lam)) < np.inf:
-                raise ValueError(f"lambdas norm must be finite and > 0, got {norm}")
-            lam = lam / norm
+            if not 0 < (top := np.max(np.abs(lam))) < np.inf:
+                raise ValueError(f"lambdas norm must be finite and > 0, got {top}")
+            # Dividing by a power of 2 near the largest entry is exact: the norm
+            # can then neither overflow nor underflow, and lam / norm keeps the
+            # bits it has when the unscaled norm does neither.
+            lam = np.ldexp(lam, -np.frexp(top)[1])
+            lam = lam / np.linalg.norm(lam)
         else:
             lam = np.full(cfg.d, 1 / np.sqrt(cfg.d))
         psi = qudit_schmidt_state(lam)

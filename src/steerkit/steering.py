@@ -5,13 +5,14 @@ GHZ all-versus-nothing enumeration."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile, row_keys, setting_sums
-from .linalg import DEFAULT_TOL, Tolerances, kron, projector_distances
+from .linalg import DEFAULT_TOL, Tolerances, _strict_upper, kron, projector_distances
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState, PureStates
@@ -244,8 +245,11 @@ def pure_state_paradox(
     whose certificates come as a list, in order. A batch goes in chunks of
     at most _BATCH_ENTRIES conditional-state entries (at least one state);
     each chunk validates and compares the settings once and makes one
-    conditional_states and one purity_profile call. A failed check raises
-    the error of the first failing state.
+    conditional_states and one purity_profile call. A setting's deviations
+    from a basis are computed once per setting, and whether two settings
+    coincide once per settings tuple and tol.state_eq; the tolerances are
+    applied on every call. A failed check raises the error of the first
+    failing state.
     """
     settings = list(settings)
     if isinstance(psi, BipartitePureState):
@@ -256,20 +260,12 @@ def pure_state_paradox(
 
 def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
     """The certificates of one chunk of a batch, in order."""
-    if len(settings) < 2:
-        raise ValueError(f"need at least 2 settings, got {len(settings)}")
+    if (k := len(settings)) < 2:
+        raise ValueError(f"need at least 2 settings, got {k}")
     asms = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
-    # Validated, each setting is a basis of dA vectors at trace distance 1
-    # from each other, so each projector is within tol.state_eq < 1/2 of at
-    # most one partner: settings i and j coincide iff every projector of
-    # each has a partner in the other.
-    k, d = len(settings), psi.dA
-    vecs = np.concatenate([s.vectors for s in settings], axis=1).T
-    close = (projector_distances(vecs) <= tol.state_eq).reshape(k, d, k, d)
-    paired = close.any(axis=3).all(axis=1)
-    i, j = np.nonzero(np.triu(paired & paired.T, 1))
-    if i.size:
-        raise CoincidentSettingsError(f"settings {settings[i[0]].label!r} and {settings[j[0]].label!r} coincide")
+    if pair := _coinciding_pair(tuple(settings), tol.state_eq):
+        i, j = pair
+        raise CoincidentSettingsError(f"settings {settings[i].label!r} and {settings[j].label!r} coincide")
 
     entangled = psi.entangled(tol).tolist()
     live = [asm for asm, e in zip(asms, entangled) if e]
@@ -293,6 +289,29 @@ def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
         assignments = {(n, a): xi for xi, (n, a) in enumerate(prof.index.tolist(), start=1)}
         certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, assignments, tol, note))
     return certs
+
+
+# Settings tuples whose coincidence verdict is kept, per tol.state_eq. The
+# CLI hands every run of one spec the same tuple, so it is compared once.
+_COINCIDENCE_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_COINCIDENCE_CACHE)
+def _coinciding_pair(settings: tuple, state_eq: float):
+    """(i, j) of the first two of the validated settings that coincide, in
+    row-major order, or None.
+
+    Validated, each setting is a basis of d vectors at trace distance 1 from
+    each other, so each projector is within state_eq < 1/2 of at most one
+    partner: settings i and j coincide iff every projector of each has a
+    partner in the other.
+    """
+    k, d = len(settings), settings[0].dim
+    vecs = np.concatenate([s.vectors for s in settings], axis=1).T
+    close = (projector_distances(vecs) <= state_eq).reshape(k, d, k, d)
+    paired = close.any(axis=3).all(axis=1)
+    i, j = np.nonzero(np.triu(paired & paired.T, 1))
+    return (int(i[0]), int(j[0])) if i.size else None
 
 
 def _require_collapsible(prof: PurityProfile, tol: Tolerances) -> None:
@@ -370,8 +389,7 @@ def default_candidates(a: Assemblage, tol: Tolerances = DEFAULT_TOL):
 def _vectorize_hermitian(m: np.ndarray) -> np.ndarray:
     """Real vector of each d x d Hermitian matrix in a stack: diagonal, then
     real and imaginary parts of the strict upper triangle. No redundancy."""
-    iu = np.triu_indices(m.shape[-1], k=1)
-    upper = m[..., iu[0], iu[1]]
+    upper = m[..., _strict_upper(m.shape[-1])]  # row by row, as np.triu_indices
     return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
@@ -427,8 +445,10 @@ def lhs_feasibility_lp(
     return FeasibilityOutcome("FeasibleModelFound", model, residual, result.iterations)
 
 
-def _three_qubit_op(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
-    return kron(kron(p1, p2), p3)
+_PAULI = {"x": PAULI_X, "y": PAULI_Y}
+# xxx, xyy, yxy and yyx as read-only 8 x 8 matrices, built once.
+_GHZ_OPERATORS = np.array([kron(kron(_PAULI[a], _PAULI[b]), _PAULI[c]) for a, b, c in ("xxx", "xyy", "yxy", "yyx")])
+_GHZ_OPERATORS.setflags(write=False)
 
 
 def ghz_operator_expectations(state: MultiQubitPureState) -> GhzExpectations:
@@ -436,16 +456,10 @@ def ghz_operator_expectations(state: MultiQubitPureState) -> GhzExpectations:
     residual ||O psi - <O> psi|| per operator (zero iff exact eigenstate)."""
     if state.n_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.n_qubits} qubits")
-    ops = [
-        _three_qubit_op(PAULI_X, PAULI_X, PAULI_X),
-        _three_qubit_op(PAULI_X, PAULI_Y, PAULI_Y),
-        _three_qubit_op(PAULI_Y, PAULI_X, PAULI_Y),
-        _three_qubit_op(PAULI_Y, PAULI_Y, PAULI_X),
-    ]
     psi = state.vector
     values = []
     residuals = []
-    for op in ops:
+    for op in _GHZ_OPERATORS:
         applied = op @ psi
         val = float(np.real(np.vdot(psi, applied)))
         values.append(val)

@@ -324,6 +324,10 @@ class TestBatchedPurityChecks:
         asm = conditional_states(theta_state(0.6), [Z, X, angle_projectors(0.3)], (2, 2))
         assert asm.index == tuple(map(tuple, row_keys((2, 2, 2)).tolist()))
 
+    def test_row_keys_built_once_read_only(self):
+        keys = row_keys((2, 3))
+        assert row_keys([2, 3]) is keys and not keys.flags.writeable
+
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="stack shape"):
             Assemblage(("z",), (2,), np.zeros((3, 2, 2)), np.eye(2) / 2, (2, 2))

@@ -475,6 +475,16 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == "" and err == message + "\n"
 
+    @pytest.mark.parametrize("lambdas", ["1e200,1e200", "1e-200,1e-200", "3e-320,3e-320"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lambdas_of_any_scale_run_as_their_state(self, lambdas, capsys):
+        # Scaled before the norm is taken, the input is the state 1,1 describes.
+        assert main(["paradox-qudit", "--lambdas", lambdas]) == report.EXIT_OK
+        scaled = json.loads(capsys.readouterr().out)
+        assert main(["paradox-qudit", "--lambdas", "1,1"]) == report.EXIT_OK
+        unit = json.loads(capsys.readouterr().out)
+        assert (scaled["result"], scaled["checks"]) == (unit["result"], unit["checks"])
+
     def test_env_tolerance_override(self, monkeypatch, capsys):
         from steerkit.cli import build_parser, make_config
 

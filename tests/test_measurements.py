@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerkit.linalg import DEFAULT_TOL
+from steerkit.linalg import DEFAULT_TOL, Tolerances
 from steerkit.measurements import (
     MeasurementSetting,
     PAULI_X,
@@ -175,6 +175,14 @@ class TestConstructorsAgainstClosedForms:
         with pytest.raises(ValueError):
             s.projectors[0, 0, 0] = 2
 
+    def test_vectors_cannot_be_made_writeable(self):
+        # The hash and the validation deviations are kept per setting, so
+        # the vectors must stay as they were built.
+        s = computational_basis(3)
+        with pytest.raises(ValueError):
+            s.vectors.setflags(write=True)
+        assert validate_setting(s).passed and np.array_equal(s.vectors, np.eye(3))
+
 
 class TestValueSemantics:
     def test_equal_settings_hash_alike(self):
@@ -225,3 +233,23 @@ class TestValidateSetting:
         rep = validate_setting(fourier_mub_basis(7))
         assert rep.passed
         assert max(rep.orthonormality, rep.completeness) <= 1e-12
+
+    def test_deviations_computed_lazily_once(self, monkeypatch):
+        calls = []
+        prop = vars(MeasurementSetting)["_deviations"]
+        monkeypatch.setattr(prop, "func", lambda s: calls.append(s) or (0.0, 0.0))
+        s = fourier_mub_basis(5)
+        assert calls == []  # not at construction
+        assert validate_setting(s).passed and validate_setting(s, Tolerances(eig=0.0)).passed
+        assert calls == [s]
+
+    @pytest.mark.parametrize("strict_first", [True, False])
+    def test_tolerance_applied_on_every_call(self, strict_first):
+        # The deviations (2e-8) are kept; each call compares them anew.
+        s = MeasurementSetting("tilted", np.diag([1.0, 1.0 + 1e-8]))
+        loose, strict = Tolerances(eig=1e-6), Tolerances(eig=1e-9)
+        order = [(strict, False), (loose, True)]
+        for tol, passed in order if strict_first else order[::-1]:
+            rep = validate_setting(s, tol)
+            assert rep.passed is passed
+            assert 1.9e-8 < rep.orthonormality == rep.completeness < 2.1e-8

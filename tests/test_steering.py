@@ -11,7 +11,7 @@ from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
 from steerkit import assemblage, steering
 from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check, purity_profile
-from steerkit.linalg import DEFAULT_TOL, projector_distances
+from steerkit.linalg import DEFAULT_TOL, Tolerances, projector_distances
 from steerkit.measurements import (
     MeasurementSetting,
     angle_projectors,
@@ -113,6 +113,35 @@ class TestPureStateParadox:
         with mock.patch.object(assemblage, "validate_setting", wraps=assemblage.validate_setting) as check:
             pure_state_paradox(theta_state(theta), [Z, X, Y])
         assert check.call_count == 3
+
+    def test_settings_checked_once_per_tuple(self):
+        steering._coinciding_pair.cache_clear()
+        settings = (angle_projectors(0.2), angle_projectors(0.9))
+        deviations = vars(MeasurementSetting)["_deviations"]
+        with (
+            mock.patch.object(deviations, "func", wraps=deviations.func) as validated,
+            mock.patch.object(steering, "projector_distances", wraps=projector_distances) as compared,
+            mock.patch.object(assemblage, "validate_setting", wraps=assemblage.validate_setting) as checked,
+        ):
+            for theta in (0.5, 0.7):
+                assert pure_state_paradox(theta_state(theta), settings).applicable
+        assert validated.call_count == 2  # once per setting
+        assert compared.call_count == 1  # once per tuple
+        assert checked.call_count == 4  # the tolerance is applied on every call
+
+    @pytest.mark.parametrize("loose_first", [True, False])
+    def test_coincidence_cached_per_state_eq(self, loose_first):
+        # Projectors 1e-6 apart: one setting under state_eq = 1e-3, two
+        # under the default 1e-9, whichever tolerance the tuple meets first.
+        steering._coinciding_pair.cache_clear()
+        settings = (angle_projectors(0.3), angle_projectors(0.3 + 1e-6))
+        psi = theta_state(np.pi / 4)
+        for loose in (loose_first, not loose_first):
+            if loose:
+                with pytest.raises(CoincidentSettingsError, match="coincide"):
+                    pure_state_paradox(psi, settings, Tolerances(state_eq=1e-3))
+            else:
+                assert abs(pure_state_paradox(psi, settings).lhs_trace_sum - 2) <= 1e-9
 
     def test_nearly_coincident_settings_certified(self):
         # Coincidence is judged by trace distance, as tol.state_eq is defined:
@@ -604,6 +633,11 @@ class TestGhz:
         vec[0] = 1
         exp = ghz_operator_expectations(MultiQubitPureState(vec, 3))
         assert np.allclose(exp.values, 0, atol=1e-12)
+
+    def test_operators_built_once(self, monkeypatch):
+        monkeypatch.setattr(steering, "kron", None)  # a call would fail
+        assert np.allclose(ghz_operator_expectations(ghz_state()).values, [1, -1, -1, -1], atol=1e-12)
+        assert not steering._GHZ_OPERATORS.flags.writeable
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):
