@@ -21,7 +21,6 @@ from .states import (
     qudit_schmidt_state,
     separable_state,
     theta_state,
-    theta_states,
 )
 from .measurements import (
     MeasurementSetting,

@@ -134,9 +134,10 @@ def conditional_states(
     PureStates batch, whose assemblages come as a list, in order. The
     settings are validated once per call. For pure states with dA x dB
     coefficient matrix Psi, P_a = u_a u_a^dag gives rho~_a = w_a w_a^dag
-    with w_a = Psi^T conj(u_a): one product forms every w_a of every state
-    (a single state is the batch of one), and neither projectors nor
-    bipartite densities are built.
+    with w_a = Psi^T conj(u_a), row a of V^dag Psi for V = [u_a]: one product
+    forms every w_a of every state (a single state is the batch of one),
+    and neither projectors nor bipartite densities are built. Each stack is
+    row-major, so a state's share of a batch equals its own run bit for bit.
     """
     dA, dB = dims
     settings = list(settings)
@@ -155,10 +156,9 @@ def conditional_states(
         batch = state if isinstance(state, PureStates) else PureStates.of(state)
         if (batch.dA, batch.dB) != (dA, dB):
             raise ValueError(f"state dims {(batch.dA, batch.dB)} do not match dims {dims}")
-        psi_t = batch.coefficients.swapaxes(1, 2)
-        w = (psi_t @ np.concatenate([s.vectors for s in settings], axis=1).conj()).swapaxes(1, 2)
+        w = np.concatenate([s.vectors for s in settings], axis=1).conj().T @ batch.coefficients
         stacks = w[..., :, None] * w.conj()[..., None, :]
-        bobs = psi_t @ batch.coefficients.conj()
+        bobs = batch.coefficients.swapaxes(1, 2) @ batch.coefficients.conj()
         asms = [Assemblage(labels, counts, stack, bob, (dA, dB)) for stack, bob in zip(stacks, bobs)]
         return asms if batch is state else asms[0]
     rho_ab = as_matrix(state)

@@ -3,14 +3,12 @@
 Usage: ``steerkit SCENARIO [flags]``. Each flag is a field of RunConfig
 or, as ``--tol-<name>``, of Tolerances. All flags can also come from a
 ``key=value`` config file via ``--config``, its keys the flag names with
-``_`` for ``-``; explicit flags win. The env var STEERKIT_TOLERANCE_LP
-overrides the LP tolerance.
+``_`` for ``-``; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import MISSING, fields
 
@@ -87,9 +85,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             values[key] = val
     tol = {key[len("tol_") :]: values.pop(key) for key in list(values) if key.startswith("tol_")}
-    env_lp = os.environ.get("STEERKIT_TOLERANCE_LP")
-    if env_lp:
-        tol["lp"] = float(env_lp)
     return RunConfig(scenario=args.scenario, tolerances=Tolerances(**tol), **values)
 
 

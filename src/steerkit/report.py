@@ -22,8 +22,9 @@ from .measurements import (
     computational_basis,
     fourier_mub_basis,
 )
-from .states import ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state, theta_states
+from .states import PureStates, ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
 from .steering import (
+    _states_per_chunk,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
     lhs_feasibility_lp,
@@ -216,32 +217,12 @@ def _model_exit(model, settings, asm, tol: Tolerances):
     return (EXIT_OK if max(dev, bob) <= tol.lp else EXIT_NUMERICAL), dev
 
 
-def _paradox_points(certs: list, tol: Tolerances) -> list:
-    """(result, checks, exit code) of each paradox certificate, in order;
-    one no_signalling_check covers every applicable one."""
-    applicable = [cert.assemblage for cert in certs if cert.applicable]
-    deviations = iter(no_signalling_check(applicable) if applicable else ())
-    return [
-        (
-            cert.to_json(),
-            _assemblage_checks(next(deviations), cert.purity) if cert.applicable else {},
-            _certificate_exit(cert, tol),
-        )
-        for cert in certs
-    ]
-
-
-def run(cfg: RunConfig):
-    """Execute one scenario. Returns (ReportDocument, exit code)."""
-    t0 = time.perf_counter()
-    tol = cfg.tolerances
-    code = EXIT_OK
-
+def _paradox_input(cfg: RunConfig):
+    """(state, settings, extra result fields) of a paradox-* config."""
     if cfg.scenario == "paradox-qubit":
         settings = parse_qubit_settings(cfg.settings or "z,x")
-        [(result, checks, code)] = _paradox_points([pure_state_paradox(theta_state(cfg.theta), settings, tol)], tol)
-
-    elif cfg.scenario == "paradox-qudit":
+        return theta_state(cfg.theta), settings, {}
+    if cfg.scenario == "paradox-qudit":
         if cfg.lambdas:
             lam = np.array([float(x) for x in cfg.lambdas.split(",")])
             if not 0 < (top := np.max(np.abs(lam))) < np.inf:
@@ -254,16 +235,66 @@ def run(cfg: RunConfig):
         else:
             lam = np.full(cfg.d, 1 / np.sqrt(cfg.d))
         psi = qudit_schmidt_state(lam)
-        settings = parse_qudit_settings(cfg.settings or "Z,X", psi.dA)
-        [(result, checks, code)] = _paradox_points([pure_state_paradox(psi, settings, tol)], tol)
+        return psi, parse_qudit_settings(cfg.settings or "Z,X", psi.dA), {}
+    psi, tail = nopa_truncated(cfg.r, cfg.d)
+    return psi, parse_qudit_settings(cfg.settings or "Z,X", cfg.d), {"truncation_weight": tail}
 
-    elif cfg.scenario == "paradox-nopa":
-        psi, tail = nopa_truncated(cfg.r, cfg.d)
-        settings = parse_qudit_settings(cfg.settings or "Z,X", cfg.d)
-        [(result, checks, code)] = _paradox_points([pure_state_paradox(psi, settings, tol)], tol)
-        result["truncation_weight"] = tail
 
-    elif cfg.scenario == "separable-lhs":
+def _paradox_runs(configs) -> list:
+    """(ReportDocument, exit code) of each paradox-* config, in order.
+
+    Consecutive configs that share their settings, dims and tolerances run
+    as one PureStates batch of at most _states_per_chunk states, and a
+    batch's reports are built before the next batch runs, so memory stays
+    that of one batch. One no_signalling_check covers a batch's applicable
+    certificates, and each point's duration_s is an equal share of the
+    batch's time. A config or input that raises does so after the batches
+    before it have run, so the first failing point decides the error.
+    """
+    runs, batch = [], []  # batch: (key, cfg, state, extra) of each pending config
+    t0 = time.perf_counter()
+
+    def flush():
+        nonlocal t0
+        entries, batch[:] = batch[:], []
+        if not entries:
+            return
+        settings, _, _, tol = entries[0][0]
+        certs = pure_state_paradox(PureStates.of(*(psi for _, _, psi, _ in entries)), settings, tol)
+        applicable = [cert.assemblage for cert in certs if cert.applicable]
+        deviations = iter(no_signalling_check(applicable) if applicable else ())
+        share = (time.perf_counter() - t0) / len(entries)
+        for (_, cfg, _, extra), cert in zip(entries, certs):
+            checks = _assemblage_checks(next(deviations), cert.purity) if cert.applicable else {}
+            result = {**cert.to_json(), **extra}
+            doc = ReportDocument(SCHEMA_VERSION, cfg.scenario, _config_dict(cfg), result, checks, share)
+            runs.append((doc, _certificate_exit(cert, tol)))
+        t0 = time.perf_counter()
+
+    try:
+        for cfg in configs:
+            psi, settings, extra = _paradox_input(cfg)
+            key = (settings, psi.dA, psi.dB, cfg.tolerances)
+            if batch and (key != batch[0][0] or len(batch) == _states_per_chunk(settings, psi.dA, psi.dB)):
+                flush()
+            batch.append((key, cfg, psi, extra))
+    finally:
+        flush()
+    return runs
+
+
+def run(cfg: RunConfig):
+    """Execute one scenario. Returns (ReportDocument, exit code)."""
+    t0 = time.perf_counter()
+    if cfg.scenario.startswith("paradox-"):
+        [point] = _paradox_runs([cfg])
+        return point
+    if cfg.scenario == "sweep":
+        return _run_sweep(cfg, t0)
+    tol = cfg.tolerances
+    code = EXIT_OK
+
+    if cfg.scenario == "separable-lhs":
         beta = np.array([np.cos(cfg.beta_angle), np.sin(cfg.beta_angle)])
         alphas = [float(x) for x in cfg.alphas.split(",")]
         settings = [angle_projectors(al) for al in alphas]
@@ -301,9 +332,6 @@ def run(cfg: RunConfig):
             and count == 0
         )
         code = EXIT_OK if ok else EXIT_NUMERICAL
-
-    elif cfg.scenario == "sweep":
-        return _run_sweep(cfg, t0)
 
     else:  # pragma: no cover - guarded by RunConfig
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
@@ -358,50 +386,12 @@ def _k_settings(k: int) -> str:
     return ",".join(f"bloch:{np.sin(2*al):.12g}:0:{np.cos(2*al):.12g}" for al in angles)
 
 
-def _theta_points(cfg: RunConfig, values: list) -> list:
-    """The report dict and exit code of each point of a theta sweep, from
-    one batch of paradoxes. The point configs differ only in theta, so
-    their dicts come from one template, and each point's duration_s is an
-    equal share of the batch's time."""
-    t0 = time.perf_counter()
-    template = _sweep_point_config(cfg, values[0])
-    tol = template.tolerances
-    settings = parse_qubit_settings(template.settings)
-    # A point-by-point sweep stops at the first point that raises: the
-    # points before the first angle out of range run as one batch, whose
-    # errors come first, and then that point runs on its own to raise.
-    valid = next((i for i, t in enumerate(values) if not 0.0 <= t <= np.pi / 2), len(values))
-    certs = pure_state_paradox(theta_states(values[:valid]), settings, tol) if valid else []
-    if valid < len(values):
-        run(_sweep_point_config(cfg, values[valid]))
-    config = _config_dict(template)
-    share = (time.perf_counter() - t0) / len(values)
-    points = []
-    for value, (result, checks, code) in zip(values, _paradox_points(certs, tol)):
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "scenario": template.scenario,
-            "config": {**config, "theta": value, "tolerances": dict(config["tolerances"])},
-            "result": result,
-            "checks": checks,
-            "duration_s": share,
-        }
-        points.append((doc, code))
-    return points
-
-
 def _run_sweep(cfg: RunConfig, t0: float):
     values = _grid_values(cfg)
     if not values:
         raise ValueError("sweep grid is empty")
-    if cfg.param == "theta":
-        points = _theta_points(cfg, values)
-    else:
-        points = []
-        for value in values:
-            doc, code = run(_sweep_point_config(cfg, value))
-            points.append((vars(doc), code))
-    reports = [report for report, _ in points]
+    points = _paradox_runs(_sweep_point_config(cfg, value) for value in values)
+    reports = [vars(doc) for doc, _ in points]
     worst = max(code for _, code in points)
     magnitudes = [r["result"]["contradiction_magnitude"] for r in reports if r["result"].get("applicable")]
     ns_devs = [r["checks"]["no_signalling_deviation"] for r in reports if "no_signalling_deviation" in r["checks"]]

@@ -1,23 +1,23 @@
 """Constructors for the bipartite and multi-qubit states used everywhere.
 
-All states are immutable value objects with eagerly cached Schmidt data,
-since every downstream check consults it.
+All states are immutable value objects. Schmidt coefficients are
+computed on first use and kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, schmidt_decompose, unit_norm
+from .linalg import DEFAULT_TOL, Tolerances, unit_norm
 
 __all__ = [
     "BipartitePureState",
     "MultiQubitPureState",
     "PureStates",
     "theta_state",
-    "theta_states",
     "qudit_schmidt_state",
     "nopa_truncated",
     "separable_state",
@@ -28,12 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BipartitePureState:
-    """Unit vector on a dA x dB bipartite system with cached Schmidt data."""
+    """Unit vector on a dA x dB bipartite system."""
 
     vector: np.ndarray
     dA: int
     dB: int
-    schmidt_coeffs: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=complex).ravel()
@@ -44,9 +43,13 @@ class BipartitePureState:
         vec = vec / unit_norm(vec, "state vector")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-        coeffs = schmidt_decompose(vec, self.dA, self.dB)[0]
+
+    @functools.cached_property
+    def schmidt_coeffs(self) -> np.ndarray:
+        """Descending Schmidt coefficients, read-only (one SVD, on first use)."""
+        coeffs = np.linalg.svd(self.coefficients, compute_uv=False)
         coeffs.setflags(write=False)
-        object.__setattr__(self, "schmidt_coeffs", coeffs)
+        return coeffs
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """True iff Bob's subdominant Schmidt mass sum_{m>0} c_m^2 exceeds
@@ -82,17 +85,21 @@ class BipartitePureState:
 @dataclass(frozen=True)
 class PureStates:
     """A batch of P pure states of one dA x dB system, for the paradox to
-    run once over all of them: row p of each field is state p's
-    coefficient matrix and descending Schmidt coefficients, as on a
-    BipartitePureState."""
+    run once over all of them: row p of coefficients and of schmidt_coeffs
+    is state p's coefficient matrix and descending Schmidt coefficients, as
+    on a BipartitePureState."""
 
     coefficients: np.ndarray  # (P, dA, dB)
-    schmidt_coeffs: np.ndarray  # (P, min(dA, dB))
 
     @staticmethod
-    def of(psi: BipartitePureState) -> "PureStates":
-        """The batch of one."""
-        return PureStates(psi.coefficients[None], psi.schmidt_coeffs[None])
+    def of(*states: BipartitePureState) -> "PureStates":
+        """The batch of the given states, in order; they must share their dims."""
+        return PureStates(np.stack([psi.coefficients for psi in states]))
+
+    @functools.cached_property
+    def schmidt_coeffs(self) -> np.ndarray:
+        """(P, min(dA, dB)) Schmidt coefficients, from one batched SVD on first use."""
+        return np.linalg.svd(self.coefficients, compute_uv=False)
 
     @property
     def dA(self) -> int:
@@ -106,7 +113,7 @@ class PureStates:
         return len(self.coefficients)
 
     def __getitem__(self, rows: slice) -> "PureStates":
-        return PureStates(self.coefficients[rows], self.schmidt_coeffs[rows])
+        return PureStates(self.coefficients[rows])
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """BipartitePureState.entangled of each state, as a bool array."""
@@ -140,28 +147,7 @@ def theta_state(theta: float) -> BipartitePureState:
     """
     if not (0.0 <= theta <= np.pi / 2):
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = np.cos(theta)
-    vec[3] = np.sin(theta)
-    return BipartitePureState(vec, 2, 2)
-
-
-def theta_states(thetas) -> PureStates:
-    """The batch of theta_state(t) for each t, in order, without building
-    a state object per angle. Each row is normalized by its own
-    np.linalg.norm, as BipartitePureState normalizes, so that it equals the
-    single state's bit for bit.
-    """
-    for theta in thetas:
-        if not (0.0 <= theta <= np.pi / 2):
-            raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    angles = np.asarray(thetas, dtype=float)
-    vecs = np.zeros((len(angles), 4), dtype=complex)
-    vecs[:, 0] = np.cos(angles)
-    vecs[:, 3] = np.sin(angles)
-    vecs /= np.array([np.linalg.norm(v) for v in vecs])[:, None]
-    coefficients = vecs.reshape(-1, 2, 2)
-    return PureStates(coefficients, np.linalg.svd(coefficients, full_matrices=False)[1])
+    return BipartitePureState(np.array([np.cos(theta), 0, 0, np.sin(theta)], dtype=complex), 2, 2)
 
 
 def qudit_schmidt_state(lambdas) -> BipartitePureState:

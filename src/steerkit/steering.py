@@ -149,13 +149,22 @@ class ParadoxCertificate:
     quantum_trace_sum: float
     assemblage: Assemblage | None
     purity: PurityProfile | None
-    collapsed_assignments: dict  # (setting, outcome) -> hidden index, response forced to 1
     tolerances: Tolerances
     note: str | None = None
 
     @property
     def contradiction_magnitude(self) -> float:
         return self.lhs_trace_sum - self.quantum_trace_sum
+
+    @property
+    def collapsed_assignments(self) -> dict:
+        """(setting, outcome) -> hidden index, {} when the paradox does not
+        apply. Collapse: each nonvacuous equation consumes its own hidden
+        state, in lexicographic (setting, outcome) order, with the response
+        forced to 1."""
+        if self.purity is None:
+            return {}
+        return {(n, a): xi for xi, (n, a) in enumerate(self.purity.index.tolist(), start=1)}
 
     def to_json(self) -> dict:
         doc = {
@@ -167,7 +176,7 @@ class ParadoxCertificate:
             "contradiction_magnitude": self.contradiction_magnitude,
             "collapsed_assignments": [
                 {"setting": n, "outcome": a, "hidden": xi}
-                for (n, a), xi in sorted(self.collapsed_assignments.items())
+                for (n, a), xi in self.collapsed_assignments.items()
             ],
             "tolerances": dict(vars(self.tolerances)),
         }
@@ -226,6 +235,12 @@ class GhzExpectations:
 _BATCH_ENTRIES = 1 << 18
 
 
+def _states_per_chunk(settings, dA: int, dB: int) -> int:
+    """How many dA x dB states a chunk holds under settings: as many as
+    keep their conditional states within _BATCH_ENTRIES entries, at least one."""
+    return max(1, _BATCH_ENTRIES // max(1, len(settings) * dA * dB**2))
+
+
 def pure_state_paradox(
     psi,
     settings,
@@ -254,7 +269,7 @@ def pure_state_paradox(
     settings = list(settings)
     if isinstance(psi, BipartitePureState):
         return _paradoxes(PureStates.of(psi), settings, tol)[0]
-    step = max(1, _BATCH_ENTRIES // max(1, len(settings) * psi.dA * psi.dB**2))
+    step = _states_per_chunk(settings, psi.dA, psi.dB)
     return [cert for lo in range(0, len(psi), step) for cert in _paradoxes(psi[lo : lo + step], settings, tol)]
 
 
@@ -281,13 +296,10 @@ def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
     certs = []
     for e in entangled:
         if not e:
-            certs.append(ParadoxCertificate(False, _SEPARABLE, k, float("nan"), float("nan"), None, None, {}, tol))
+            certs.append(ParadoxCertificate(False, _SEPARABLE, k, float("nan"), float("nan"), None, None, tol))
             continue
         asm, prof, lhs, quantum = next(verdicts)
-        # Collapse: each nonvacuous equation consumes its own hidden state, in
-        # lexicographic (setting, outcome) order, with the response forced to 1.
-        assignments = {(n, a): xi for xi, (n, a) in enumerate(prof.index.tolist(), start=1)}
-        certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, assignments, tol, note))
+        certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, tol, note))
     return certs
 
 

@@ -221,16 +221,18 @@ class TestBatchedSweep:
         cfg = RunConfig(scenario="sweep", param="theta", values=",".join(map(repr, values)), settings=spec)
         self.assert_points_are_single_runs(cfg, [float(v) for v in values])
 
-    def test_r_sweep_runs_point_by_point(self, monkeypatch):
-        # An r sweep's conditional states grow as d^3 per point, so each
-        # point runs on its own: memory stays that of one point.
-        batches = []
+    @pytest.mark.parametrize("d, batches", [(18, [2]), (100, [1, 1])], ids=["d18", "d100"])
+    def test_r_sweep_batches_under_the_budget(self, monkeypatch, d, batches):
+        # An r sweep's conditional states grow as d^3 per point: at d = 18 two
+        # points fit one batch, at d = 100 each point is a batch of its own.
+        sizes = []
         exact = report.pure_state_paradox
-        monkeypatch.setattr(report, "pure_state_paradox", lambda psi, *args: batches.append(type(psi)) or exact(psi, *args))
-        cfg = RunConfig(scenario="sweep", param="r", values="0.3,1.0", d=18)
+        monkeypatch.setattr(report, "pure_state_paradox", lambda psi, *args: sizes.append(len(psi)) or exact(psi, *args))
+        cfg = RunConfig(scenario="sweep", param="r", values="0.3,1.0", d=d)
         reports = self.assert_points_are_single_runs(cfg, [0.3, 1.0])
-        assert [len(r["result"]["collapsed_assignments"]) for r in reports] == [27, 36]
-        assert batches == [states.BipartitePureState] * 4  # the sweep's two points, then the two single runs
+        assert sizes == batches + [1, 1]  # the sweep, then the two single runs
+        if d == 18:
+            assert [len(r["result"]["collapsed_assignments"]) for r in reports] == [27, 36]
 
     def test_summary_ignores_points_where_the_paradox_does_not_apply(self):
         summaries = []
@@ -484,11 +486,3 @@ class TestMain:
         assert main(["paradox-qudit", "--lambdas", "1,1"]) == report.EXIT_OK
         unit = json.loads(capsys.readouterr().out)
         assert (scaled["result"], scaled["checks"]) == (unit["result"], unit["checks"])
-
-    def test_env_tolerance_override(self, monkeypatch, capsys):
-        from steerkit.cli import build_parser, make_config
-
-        monkeypatch.setenv("STEERKIT_TOLERANCE_LP", "1e-5")
-        args = build_parser().parse_args(["ghz"])
-        cfg = make_config(args)
-        assert cfg.tolerances.lp == 1e-5

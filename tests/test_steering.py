@@ -31,7 +31,6 @@ from steerkit.states import (
     qudit_schmidt_state,
     separable_state,
     theta_state,
-    theta_states,
 )
 from steerkit.steering import (
     CoincidentSettingsError,
@@ -662,8 +661,12 @@ class TestStateBatches:
 
     GRID = [0.0, 0.3, 0.6, np.pi / 4, 1.2, np.pi / 2]
 
+    @staticmethod
+    def theta_states(thetas) -> PureStates:
+        return PureStates.of(*map(theta_state, thetas))
+
     def test_theta_states_match_single_states(self):
-        batch = theta_states(self.GRID)
+        batch = self.theta_states(self.GRID)
         assert len(batch) == len(self.GRID) and (batch.dA, batch.dB) == (2, 2)
         for i, theta in enumerate(self.GRID):
             single = theta_state(theta)
@@ -673,9 +676,14 @@ class TestStateBatches:
         one = PureStates.of(theta_state(0.3))
         assert np.array_equal(one.coefficients, batch[1:2].coefficients)
 
-    def test_theta_states_error_names_the_first_bad_value(self):
-        with pytest.raises(ValueError, match=r"got 2\.0$"):
-            theta_states([0.3, 2.0, -1.0])
+    def test_nopa_batch_matches_single_certificates(self):
+        # Row-major conditional states: a state's share of a batch is its
+        # single run bit for bit, the trace sums included.
+        psis = [nopa_truncated(r, 18)[0] for r in (0.3, 1.0)]
+        settings_ = [computational_basis(18), fourier_mub_basis(18)]
+        certs = pure_state_paradox(PureStates.of(*psis), settings_)
+        singles = [pure_state_paradox(psi, settings_) for psi in psis]
+        assert [c.to_json() for c in certs] == [s.to_json() for s in singles]
 
     def test_projector_distances_per_stack(self):
         rng = np.random.default_rng(5)
@@ -686,7 +694,7 @@ class TestStateBatches:
             assert np.array_equal(batched[p], projector_distances(vecs[p]))
 
     def test_paradox_batch_matches_single_certificates(self):
-        certs = pure_state_paradox(theta_states(self.GRID), [Z, X, Y])
+        certs = pure_state_paradox(self.theta_states(self.GRID), [Z, X, Y])
         singles = [pure_state_paradox(theta_state(theta), [Z, X, Y]) for theta in self.GRID]
         assert [c.applicable for c in certs] == [s.applicable for s in singles] == [False, True, True, True, True, False]
         assert [json.dumps(c.to_json()) for c in certs] == [json.dumps(s.to_json()) for s in singles]
@@ -699,13 +707,13 @@ class TestStateBatches:
 
     def test_chunks_bound_a_batch(self, monkeypatch):
         thetas = np.linspace(0.1, 1.4, 7)
-        whole = pure_state_paradox(theta_states(thetas), [Z, X])
+        whole = pure_state_paradox(self.theta_states(thetas), [Z, X])
         calls = []
         exact = steering.conditional_states
         monkeypatch.setattr(steering, "conditional_states", lambda psi, *args: calls.append(len(psi)) or exact(psi, *args))
         # One state of two settings holds 4 conditional states of 2 x 2.
         monkeypatch.setattr(steering, "_BATCH_ENTRIES", 3 * 16)
-        chunked = pure_state_paradox(theta_states(thetas), [Z, X])
+        chunked = pure_state_paradox(self.theta_states(thetas), [Z, X])
         assert calls == [3, 3, 1]
         assert [json.dumps(c.to_json()) for c in chunked] == [json.dumps(c.to_json()) for c in whole]
 
@@ -744,4 +752,4 @@ class TestStateBatches:
 
         monkeypatch.setattr(assemblage, "is_rank_one", flaky)
         with pytest.raises(ParadoxInvariantError, match=r"setting 0, outcome 1 is not rank-1 \(residual mass 2\.500e-01\)"):
-            pure_state_paradox(theta_states([0.3, 0.6, 0.9]), [Z, X])
+            pure_state_paradox(self.theta_states([0.3, 0.6, 0.9]), [Z, X])
