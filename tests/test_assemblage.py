@@ -23,6 +23,7 @@ from steerkit.measurements import (
 )
 from steerkit.states import (
     BipartitePureState,
+    PureStates,
     density,
     qudit_schmidt_state,
     separable_state,
@@ -290,6 +291,20 @@ class TestBatchedPurityChecks:
             for j in range(m):
                 want = trace_distance(normalized[i], normalized[j]) if i != j else 0.0
                 assert abs(prof.distance_matrix[i, j] - want) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["batch", "reversed", "subset"])
+    def test_lists_of_batch_members_match_single_calls(self, order):
+        # A batch in its own order is read in place; any other list is stacked.
+        d, rng = 8, np.random.default_rng(8)
+        states = [qudit_schmidt_state(np.sqrt(rng.dirichlet(np.ones(d)))) for _ in range(4)]
+        asms = conditional_states(PureStates.of(*states), [computational_basis(d), fourier_mub_basis(d)], (d, d))
+        chosen = {"batch": asms, "reversed": asms[::-1], "subset": asms[1:3]}[order]
+        for asm, prof, dev in zip(chosen, purity_profile(chosen), no_signalling_check(chosen)):
+            single = purity_profile(asm)
+            assert np.array_equal(prof.probabilities, single.probabilities)
+            assert np.array_equal(prof.residual_mass, single.residual_mass)
+            assert np.array_equal(prof.distance_matrix, single.distance_matrix)
+            assert dev == no_signalling_check(asm)
 
     @staticmethod
     def corrupted(row, bad):
