@@ -32,7 +32,7 @@ print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 prof = purity_profile(asm)
 for (n, a), residual in zip(prof.index.tolist(), prof.residual_mass):
     print(f"  setting {n} outcome {a}: p = {asm.probability(n, a):.4f}, rank-1 residual = {residual:.2e}")
-print(f"min pairwise trace distance: {prof.min_pairwise_distance():.4f}")
+print(f"min pairwise trace distance: {prof.min_distance:.4f}")
 
 cert = pure_state_paradox(psi, settings)
 print(f"\nhidden-state side of the trace sum: {cert.lhs_trace_sum}")

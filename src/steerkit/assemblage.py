@@ -53,29 +53,50 @@ def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:
     return np.add.reduceat(values, np.cumsum((0,) + tuple(outcome_counts[:-1])), axis=axis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Assemblage:
     """Bob's unnormalized conditional states, one per (setting, outcome).
 
     stack[row] is the state for index[row], in the row order of row_keys.
     For every setting the outcome states sum to Bob's reduced state and
     their traces sum to 1.
+
+    A pure state's assemblage, as conditional_states builds it, is factored:
+    factors[row] is w_a, its state is w_a w_a^dag, and the dense stack is
+    formed on first read. Pass factors and stack None for one. Assemblages
+    of density matrices and LHS models hold their dense stack, and factors
+    is None.
     """
 
     setting_labels: tuple
     outcome_counts: tuple
-    stack: np.ndarray  # (sum(outcome_counts), dB, dB)
     bob_reduced: np.ndarray
     dims: tuple  # (dA, dB)
+    factors: np.ndarray | None  # (sum(outcome_counts), dB), or None
 
-    def __post_init__(self):
-        stack = np.asarray(self.stack, dtype=complex)
-        if not self.outcome_counts or min(self.outcome_counts) < 1:
-            raise ValueError(f"outcome_counts {self.outcome_counts}: need a setting, each with an outcome")
-        if stack.shape != (sum(self.outcome_counts), self.dims[1], self.dims[1]):
-            raise ValueError(f"stack shape {stack.shape} does not fit {self.outcome_counts}, {self.dims}")
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
+    def __init__(self, setting_labels, outcome_counts, stack, bob_reduced, dims, factors=None):
+        if not outcome_counts or min(outcome_counts) < 1:
+            raise ValueError(f"outcome_counts {outcome_counts}: need a setting, each with an outcome")
+        rows, dB = sum(outcome_counts), dims[1]
+        if factors is None:
+            stack = _read_only(stack)
+            if stack.shape != (rows, dB, dB):
+                raise ValueError(f"stack shape {stack.shape} does not fit {outcome_counts}, {dims}")
+            vars(self)["stack"] = stack  # in place of the property below
+        else:
+            factors = _read_only(factors)
+            if factors.shape != (rows, dB):
+                raise ValueError(f"factors shape {factors.shape} does not fit {outcome_counts}, {dims}")
+        # Frozen: the fields go straight into the instance dict.
+        vars(self).update(setting_labels=setting_labels, outcome_counts=outcome_counts, dims=dims)
+        vars(self).update(bob_reduced=bob_reduced, factors=factors)
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """(sum(outcome_counts), dB, dB) conditional states; a factored
+        assemblage forms them as w_a w_a^dag on first read."""
+        w = self.factors
+        return _read_only(w[:, :, None] * w.conj()[:, None, :])
 
     @property
     def index(self) -> tuple:
@@ -89,6 +110,12 @@ class Assemblage:
         return float(np.trace(self.state(n, a)).real)
 
 
+def _read_only(values) -> np.ndarray:
+    a = np.asarray(values, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class PurityProfile:
     """Purity and distinctness of an assemblage's conditional states.
@@ -98,28 +125,28 @@ class PurityProfile:
     nonvacuous rows only, in the same order, and describe the normalized
     states.
 
-    residual_mass is an upper bound r on a state's subdominant eigenvalue
-    mass, and the state lies within trace distance r of its principal
-    projector (within delta = r/3 where is_rank_one's witness accepts it).
-    Between two rank-1 states the distance is that of these projectors, so
-    it is within r_i + r_j <= 2 * tol.rank1 (delta_i + delta_j for witness
-    states) of the states' own trace distance, whatever the dimension. Every
-    pair involving a state that is not rank 1 is an eigendecomposition of
-    the difference. all_rank_one, max_residual_mass and min_distance sum up.
+    On a factored assemblage every row is w_a w_a^dag: its principal is
+    w_a / |w_a|, it is rank 1 by construction, and its residual_mass is
+    exactly 0, not a bound. On a dense one, residual_mass is an upper bound
+    r on a state's subdominant eigenvalue mass, and the state lies within
+    trace distance r of its principal projector (within delta = r/3 where
+    is_rank_one's witness accepts it). Between two rank-1 states the
+    distance is that of these projectors, so it is within r_i + r_j <= 2 *
+    tol.rank1 (delta_i + delta_j for witness states) of the states' own
+    trace distance, whatever the dimension. Every pair involving a state
+    that is not rank 1 is an eigendecomposition of the difference.
+    all_rank_one, max_residual_mass and min_distance sum up.
     """
 
     probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
     index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
     rank_one: np.ndarray  # (m,) bool
-    residual_mass: np.ndarray  # (m,) bound on the subdominant eigenvalue mass
-    principals: np.ndarray  # (m, dB) witness vectors or top eigenvectors
+    residual_mass: np.ndarray  # (m,) bound on the subdominant eigenvalue mass, 0 if factored
+    principals: np.ndarray  # (m, dB) normalized factors, witness vectors or top eigenvectors
     distance_matrix: np.ndarray  # (m, m) pairwise trace distances
     all_rank_one: bool
     max_residual_mass: float  # largest residual_mass, 0 with no nonvacuous row
     min_distance: float  # smallest off-diagonal distance, inf with fewer than two rows
-
-    def min_pairwise_distance(self) -> float:
-        return self.min_distance
 
 
 def conditional_states(
@@ -136,8 +163,10 @@ def conditional_states(
     coefficient matrix Psi, P_a = u_a u_a^dag gives rho~_a = w_a w_a^dag
     with w_a = Psi^T conj(u_a), row a of V^dag Psi for V = [u_a]: one product
     forms every w_a of every state (a single state is the batch of one),
-    and neither projectors nor bipartite densities are built. Each stack is
-    row-major, so a state's share of a batch equals its own run bit for bit.
+    and the assemblages of pure states are factored: they hold the w_a, and
+    neither projectors, bipartite densities nor outer products are built.
+    The factors are row-major, so a state's share of a batch equals its own
+    run bit for bit. A density matrix gives a dense assemblage.
     """
     dA, dB = dims
     settings = list(settings)
@@ -157,9 +186,8 @@ def conditional_states(
         if (batch.dA, batch.dB) != (dA, dB):
             raise ValueError(f"state dims {(batch.dA, batch.dB)} do not match dims {dims}")
         w = np.concatenate([s.vectors for s in settings], axis=1).conj().T @ batch.coefficients
-        stacks = w[..., :, None] * w.conj()[..., None, :]
         bobs = batch.coefficients.swapaxes(1, 2) @ batch.coefficients.conj()
-        asms = [Assemblage(labels, counts, stack, bob, (dA, dB)) for stack, bob in zip(stacks, bobs)]
+        asms = [Assemblage(labels, counts, None, bob, (dA, dB), factors) for factors, bob in zip(w, bobs)]
         return asms if batch is state else asms[0]
     rho_ab = as_matrix(state)
     if rho_ab.shape != (dA * dB, dA * dB):
@@ -174,11 +202,19 @@ def no_signalling_check(a):
     """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings.
 
     a is an Assemblage, or a list of assemblages of one row layout whose
-    deviations then come as a list, in order, from one computation.
+    deviations then come as a list, in order, from one computation. When
+    every assemblage is factored, setting n's sum is W_n^T conj(W_n) for its
+    factor rows W_n, one dB x dB product per setting.
     """
     batch = _batch(a)
-    stacks, bobs = _stack([x.stack for x in batch]), _stack([x.bob_reduced for x in batch])
-    dev = np.max(np.abs(setting_sums(stacks, batch[0].outcome_counts, axis=1) - bobs[:, None]), axis=(1, 2, 3))
+    counts, bobs = batch[0].outcome_counts, _stack([x.bob_reduced for x in batch])
+    if all(x.factors is not None for x in batch):
+        w = _stack([x.factors for x in batch])
+        bounds = np.cumsum((0, *counts))
+        sums = np.stack([w[:, lo:hi].swapaxes(1, 2) @ w[:, lo:hi].conj() for lo, hi in zip(bounds, bounds[1:])], 1)
+    else:
+        sums = setting_sums(_stack([x.stack for x in batch]), counts, axis=1)
+    dev = np.max(np.abs(sums - bobs[:, None]), axis=(1, 2, 3))
     return float(dev[0]) if isinstance(a, Assemblage) else dev.tolist()
 
 
@@ -194,19 +230,8 @@ def _batch(a) -> list:
 
 
 def _stack(arrays: list) -> np.ndarray:
-    """arrays along a new leading axis: a view for a batch of one, their
-    base when they are its slices in order (a batch from conditional_states)
-    and large enough for the check to cost less than the copy, else a copy."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    base = arrays[0].base
-    # The check takes about 3 us per array, the time to copy some 1000 entries.
-    if arrays[0].size >= 1024 and isinstance(base, np.ndarray) and len(base) == len(arrays) and all(
-        a.base is base and (a.shape, a.strides, a.ctypes.data) == (b.shape, b.strides, b.ctypes.data)
-        for a, b in zip(arrays, base)
-    ):
-        return base
-    return np.array(arrays)
+    """arrays along a new leading axis: a view for a batch of one, else a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
@@ -215,15 +240,21 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
 
     a is an Assemblage, or a list of assemblages of one row layout whose
     profiles then come as a list, in order. The assemblages that share
-    their nonvacuous rows go together: one is_rank_one call checks all
-    their states (no eigendecomposition for pure inputs), pairs of rank-1
-    states take their distance from the principal vectors (see
-    PurityProfile), and each other state's row is one batched trace_distance.
+    their nonvacuous rows go together. When every assemblage is factored,
+    each row's probability, principal and rank come from its factor w_a
+    (see PurityProfile). Otherwise one is_rank_one call checks all states of
+    a group (no eigendecomposition for pure inputs). Pairs of rank-1 states
+    take their distance from the principal vectors, and each other state's
+    row is one batched trace_distance.
     """
     batch = _batch(a)
     counts = batch[0].outcome_counts
-    stacks = _stack([x.stack for x in batch])
-    probs = np.trace(stacks, axis1=2, axis2=3).real
+    if factored := all(x.factors is not None for x in batch):
+        w = _stack([x.factors for x in batch])
+        probs = np.sum(w.real**2 + w.imag**2, axis=2)
+    else:
+        stacks = _stack([x.stack for x in batch])
+        probs = np.trace(stacks, axis1=2, axis2=3).real
     live = probs > tol.rank1
     keys = row_keys(counts)
     groups = {}
@@ -234,10 +265,14 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
         mask = live[members[0]]
         rows = np.zeros(live.shape, dtype=bool)
         rows[members] = mask
-        states = stacks.reshape(-1, *stacks.shape[2:]) if rows.all() else stacks[rows]  # member by member
-        g, m, d = len(members), states.shape[0] // len(members), states.shape[-1]
-        flags, principals, residuals = is_rank_one(states, tol)
-        flags, principals, residuals = flags.reshape(g, m), principals.reshape(g, m, d), residuals.reshape(g, m)
+        g, m, d = len(members), np.count_nonzero(mask), batch[0].dims[1]
+        if factored:
+            principals = (w[rows] / np.sqrt(probs[rows])[:, None]).reshape(g, m, d)
+            flags, residuals = np.ones((g, m), dtype=bool), np.zeros((g, m))
+        else:
+            states = stacks.reshape(-1, d, d) if rows.all() else stacks[rows]  # member by member
+            flags, principals, residuals = is_rank_one(states, tol)
+            flags, principals, residuals = flags.reshape(g, m), principals.reshape(g, m, d), residuals.reshape(g, m)
         normalized = None if flags.all() else (states / probs[rows, None, None]).reshape(g, m, d, d)
         dist = projector_distances(principals)
         for j, i in zip(*np.nonzero(~flags)):

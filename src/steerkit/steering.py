@@ -186,7 +186,7 @@ class ParadoxCertificate:
             doc["purity"] = {
                 "all_rank_one": self.purity.all_rank_one,
                 "max_residual_mass": self.purity.max_residual_mass,
-                "min_pairwise_distance": self.purity.min_pairwise_distance(),
+                "min_pairwise_distance": self.purity.min_distance,
             }
         return doc
 
@@ -230,15 +230,17 @@ class GhzExpectations:
     eigenstate_residuals: tuple
 
 
-# Conditional-state entries per chunk of a batch of states: 4 MB of
-# complex, so that a batch of any size runs in bounded memory.
+# Entries per chunk of a batch of states: 4 MB of complex, so that a batch
+# of any size runs in bounded memory.
 _BATCH_ENTRIES = 1 << 18
 
 
 def _states_per_chunk(settings, dA: int, dB: int) -> int:
-    """How many dA x dB states a chunk holds under settings: as many as
-    keep their conditional states within _BATCH_ENTRIES entries, at least one."""
-    return max(1, _BATCH_ENTRIES // max(1, len(settings) * dA * dB**2))
+    """How many dA x dB states a chunk holds under settings: as many as keep
+    their factors (rows x dB entries, for rows = k dA conditional states)
+    and distance matrices (rows^2) within _BATCH_ENTRIES entries, at least one."""
+    rows = len(settings) * dA
+    return max(1, _BATCH_ENTRIES // max(1, rows * (dB + rows)))
 
 
 def pure_state_paradox(
@@ -258,7 +260,7 @@ def pure_state_paradox(
 
     psi is a BipartitePureState, the batch of one, or a PureStates batch,
     whose certificates come as a list, in order. A batch goes in chunks of
-    at most _BATCH_ENTRIES conditional-state entries (at least one state);
+    at most _BATCH_ENTRIES factor and distance entries (at least one state);
     each chunk validates and compares the settings once and makes one
     conditional_states and one purity_profile call. A setting's deviations
     from a basis are computed once per setting, and whether two settings

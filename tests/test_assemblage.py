@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerkit import linalg
+from steerkit import assemblage, linalg
 from steerkit.assemblage import (
     Assemblage,
     conditional_states,
@@ -147,7 +147,7 @@ class TestPurityProfile:
         rho = theta_state(np.pi / 4).density_matrix()
         prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
         assert prof.all_rank_one
-        assert abs(prof.min_pairwise_distance() - 1 / np.sqrt(2)) < 1e-9
+        assert abs(prof.min_distance - 1 / np.sqrt(2)) < 1e-9
         assert np.allclose(prof.probabilities, [0.5, 0.5, 0.5, 0.5])
 
     def test_separable_all_coincide(self):
@@ -294,17 +294,11 @@ class TestBatchedPurityChecks:
 
     @pytest.mark.parametrize("order", ["batch", "reversed", "subset"])
     def test_lists_of_batch_members_match_single_calls(self, order):
-        # A batch in its own order is read in place; any other list is stacked.
         d, rng = 8, np.random.default_rng(8)
         states = [qudit_schmidt_state(np.sqrt(rng.dirichlet(np.ones(d)))) for _ in range(4)]
         asms = conditional_states(PureStates.of(*states), [computational_basis(d), fourier_mub_basis(d)], (d, d))
         chosen = {"batch": asms, "reversed": asms[::-1], "subset": asms[1:3]}[order]
-        for asm, prof, dev in zip(chosen, purity_profile(chosen), no_signalling_check(chosen)):
-            single = purity_profile(asm)
-            assert np.array_equal(prof.probabilities, single.probabilities)
-            assert np.array_equal(prof.residual_mass, single.residual_mass)
-            assert np.array_equal(prof.distance_matrix, single.distance_matrix)
-            assert dev == no_signalling_check(asm)
+        assert_profiles_match_single_calls(chosen)
 
     @staticmethod
     def corrupted(row, bad):
@@ -356,6 +350,94 @@ class TestBatchedPurityChecks:
         labels = tuple("abc"[: len(counts)])
         with pytest.raises(ValueError, match="each with an outcome"):
             Assemblage(labels, counts, stack, np.eye(2) / 2, (2, 2))
+
+
+def assert_profiles_match_single_calls(asms):
+    """purity_profile and no_signalling_check on a list give each member's
+    single-call results exactly."""
+    for asm, prof, dev in zip(asms, purity_profile(asms), no_signalling_check(asms)):
+        single = purity_profile(asm)
+        for name in ("probabilities", "index", "rank_one", "residual_mass", "principals", "distance_matrix"):
+            assert np.array_equal(getattr(prof, name), getattr(single, name)), name
+        assert (prof.all_rank_one, prof.max_residual_mass, prof.min_distance) == (
+            single.all_rank_one,
+            single.max_residual_mass,
+            single.min_distance,
+        )
+        assert dev == no_signalling_check(asm)
+
+
+class TestFactoredAssemblages:
+    """A pure state's assemblage holds its factors w_a. Every quantity read
+    from them must match the dense path of the state's density matrix."""
+
+    @staticmethod
+    def assert_matches_dense(psi, settings_):
+        dA, dB = psi.dA, psi.dB
+        factored = conditional_states(psi, settings_, (dA, dB))
+        dense = conditional_states(psi.density_matrix(), settings_, (dA, dB))
+        assert factored.factors is not None and dense.factors is None
+        assert np.max(np.abs(factored.stack - dense.stack)) <= 1e-12
+        assert np.max(np.abs(factored.bob_reduced - dense.bob_reduced)) <= 1e-12
+        got, want = purity_profile(factored), purity_profile(dense)
+        assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-12
+        assert np.array_equal(got.index, want.index)
+        assert np.max(np.abs(got.distance_matrix - want.distance_matrix)) <= 1e-12
+        assert abs(got.min_distance - want.min_distance) <= 1e-12
+        assert abs(no_signalling_check(factored) - no_signalling_check(dense)) <= 1e-12
+        assert got.all_rank_one and got.rank_one.all()
+        assert got.max_residual_mass == 0.0 and not got.residual_mass.any()
+        return factored
+
+    @staticmethod
+    def schmidt_state(rng, d, rotate):
+        """sum_m lam_m |u_m> |v_m>, random lam; u and v the computational
+        basis, or Haar-random when rotate."""
+        psi = np.diag(np.sqrt(rng.dirichlet(np.ones(d)))).astype(complex)
+        if rotate:
+            psi = haar_unitary(rng, d) @ psi @ haar_unitary(rng, d).T
+        return BipartitePureState(psi.ravel(), d, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), rotate=st.booleans())
+    def test_schmidt_states_under_z_x(self, d, seed, rotate):
+        rng = np.random.default_rng(seed)
+        states = [self.schmidt_state(rng, d, rotate) for _ in range(3)]
+        settings_ = [computational_basis(d), fourier_mub_basis(d)]
+        for psi in states:
+            self.assert_matches_dense(psi, settings_)
+        assert_profiles_match_single_calls(conditional_states(PureStates.of(*states), settings_, (d, d)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rotate=st.booleans(), k=st.integers(2, 4))
+    def test_schmidt_states_under_qubit_settings(self, seed, rotate, k):
+        rng = np.random.default_rng(seed)
+        n = rng.normal(size=3)
+        settings_ = [Z, X, bloch_projectors([0, 1, 0]), bloch_projectors(n / np.linalg.norm(n))][:k]
+        self.assert_matches_dense(self.schmidt_state(rng, 2, rotate), settings_)
+
+    def test_stack_formed_on_first_read(self):
+        asm = conditional_states(theta_state(np.pi / 4), [Z, X], (2, 2))
+        assert "stack" not in vars(asm) and np.allclose(np.linalg.norm(asm.factors, axis=1) ** 2, 0.5)
+        stack = asm.stack
+        assert asm.stack is stack and not stack.flags.writeable and not asm.factors.flags.writeable
+        assert np.array_equal(stack, [np.outer(v, v.conj()) for v in asm.factors])
+
+    def test_pure_inputs_run_no_purity_witness(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("purity witness on a factored assemblage")
+
+        monkeypatch.setattr(assemblage, "is_rank_one", refuse)
+        monkeypatch.setattr(linalg, "herm_deviation", refuse)
+        asms = conditional_states(PureStates.of(theta_state(0.3), theta_state(0.0)), [Z, X], (2, 2))
+        profiles = purity_profile(asms)
+        assert [p.index.tolist() for p in profiles] == [[[0, 0], [0, 1], [1, 0], [1, 1]], [[0, 0], [1, 0], [1, 1]]]
+        assert all(p.max_residual_mass == 0.0 for p in profiles)
+        assert max(no_signalling_check(asms)) <= 1e-15
+
+    def test_factors_shape_checked(self):
+        with pytest.raises(ValueError, match="factors shape"):
+            Assemblage(("z",), (2,), None, np.eye(2) / 2, (2, 2), np.zeros((2, 3)))
 
 
 def reference_distances(asm, prof):

@@ -73,6 +73,17 @@ class TestScenarios:
         assert not prof.all_rank_one
         assert calls == {"hermitian_eig": 1, "trace_distance": 5}
 
+    def test_pure_paradox_runs_no_purity_witness(self, monkeypatch):
+        # A factored row is rank 1 by construction: its residual mass is exactly 0.
+        calls = collections.Counter()
+        monkeypatch.setattr(assemblage, "is_rank_one", counting(calls, assemblage.is_rank_one))
+        monkeypatch.setattr(linalg, "herm_deviation", counting(calls, linalg.herm_deviation))
+        for scenario in ("paradox-qubit", "paradox-qudit", "paradox-nopa"):
+            doc, code = run(RunConfig(scenario=scenario, d=6))
+            assert code == 0
+            assert doc.checks["all_rank_one"] is True and doc.checks["max_purity_residual"] == 0.0
+        assert calls == {}
+
     def test_paradox_nopa(self):
         doc, code = run(RunConfig(scenario="paradox-nopa", r=1.0, d=12))
         assert code == 0
@@ -221,16 +232,18 @@ class TestBatchedSweep:
         cfg = RunConfig(scenario="sweep", param="theta", values=",".join(map(repr, values)), settings=spec)
         self.assert_points_are_single_runs(cfg, [float(v) for v in values])
 
-    @pytest.mark.parametrize("d, batches", [(18, [2]), (100, [1, 1])], ids=["d18", "d100"])
-    def test_r_sweep_batches_under_the_budget(self, monkeypatch, d, batches):
-        # An r sweep's conditional states grow as d^3 per point: at d = 18 two
-        # points fit one batch, at d = 100 each point is a batch of its own.
+    @pytest.mark.parametrize(
+        "d, values, batches", [(18, [0.3, 1.0], [2]), (100, [0.3, 0.6, 1.0, 1.5, 2.0], [4, 1])], ids=["d18", "d100"]
+    )
+    def test_r_sweep_batches_under_the_budget(self, monkeypatch, d, values, batches):
+        # A point's factors and distance matrix grow as d^2: at d = 18 a batch
+        # holds 134 points, at d = 100 four.
         sizes = []
         exact = report.pure_state_paradox
         monkeypatch.setattr(report, "pure_state_paradox", lambda psi, *args: sizes.append(len(psi)) or exact(psi, *args))
-        cfg = RunConfig(scenario="sweep", param="r", values="0.3,1.0", d=d)
-        reports = self.assert_points_are_single_runs(cfg, [0.3, 1.0])
-        assert sizes == batches + [1, 1]  # the sweep, then the two single runs
+        cfg = RunConfig(scenario="sweep", param="r", values=",".join(map(repr, values)), d=d)
+        reports = self.assert_points_are_single_runs(cfg, values)
+        assert sizes == batches + [1] * len(values)  # the sweep, then the single runs
         if d == 18:
             assert [len(r["result"]["collapsed_assignments"]) for r in reports] == [27, 36]
 
@@ -251,15 +264,22 @@ class TestBatchedSweep:
 
     @staticmethod
     def fail_rank_one_at(monkeypatch, theta):
-        """Make is_rank_one reject the z-outcome-0 state of the point at theta."""
-        exact = assemblage.is_rank_one
+        """Make the purity profile of the point at theta call its z-outcome-0
+        state not rank-1."""
+        exact = steering.purity_profile
 
-        def flaky(rho, tol):
-            flags, principals, residual = exact(rho, tol)
-            hit = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - np.cos(theta) ** 2) <= 1e-12
-            return flags & ~hit, principals, np.where(hit, 0.5, residual)
+        def flaky(asms, tol):
+            profiles = exact(asms, tol)
+            for j, prof in enumerate(profiles):
+                if abs(prof.probabilities[0] - np.cos(theta) ** 2) <= 1e-12:
+                    flags, residual = prof.rank_one.copy(), prof.residual_mass.copy()
+                    flags[0], residual[0] = False, 0.5
+                    profiles[j] = dataclasses.replace(
+                        prof, rank_one=flags, residual_mass=residual, all_rank_one=False, max_residual_mass=0.5
+                    )
+            return profiles
 
-        monkeypatch.setattr(assemblage, "is_rank_one", flaky)
+        monkeypatch.setattr(steering, "purity_profile", flaky)
 
     def test_first_failing_point_decides(self, monkeypatch, capsys):
         argv = ["sweep", "--param", "theta", "--values", "0.3,0.6,0.9,2.0"]

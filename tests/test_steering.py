@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import re
 from unittest import mock
@@ -160,7 +161,7 @@ class TestPureStateParadox:
         cert = pure_state_paradox(qudit_schmidt_state(np.full(d, 1 / np.sqrt(d))), settings)
         assert cert.applicable
         assert abs(cert.lhs_trace_sum - 2) <= 1e-9
-        assert abs(cert.purity.min_pairwise_distance() - np.min(gaps)) <= 1e-13
+        assert abs(cert.purity.min_distance - np.min(gaps)) <= 1e-13
 
     def test_single_setting_rejected(self):
         with pytest.raises(ValueError):
@@ -711,8 +712,9 @@ class TestStateBatches:
         calls = []
         exact = steering.conditional_states
         monkeypatch.setattr(steering, "conditional_states", lambda psi, *args: calls.append(len(psi)) or exact(psi, *args))
-        # One state of two settings holds 4 conditional states of 2 x 2.
-        monkeypatch.setattr(steering, "_BATCH_ENTRIES", 3 * 16)
+        # One state of two qubit settings holds 4 factors of 2 entries and a
+        # 4 x 4 distance matrix: 24 entries.
+        monkeypatch.setattr(steering, "_BATCH_ENTRIES", 3 * 24)
         chunked = pure_state_paradox(self.theta_states(thetas), [Z, X])
         assert calls == [3, 3, 1]
         assert [json.dumps(c.to_json()) for c in chunked] == [json.dumps(c.to_json()) for c in whole]
@@ -723,10 +725,12 @@ class TestStateBatches:
         settings_ = [computational_basis(18), fourier_mub_basis(18)]
         asms = [conditional_states(nopa_truncated(r, 18)[0], settings_, (18, 18)) for r in (0.3, 1.0, 0.3)]
         calls = collections.Counter()
-        exact = assemblage.is_rank_one
-        monkeypatch.setattr(assemblage, "is_rank_one", lambda rho, tol: calls.update([len(rho)]) or exact(rho, tol))
+        exact = assemblage.projector_distances
+        monkeypatch.setattr(
+            assemblage, "projector_distances", lambda vecs: calls.update([vecs.shape[:-1]]) or exact(vecs)
+        )
         profiles = purity_profile(asms)
-        assert calls == {2 * 27: 1, 36: 1}
+        assert calls == {(2, 27): 1, (1, 36): 1}  # (states, nonvacuous rows) of each group
         for prof, asm in zip(profiles, asms):
             single = purity_profile(asm)
             assert np.array_equal(prof.index, single.index)
@@ -740,16 +744,20 @@ class TestStateBatches:
             purity_profile([asms[0], conditional_states(nopa_truncated(0.3, 18)[0], settings_[:1], (18, 18))])
 
     def test_batch_error_is_the_first_failing_state(self, monkeypatch):
-        exact = assemblage.is_rank_one
+        exact = steering.purity_profile
 
-        def flaky(rho, tol):
-            # z outcome 1 of theta = 0.6 and z outcome 0 of theta = 0.9
-            flags, principals, residual = exact(rho, tol)
-            tr = np.trace(rho, axis1=-2, axis2=-1).real
-            first = np.abs(tr - np.sin(0.6) ** 2) <= 1e-12
-            second = np.abs(tr - np.cos(0.9) ** 2) <= 1e-12
-            return flags & ~first & ~second, principals, np.where(first, 0.25, np.where(second, 0.5, residual))
+        def flaky(asms, tol):
+            # z outcome 1 of theta = 0.6 and z outcome 0 of theta = 0.9 (every row is nonvacuous)
+            profiles = exact(asms, tol)
+            for j, prof in enumerate(profiles):
+                first = np.abs(prof.probabilities - np.sin(0.6) ** 2) <= 1e-12
+                second = np.abs(prof.probabilities - np.cos(0.9) ** 2) <= 1e-12
+                residual = np.where(first, 0.25, np.where(second, 0.5, prof.residual_mass))
+                flags = prof.rank_one & ~first & ~second
+                summary = {"all_rank_one": bool(flags.all()), "max_residual_mass": residual.max()}
+                profiles[j] = dataclasses.replace(prof, rank_one=flags, residual_mass=residual, **summary)
+            return profiles
 
-        monkeypatch.setattr(assemblage, "is_rank_one", flaky)
+        monkeypatch.setattr(steering, "purity_profile", flaky)
         with pytest.raises(ParadoxInvariantError, match=r"setting 0, outcome 1 is not rank-1 \(residual mass 2\.500e-01\)"):
             pure_state_paradox(self.theta_states([0.3, 0.6, 0.9]), [Z, X])
