@@ -30,8 +30,8 @@ print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 # The profile's arrays follow the assemblage's rows; index and
 # residual_mass cover the nonvacuous ones, here all four.
 prof = purity_profile(asm)
-for (n, a), residual in zip(prof.index.tolist(), prof.residual_mass):
-    print(f"  setting {n} outcome {a}: p = {asm.probability(n, a):.4f}, rank-1 residual = {residual:.2e}")
+for (n, a), p, residual in zip(prof.index.tolist(), prof.probabilities, prof.residual_mass):
+    print(f"  setting {n} outcome {a}: p = {p:.4f}, rank-1 residual = {residual:.2e}")
 print(f"min pairwise trace distance: {prof.min_distance:.4f}")
 
 cert = pure_state_paradox(psi, settings)

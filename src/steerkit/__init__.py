@@ -6,9 +6,7 @@ from .linalg import (
     Tolerances,
     hermitian_eig,
     is_rank_one,
-    kron,
     partial_trace,
-    schmidt_decompose,
     trace_distance,
 )
 from .states import (

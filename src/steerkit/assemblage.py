@@ -11,7 +11,6 @@ from .linalg import (
     _SHAPE_CACHE,
     DEFAULT_TOL,
     Tolerances,
-    as_matrix,
     is_rank_one,
     partial_trace,
     projector_distances,
@@ -57,7 +56,7 @@ def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:
 class Assemblage:
     """Bob's unnormalized conditional states, one per (setting, outcome).
 
-    stack[row] is the state for index[row], in the row order of row_keys.
+    stack[row] is the state for (setting, outcome) row_keys(outcome_counts)[row].
     For every setting the outcome states sum to Bob's reduced state and
     their traces sum to 1.
 
@@ -98,16 +97,12 @@ class Assemblage:
         w = self.factors
         return _read_only(w[:, :, None] * w.conj()[:, None, :])
 
-    @property
-    def index(self) -> tuple:
-        """(setting, outcome) of each stack row."""
-        return tuple(map(tuple, row_keys(self.outcome_counts).tolist()))
-
     def state(self, n: int, a: int) -> np.ndarray:
-        return self.stack[self.index.index((n, a))]
-
-    def probability(self, n: int, a: int) -> float:
-        return float(np.trace(self.state(n, a)).real)
+        """The conditional state of outcome a of setting n."""
+        counts = self.outcome_counts
+        if not (0 <= n < len(counts) and 0 <= a < counts[n]):
+            raise ValueError(f"no outcome {a} of setting {n} for outcome counts {counts}")
+        return self.stack[sum(counts[:n]) + a]
 
 
 def _read_only(values) -> np.ndarray:
@@ -189,13 +184,13 @@ def conditional_states(
         bobs = batch.coefficients.swapaxes(1, 2) @ batch.coefficients.conj()
         asms = [Assemblage(labels, counts, None, bob, (dA, dB), factors) for factors, bob in zip(w, bobs)]
         return asms if batch is state else asms[0]
-    rho_ab = as_matrix(state)
+    rho_ab = np.asarray(state, dtype=complex)
     if rho_ab.shape != (dA * dB, dA * dB):
         raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
     projs = np.concatenate([s.projectors for s in settings])
     # sigma[n, m, k] = sum_ij P[n, j, i] rho[i, m, j, k]
     stack = np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0]))
-    return Assemblage(labels, counts, stack, partial_trace(rho_ab, dA, dB, keep="B"), (dA, dB))
+    return Assemblage(labels, counts, stack, partial_trace(rho_ab, dA, dB), (dA, dB))
 
 
 def no_signalling_check(a):

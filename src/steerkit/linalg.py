@@ -14,14 +14,11 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
-    "as_matrix",
-    "kron",
     "partial_trace",
     "hermitian_eig",
     "trace_distance",
     "projector_distances",
     "is_rank_one",
-    "schmidt_decompose",
     "herm_deviation",
     "unit_norm",
 ]
@@ -32,7 +29,7 @@ class Tolerances:
     """Numeric thresholds used across the toolkit.
 
     herm     : max entrywise deviation allowed from M = M^dagger
-    eig      : residual allowed in eigen/Schmidt reconstructions
+    eig      : residual allowed in eigen reconstructions and basis checks
     state_eq : trace-distance threshold below which two states count as equal
     rank1    : subdominant eigenvalue mass below which a state counts as pure
     lp       : residual threshold for LP feasibility and LHS-model checks
@@ -54,19 +51,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex ndarray."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def unit_norm(v, what: str, atol: float = 1e-8) -> float:
+def unit_norm(v, what: str) -> float:
     """The 2-norm of v. Raises ValueError, naming v as what, unless it is
-    within atol of 1; a NaN norm is never within it."""
+    within 1e-8 of 1; a NaN norm is never within it."""
     nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= atol:
+    if not abs(nrm - 1.0) <= 1e-8:
         raise ValueError(f"{what} norm {nrm} is not 1")
     return nrm
 
@@ -91,29 +80,16 @@ def _require_hermitian(m, tol: Tolerances, what: str) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace(rho, dA: int, dB: int, keep: str = "B") -> np.ndarray:
-    """Partial trace of a (dA*dB) x (dA*dB) matrix over one subsystem.
-
-    keep="B" traces out subsystem A and returns a dB x dB matrix;
-    keep="A" the opposite. The trace is preserved.
-    """
-    rho = as_matrix(rho)
+def partial_trace(rho, dA: int, dB: int) -> np.ndarray:
+    """Partial trace of a (dA*dB) x (dA*dB) matrix over subsystem A: the
+    dB x dB matrix tr_A rho. The trace is preserved."""
+    rho = np.asarray(rho, dtype=complex)
     n = dA * dB
     if rho.shape != (n, n):
         raise ValueError(
             f"partial_trace: matrix shape {rho.shape} does not match dA*dB = {dA}*{dB} = {n}"
         )
-    t = rho.reshape(dA, dB, dA, dB)
-    if keep.upper() == "B":
-        return np.einsum("imin->mn", t)
-    if keep.upper() == "A":
-        return np.einsum("imjm->ij", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("imin->mn", rho.reshape(dA, dB, dA, dB))
 
 
 def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL):
@@ -220,17 +196,3 @@ def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):
     residual = residual.reshape(rho.shape[:-2])[()]
     return residual <= tol.rank1, principal.reshape(rho.shape[:-1]), residual
 
-
-def schmidt_decompose(psi, dA: int, dB: int, tol: Tolerances = DEFAULT_TOL):
-    """Schmidt decomposition of a unit bipartite vector.
-
-    Returns (coeffs, left_vecs, right_vecs): nonnegative coefficients in
-    descending order with sum of squares 1, and orthonormal vectors as
-    columns so that psi = sum_m coeffs[m] * kron(left[:,m], right[:,m]).
-    """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != dA * dB:
-        raise ValueError(f"schmidt_decompose: vector length {psi.size} != dA*dB = {dA * dB}")
-    unit_norm(psi, "schmidt_decompose: input", max(tol.eig, 1e-8))
-    u, s, vh = np.linalg.svd(psi.reshape(dA, dB), full_matrices=False)
-    return s.copy(), u.copy(), vh.T.copy()

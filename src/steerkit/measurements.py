@@ -130,12 +130,12 @@ def computational_basis(d: int) -> MeasurementSetting:
 
 def fourier_mub_basis(d: int) -> MeasurementSetting:
     """The discrete-Fourier basis U[j, m] = omega^(jm)/sqrt(d), unbiased to
-    the computational basis: every cross overlap is exactly 1/d."""
+    the computational basis: every cross overlap is exactly 1/d. Each phase
+    is taken from jm mod d, so its error does not grow with jm."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
     k = np.arange(d)
-    return MeasurementSetting(f"X(d={d})", omega ** np.outer(k, k) / np.sqrt(d))
+    return MeasurementSetting(f"X(d={d})", np.exp(2j * np.pi * (np.outer(k, k) % d) / d) / np.sqrt(d))
 
 
 def basis_from_unitary(u, label: str = "unitary") -> MeasurementSetting:

@@ -46,15 +46,15 @@ class BipartitePureState:
 
     @functools.cached_property
     def schmidt_coeffs(self) -> np.ndarray:
-        """Descending Schmidt coefficients, read-only (one SVD, on first use)."""
-        coeffs = np.linalg.svd(self.coefficients, compute_uv=False)
+        """Descending Schmidt coefficients, read-only (those of the batch
+        of one, on first use)."""
+        coeffs = PureStates.of(self).schmidt_coeffs[0]
         coeffs.setflags(write=False)
         return coeffs
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True iff Bob's subdominant Schmidt mass sum_{m>0} c_m^2 exceeds
-        tol.rank1, the mass tolerance that decides purity."""
-        return float(np.sum(self.schmidt_coeffs[1:] ** 2)) > tol.rank1
+        """PureStates.entangled of the batch of one."""
+        return bool(PureStates.of(self).entangled(tol)[0])
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -68,18 +68,6 @@ class BipartitePureState:
         """rho_B = Psi^T Psi^*, without forming the bipartite density."""
         psi = self.coefficients
         return psi.T @ psi.conj()
-
-    def to_json(self) -> dict:
-        return {
-            "dims": [self.dA, self.dB],
-            "amplitudes": [[float(z.real), float(z.imag)] for z in self.vector],
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "BipartitePureState":
-        dA, dB = (int(x) for x in doc["dims"])
-        vec = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        return BipartitePureState(vec, dA, dB)
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,9 @@ class PureStates:
         return PureStates(self.coefficients[rows])
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """BipartitePureState.entangled of each state, as a bool array."""
+        """True for each state whose subdominant Schmidt mass sum_{m>0} c_m^2
+        exceeds tol.rank1, the mass tolerance that decides purity; a bool
+        array."""
         return np.sum(self.schmidt_coeffs[:, 1:] ** 2, axis=1) > tol.rank1
 
 
@@ -134,9 +124,6 @@ class MultiQubitPureState:
         vec = vec / unit_norm(vec, "state vector")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-
-    def density_matrix(self) -> np.ndarray:
-        return density(self.vector)
 
 
 def theta_state(theta: float) -> BipartitePureState:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile, row_keys, setting_sums
-from .linalg import DEFAULT_TOL, Tolerances, _strict_upper, kron, projector_distances
+from .linalg import DEFAULT_TOL, Tolerances, _strict_upper, projector_distances
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState, PureStates
@@ -461,7 +461,9 @@ def lhs_feasibility_lp(
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y}
 # xxx, xyy, yxy and yyx as read-only 8 x 8 matrices, built once.
-_GHZ_OPERATORS = np.array([kron(kron(_PAULI[a], _PAULI[b]), _PAULI[c]) for a, b, c in ("xxx", "xyy", "yxy", "yyx")])
+_GHZ_OPERATORS = np.array(
+    [np.kron(np.kron(_PAULI[a], _PAULI[b]), _PAULI[c]) for a, b, c in ("xxx", "xyy", "yxy", "yyx")]
+)
 _GHZ_OPERATORS.setflags(write=False)
 
 

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 
 from steerkit import steering
-from steerkit.assemblage import conditional_states
+from steerkit.assemblage import conditional_states, row_keys
 from steerkit.measurements import bloch_projectors
 from steerkit.states import density
 
@@ -87,7 +87,7 @@ def full_lp_system(asm, candidates):
     cands = [components(np.asarray(c)) for c in candidates]
     rows = [
         [vec[i] if strat[n] == a else 0.0 for vec in cands for strat in strategies]
-        for n, a in asm.index
+        for n, a in row_keys(asm.outcome_counts).tolist()
         for i in range(len(cands[0]))
     ]
     b = np.concatenate([components(m) for m in asm.stack])

@@ -133,9 +133,7 @@ def test_criterion_5_separable_lhs():
             asm = conditional_states(psi.density_matrix(), settings, (2, 2))
             model = separable_lhs_model(psi, settings)
             rec = lhs_reconstruct(model, settings)
-            dev = max(
-                max_entrywise_dev(rec.state(n, a), asm.state(n, a)) for (n, a) in asm.index
-            )
+            dev = max_entrywise_dev(rec.stack, asm.stack)
             assert dev <= 1e-10
             out = lhs_feasibility_lp(asm, default_candidates(asm))
             assert out.status == "FeasibleModelFound"

@@ -12,7 +12,7 @@ from steerkit.assemblage import (
     row_keys,
     setting_sums,
 )
-from steerkit.linalg import DEFAULT_TOL, is_rank_one, kron, partial_trace, trace_distance
+from steerkit.linalg import DEFAULT_TOL, is_rank_one, partial_trace, trace_distance
 from steerkit.measurements import (
     MeasurementSetting,
     angle_projectors,
@@ -46,7 +46,7 @@ def dense_reference(rho, settings_, dA, dB):
     eye_b = np.eye(dB, dtype=complex)
     return np.stack(
         [
-            partial_trace(kron(p, eye_b) @ rho, dA, dB, keep="B")
+            partial_trace(np.kron(p, eye_b) @ rho, dA, dB)
             for s in settings_
             for p in s.projectors
         ]
@@ -102,7 +102,7 @@ class TestConditionalStates:
             psi.density_matrix(), [computational_basis(d), fourier_mub_basis(d)], (d, d)
         )
         for m in range(d):
-            p = asm.probability(0, m)
+            p = np.trace(asm.state(0, m)).real
             assert abs(p - lam[m] ** 2) < 1e-12
             em = np.zeros(d, dtype=complex)
             em[m] = 1
@@ -185,11 +185,8 @@ class TestPurityProfile:
     def test_outcome_probabilities_theta(self):
         theta = 0.7
         rho = theta_state(theta).density_matrix()
-        asm = conditional_states(rho, [Z, X], (2, 2))
-        assert abs(asm.probability(0, 0) - np.cos(theta) ** 2) <= DEFAULT_TOL.eig
-        assert abs(asm.probability(0, 1) - np.sin(theta) ** 2) <= DEFAULT_TOL.eig
-        assert abs(asm.probability(1, 0) - 0.5) <= DEFAULT_TOL.eig
-        assert abs(asm.probability(1, 1) - 0.5) <= DEFAULT_TOL.eig
+        probs = np.trace(conditional_states(rho, [Z, X], (2, 2)).stack, axis1=1, axis2=2).real
+        assert np.max(np.abs(probs - [np.cos(theta) ** 2, np.sin(theta) ** 2, 0.5, 0.5])) <= DEFAULT_TOL.eig
 
 
 class TestPurityInvariant:
@@ -232,7 +229,7 @@ class TestDenseReference:
     def assert_matches(asm, rho, settings_, dA, dB):
         ref = dense_reference(rho, settings_, dA, dB)
         assert np.max(np.abs(asm.stack - ref)) <= 1e-12
-        assert np.max(np.abs(asm.bob_reduced - partial_trace(rho, dA, dB, "B"))) <= 1e-12
+        assert np.max(np.abs(asm.bob_reduced - partial_trace(rho, dA, dB))) <= 1e-12
         assert no_signalling_check(asm) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -275,15 +272,14 @@ class TestBatchedPurityChecks:
         asm = conditional_states(state, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
         prof = purity_profile(asm)
         assert prof.all_rank_one == pure
-        assert prof.index.tolist() == [list(key) for key in asm.index]
+        assert prof.index.tolist() == row_keys(asm.outcome_counts).tolist()
         normalized = []
-        for i, (n, a) in enumerate(asm.index):
-            rho = asm.state(n, a)
+        for i, rho in enumerate(asm.stack):
             flag, principal, residual = is_rank_one(rho)
             assert prof.rank_one[i] == flag
             assert abs(prof.residual_mass[i] - residual) <= 1e-12
             assert abs(abs(np.vdot(prof.principals[i], principal)) - 1) <= 1e-12
-            assert abs(prof.probabilities[i] - asm.probability(n, a)) <= 1e-12
+            assert abs(prof.probabilities[i] - np.trace(rho).real) <= 1e-12
             normalized.append(rho / prof.probabilities[i])
         m = len(normalized)
         assert prof.distance_matrix.shape == (m, m)
@@ -330,8 +326,18 @@ class TestBatchedPurityChecks:
         assert row_keys((2, 3)).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
         assert row_keys(()).shape == (0, 2)
         assert setting_sums(np.arange(5.0), (2, 3)).tolist() == [1.0, 9.0]
-        asm = conditional_states(theta_state(0.6), [Z, X, angle_projectors(0.3)], (2, 2))
-        assert asm.index == tuple(map(tuple, row_keys((2, 2, 2)).tolist()))
+
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
+    def test_state_reads_its_row(self, factored):
+        psi = theta_state(0.6)
+        asm = conditional_states(psi if factored else psi.density_matrix(), [Z, X, angle_projectors(0.3)], (2, 2))
+        assert (asm.factors is not None) == factored
+        for row, (n, a) in enumerate(row_keys(asm.outcome_counts).tolist()):
+            assert np.array_equal(asm.state(n, a), asm.stack[row])
+        # A negative index must not wrap around to a row from the end.
+        for n, a in [(-1, 0), (0, -1), (3, 0), (0, 2)]:
+            with pytest.raises(ValueError, match=f"no outcome {a} of setting {n}"):
+                asm.state(n, a)
 
     def test_row_keys_built_once_read_only(self):
         keys = row_keys((2, 3))
@@ -444,7 +450,7 @@ def reference_distances(asm, prof):
     """Per-pair trace distances of the profile's normalized states, each an
     eigendecomposition of the difference: the reference for the closed form
     purity_profile uses between rank-1 states."""
-    normalized = [asm.state(n, a) / asm.probability(n, a) for n, a in prof.index.tolist()]
+    normalized = [asm.state(n, a) / np.trace(asm.state(n, a)).real for n, a in prof.index.tolist()]
     m = len(normalized)
     ref = np.zeros((m, m))
     for i in range(m):

@@ -9,18 +9,15 @@ from steerkit.linalg import (
     Tolerances,
     hermitian_eig,
     is_rank_one,
-    kron,
     partial_trace,
     projector_distances,
-    schmidt_decompose,
     trace_distance,
 )
-from steerkit.states import density, ghz_state, theta_state
+from steerkit.states import BipartitePureState, density, ghz_state, theta_state
 
 K0 = np.array([1, 0], dtype=complex)
 K1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -51,42 +48,19 @@ class TestTolerances:
             Tolerances(lp=np.nan)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(kron(SZ, SZ), np.diag([1, -1, -1, 1]))
-
-    def test_block_structure(self):
-        # |0><0| (x) sigma_x: sigma_x in the top-left 2x2 block, zeros elsewhere
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 1] = expected[1, 0] = 1
-        assert np.allclose(kron(density(K0), SX), expected)
-
-    def test_associativity_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-            b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-            c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= DEFAULT_TOL.eig
-
-
 class TestPartialTrace:
     def test_theta_pi4_reduced(self):
         rho = theta_state(np.pi / 4).density_matrix()
-        assert np.allclose(partial_trace(rho, 2, 2, "B"), np.eye(2) / 2)
+        assert np.allclose(partial_trace(rho, 2, 2), np.eye(2) / 2)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(3)
         ra, rb = random_density(rng, 3), random_density(rng, 2)
-        assert np.allclose(partial_trace(kron(ra, rb), 3, 2, "B"), np.trace(ra) * rb)
-        assert np.allclose(partial_trace(kron(ra, rb), 3, 2, "A"), np.trace(rb) * ra)
+        assert np.allclose(partial_trace(np.kron(ra, rb), 3, 2), np.trace(ra) * rb)
 
     def test_ghz_split_1_23(self):
-        rho = ghz_state().density_matrix()
-        assert np.allclose(partial_trace(rho, 2, 4, "B"), np.diag([0.5, 0, 0, 0.5]))
+        rho = density(ghz_state().vector)
+        assert np.allclose(partial_trace(rho, 2, 4), np.diag([0.5, 0, 0, 0.5]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="3\\*3"):
@@ -97,10 +71,10 @@ class TestPartialTrace:
         for dA, dB in [(2, 2), (2, 3), (3, 2)]:
             x = random_hermitian(rng, dA * dB)
             y = random_hermitian(rng, dA * dB)
-            lhs = partial_trace(2 * x - 0.5 * y, dA, dB, "B")
-            rhs = 2 * partial_trace(x, dA, dB, "B") - 0.5 * partial_trace(y, dA, dB, "B")
+            lhs = partial_trace(2 * x - 0.5 * y, dA, dB)
+            rhs = 2 * partial_trace(x, dA, dB) - 0.5 * partial_trace(y, dA, dB)
             assert np.max(np.abs(lhs - rhs)) <= DEFAULT_TOL.eig
-            assert abs(np.trace(partial_trace(x, dA, dB, "B")) - np.trace(x)) <= DEFAULT_TOL.eig
+            assert abs(np.trace(partial_trace(x, dA, dB)) - np.trace(x)) <= DEFAULT_TOL.eig
 
 
 class TestHermitianEig:
@@ -313,26 +287,27 @@ class TestProjectorDistances:
 
 
 class TestSchmidtDecompose:
+    """Schmidt coefficients of BipartitePureState, from PureStates' batched SVD."""
+
     def test_theta_pi6(self):
-        coeffs, _, _ = schmidt_decompose(theta_state(np.pi / 6).vector, 2, 2)
+        coeffs = theta_state(np.pi / 6).schmidt_coeffs
         assert np.allclose(coeffs, [np.sqrt(3) / 2, 0.5])
 
     def test_product_state(self):
         beta = np.array([np.cos(0.7), np.sin(0.7) * 1j])
-        psi = np.kron(K0, beta)
-        coeffs, _, _ = schmidt_decompose(psi, 2, 2)
+        coeffs = BipartitePureState(np.kron(K0, beta), 2, 2).schmidt_coeffs
         assert coeffs[0] >= 1 - DEFAULT_TOL.eig
         assert np.all(coeffs[1:] <= DEFAULT_TOL.eig)
 
     def test_reconstruction(self):
+        # The squared coefficients are the spectrum of Bob's reduced state.
         rng = np.random.default_rng(17)
         psi = rng.normal(size=12) + 1j * rng.normal(size=12)
-        psi /= np.linalg.norm(psi)
-        coeffs, left, right = schmidt_decompose(psi, 3, 4)
-        rebuilt = sum(
-            coeffs[m] * np.kron(left[:, m], right[:, m]) for m in range(coeffs.size)
-        )
-        assert np.max(np.abs(rebuilt - psi)) <= DEFAULT_TOL.eig
+        psi = BipartitePureState(psi / np.linalg.norm(psi), 3, 4)
+        coeffs = psi.schmidt_coeffs
+        w, _ = hermitian_eig(psi.reduced_bob())
+        assert np.max(np.abs(w[: coeffs.size] - coeffs**2)) <= DEFAULT_TOL.eig
+        assert np.max(np.abs(w[coeffs.size :])) <= DEFAULT_TOL.eig
         assert abs(np.sum(coeffs**2) - 1) <= DEFAULT_TOL.eig
         assert np.all(np.diff(coeffs) <= 1e-12)
 
@@ -342,9 +317,9 @@ class TestSchmidtDecompose:
             a = rng.normal(size=3) + 1j * rng.normal(size=3)
             b = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-            coeffs, _, _ = schmidt_decompose(psi, 3, 4)
+            coeffs = BipartitePureState(psi, 3, 4).schmidt_coeffs
             assert np.sum(coeffs >= 1 - DEFAULT_TOL.eig) == 1
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="norm"):
-            schmidt_decompose(np.ones(4), 2, 2)
+            BipartitePureState(np.ones(4), 2, 2)

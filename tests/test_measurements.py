@@ -168,6 +168,15 @@ class TestConstructorsAgainstClosedForms:
     def test_fourier_d100_orthonormal(self):
         assert validate_setting(fourier_mub_basis(100)).orthonormality <= 1e-13
 
+    def test_fourier_entries_exact_at_large_d(self):
+        # U[j, m] depends on jm mod d alone. As a power omega^(jm), entries
+        # drift by 4e-12 at d = 2000 and validate_setting rejects the basis.
+        d = 2000
+        u, k = fourier_mub_basis(d).vectors, np.arange(d)
+        for lo in range(0, d, 250):
+            phases = np.outer(k[lo : lo + 250], k) % d
+            assert np.max(np.abs(u[lo : lo + 250] - u[1, phases])) <= 1e-15
+
     def test_stored_read_only(self):
         s = fourier_mub_basis(3)
         with pytest.raises(ValueError):

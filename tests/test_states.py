@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steerkit.linalg import DEFAULT_TOL, hermitian_eig, partial_trace, schmidt_decompose, unit_norm
+from steerkit.linalg import DEFAULT_TOL, hermitian_eig, partial_trace, unit_norm
 from steerkit.measurements import bloch_projectors
 from steerkit.states import (
     BipartitePureState,
@@ -127,8 +127,8 @@ class TestGhzState:
         assert abs(psi.vector[7] - 1 / np.sqrt(2)) < 1e-12
 
     def test_single_qubit_reduced(self):
-        rho = ghz_state().density_matrix()
-        assert np.allclose(partial_trace(rho, 2, 4, "A"), np.eye(2) / 2)
+        rho = density(ghz_state().vector)
+        assert np.allclose(partial_trace(rho, 4, 2), np.eye(2) / 2)
 
 
 class TestDensity:
@@ -171,9 +171,8 @@ class TestUnitNorm:
             lambda: separable_state([np.nan, 1.0]),
             lambda: density([np.nan, 1.0]),
             lambda: bloch_projectors([np.nan, 0, 1]),
-            lambda: schmidt_decompose(np.array([np.nan, 0, 0, 1]), 2, 2),
         ],
-        ids=["bipartite", "multi-qubit", "qudit-schmidt", "separable", "density", "bloch", "schmidt-decompose"],
+        ids=["bipartite", "multi-qubit", "qudit-schmidt", "separable", "density", "bloch"],
     )
     def test_nan_rejected(self, build):
         with pytest.raises(ValueError, match="norm nan is not 1"):
@@ -184,8 +183,6 @@ class TestUnitNorm:
         for bad in (1 + 2e-8, np.inf, np.nan):
             with pytest.raises(ValueError, match="^v norm"):
                 unit_norm([bad], "v")
-        # schmidt_decompose keeps its looser max(tol.eig, 1e-8) bound.
-        assert unit_norm([1 + 5e-8], "v", atol=1e-7) == 1 + 5e-8
 
     def test_schmidt_coefficients_bounded_by_their_norm(self):
         lam = np.array([0.8, 0.6]) * (1 + 9e-9)  # square sum 1 + 1.8e-8
@@ -193,11 +190,3 @@ class TestUnitNorm:
         with pytest.raises(ValueError, match="Schmidt coefficient vector norm"):
             qudit_schmidt_state(np.array([0.8, 0.6]) * (1 + 2e-8))
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        psi = theta_state(0.8)
-        doc = psi.to_json()
-        back = BipartitePureState.from_json(doc)
-        assert back.dA == 2 and back.dB == 2
-        assert np.max(np.abs(back.vector - psi.vector)) < 1e-15
