@@ -11,6 +11,7 @@ from .linalg import (
     _SHAPE_CACHE,
     DEFAULT_TOL,
     Tolerances,
+    _strict_upper,
     is_rank_one,
     partial_trace,
     projector_distances,
@@ -199,14 +200,19 @@ def no_signalling_check(a):
     a is an Assemblage, or a list of assemblages of one row layout whose
     deviations then come as a list, in order, from one computation. When
     every assemblage is factored, setting n's sum is W_n^T conj(W_n) for its
-    factor rows W_n, one dB x dB product per setting.
+    factor rows W_n, all from one batched product.
     """
     batch = _batch(a)
     counts, bobs = batch[0].outcome_counts, _stack([x.bob_reduced for x in batch])
     if all(x.factors is not None for x in batch):
         w = _stack([x.factors for x in batch])
-        bounds = np.cumsum((0, *counts))
-        sums = np.stack([w[:, lo:hi].swapaxes(1, 2) @ w[:, lo:hi].conj() for lo, hi in zip(bounds, bounds[1:])], 1)
+        shape = (len(batch), len(counts), max(counts), w.shape[2])
+        if shape[1] * shape[2] == w.shape[1]:  # every setting has max(counts) outcomes
+            v = w.reshape(shape)
+        else:  # zero rows pad each setting to max(counts)
+            v, keys = np.zeros(shape, dtype=complex), row_keys(counts)
+            v[:, keys[:, 0], keys[:, 1]] = w
+        sums = v.swapaxes(2, 3) @ v.conj()
     else:
         sums = setting_sums(_stack([x.stack for x in batch]), counts, axis=1)
     dev = np.max(np.abs(sums - bobs[:, None]), axis=(1, 2, 3))
@@ -246,7 +252,7 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
     counts = batch[0].outcome_counts
     if factored := all(x.factors is not None for x in batch):
         w = _stack([x.factors for x in batch])
-        probs = np.sum(w.real**2 + w.imag**2, axis=2)
+        probs = (w.real**2 + w.imag**2).sum(axis=2)
     else:
         stacks = _stack([x.stack for x in batch])
         probs = np.trace(stacks, axis1=2, axis2=3).real
@@ -258,29 +264,32 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
     profiles = [None] * len(batch)
     for members in groups.values():
         mask = live[members[0]]
-        rows = np.zeros(live.shape, dtype=bool)
-        rows[members] = mask
         g, m, d = len(members), np.count_nonzero(mask), batch[0].dims[1]
+        rows, index = slice(None), keys
+        if g < len(batch) or m < len(keys):  # the group drops states or rows
+            rows, index = np.zeros(live.shape, dtype=bool), keys[mask]
+            rows[members] = mask
         if factored:
-            principals = (w[rows] / np.sqrt(probs[rows])[:, None]).reshape(g, m, d)
+            principals = (w[rows] / np.sqrt(probs[rows])[..., None]).reshape(g, m, d)
             flags, residuals = np.ones((g, m), dtype=bool), np.zeros((g, m))
         else:
-            states = stacks.reshape(-1, d, d) if rows.all() else stacks[rows]  # member by member
+            states = stacks[rows]
             flags, principals, residuals = is_rank_one(states, tol)
             flags, principals, residuals = flags.reshape(g, m), principals.reshape(g, m, d), residuals.reshape(g, m)
-        normalized = None if flags.all() else (states / probs[rows, None, None]).reshape(g, m, d, d)
+        all_rank_one = flags.all(axis=1).tolist()
         dist = projector_distances(principals)
-        for j, i in zip(*np.nonzero(~flags)):
-            # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
-            cols = np.flatnonzero((np.arange(m) > i) | flags[j])
-            if cols.size:
-                dist[j, i, cols] = dist[j, cols, i] = trace_distance(normalized[j, i], normalized[j, cols], tol)
+        if not all(all_rank_one):
+            normalized = (states / probs[rows][..., None, None]).reshape(g, m, d, d)
+            for j, i in zip(*np.nonzero(~flags)):
+                # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
+                cols = np.flatnonzero((np.arange(m) > i) | flags[j])
+                if cols.size:
+                    dist[j, i, cols] = dist[j, cols, i] = trace_distance(normalized[j, i], normalized[j, cols], tol)
         summaries = zip(
-            flags.all(axis=1).tolist(),
+            all_rank_one,
             residuals.max(axis=1, initial=0.0).tolist(),
-            (dist + np.diag(np.full(m, np.inf))).min(axis=(1, 2), initial=np.inf).tolist(),
+            dist.min(axis=(1, 2), where=_strict_upper(m), initial=np.inf).tolist(),
         )
-        index = keys[mask]
         for j, (p, summary) in enumerate(zip(members, summaries)):
             profiles[p] = PurityProfile(probs[p], index, flags[j], residuals[j], principals[j], dist[j], *summary)
     return profiles[0] if isinstance(a, Assemblage) else profiles

@@ -134,16 +134,23 @@ def projector_distances(vecs: np.ndarray) -> np.ndarray:
     The distance is sqrt(1 - |G_ij|^2) for the Gram matrix G = V^* V^T, one
     product; an error eps in |G_ij|^2 moves it by about eps / (2 dist), below
     1e-12 where dist >= _GRAM_CLOSE. Closer pairs, where the square root
-    cancels, take the norm of v_j's component orthogonal to v_i, which keeps
-    full accuracy. An (..., m, d) stack gives the (..., m, m) distances
-    within each set of m vectors.
+    cancels, take the norm of v_j's component orthogonal to v_i, from their
+    overlap taken afresh, which keeps full accuracy. An (..., m, d) stack
+    gives the (..., m, m) distances within each set of m vectors. G is
+    squared in place and freed before the symmetrizing add, so the peak is
+    G and one (..., m, m) float array.
     """
     upper = _strict_upper(vecs.shape[-2])
-    g = vecs.conj() @ vecs.swapaxes(-1, -2)
-    dist = np.sqrt(np.maximum(0.0, 1.0 - (g.real**2 + g.imag**2))) * upper
-    *lead, i, j = np.nonzero((dist < _GRAM_CLOSE) & upper)
-    if i.size:
-        r = vecs[(*lead, j)] - g[(*lead, i, j)][:, None] * vecs[(*lead, i)]
+    g = (vecs.conj() @ vecs.swapaxes(-1, -2)).astype(complex, copy=False).view(float)
+    np.square(g, out=g)
+    dist = np.add(g[..., ::2], g[..., 1::2])  # |G_ij|^2
+    del g
+    np.sqrt(np.maximum(np.subtract(1.0, dist, out=dist), 0.0, out=dist), out=dist)
+    dist *= upper
+    if (close := (dist < _GRAM_CLOSE) & upper).any():
+        *lead, i, j = np.nonzero(close)
+        vi, vj = vecs[(*lead, i)], vecs[(*lead, j)]
+        r = vj - np.sum(vi.conj() * vj, axis=-1)[:, None] * vi
         dist[(*lead, i, j)] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
     return dist + dist.swapaxes(-1, -2)
 

@@ -99,7 +99,8 @@ class ReportDocument:
     duration_s: float
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2)
+        """One line: without indent, json.dumps runs its C encoder."""
+        return json.dumps(vars(self))
 
     @staticmethod
     def from_json(text: str) -> "ReportDocument":

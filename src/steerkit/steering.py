@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, PurityProfile, conditional_states, purity_profile, row_keys, setting_sums
+from .assemblage import Assemblage, PurityProfile, _stack, conditional_states, purity_profile, row_keys, setting_sums
 from .linalg import DEFAULT_TOL, Tolerances, _strict_upper, projector_distances
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
@@ -176,7 +176,7 @@ class ParadoxCertificate:
             "contradiction_magnitude": self.contradiction_magnitude,
             "collapsed_assignments": [
                 {"setting": n, "outcome": a, "hidden": xi}
-                for (n, a), xi in self.collapsed_assignments.items()
+                for xi, (n, a) in enumerate([] if self.purity is None else self.purity.index.tolist(), start=1)
             ],
             "tolerances": dict(vars(self.tolerances)),
         }
@@ -291,8 +291,8 @@ def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
         profiles = purity_profile(live, tol)
         for prof in profiles:
             _require_collapsible(prof, tol)
-        lhs = np.sum([prof.probabilities for prof in profiles], axis=1).tolist()
-        quantum = np.trace([asm.bob_reduced for asm in live], axis1=1, axis2=2).real.tolist()
+        lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
+        quantum = _stack([asm.bob_reduced for asm in live]).trace(axis1=1, axis2=2).real.tolist()
         verdicts = zip(live, profiles, lhs, quantum)
     note = "k-setting extension of the two-setting collapse" if k > 2 else None
     certs = []

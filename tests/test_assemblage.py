@@ -422,6 +422,28 @@ class TestFactoredAssemblages:
         settings_ = [Z, X, bloch_projectors([0, 1, 0]), bloch_projectors(n / np.linalg.norm(n))][:k]
         self.assert_matches_dense(self.schmidt_state(rng, 2, rotate), settings_)
 
+    @pytest.mark.parametrize("counts", [(3, 3), (3, 1)])
+    def test_no_signalling_matches_dense(self, counts):
+        # Factored members of one batch, one with a factor row scaled by 1.1;
+        # (3, 1) keeps the first four rows, as an assemblage built directly.
+        # Rotated states, so that rho_B is complex and not symmetric.
+        rng = np.random.default_rng(4)
+        states = [self.schmidt_state(rng, 3, rotate=True) for _ in range(3)]
+        settings_ = [computational_basis(3), fourier_mub_basis(3)]
+        asms = conditional_states(PureStates.of(*states), settings_, (3, 3))
+        scale = np.ones((sum(counts), 1))
+        scale[0] = 1.1
+        batch = [
+            Assemblage(asm.setting_labels, counts, None, asm.bob_reduced, asm.dims, asm.factors[: sum(counts)] * s)
+            for asm, s in zip(asms, (1, scale, 1))
+        ]
+        dense = [Assemblage(x.setting_labels, counts, x.stack, x.bob_reduced, x.dims) for x in batch]
+        got, want = no_signalling_check(batch), [no_signalling_check(x) for x in dense]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 and got[1] > 0.01
+        assert [no_signalling_check(x) for x in batch] == got
+        if counts == (3, 3):
+            assert max(got[0], got[2]) <= 1e-12
+
     def test_stack_formed_on_first_read(self):
         asm = conditional_states(theta_state(np.pi / 4), [Z, X], (2, 2))
         assert "stack" not in vars(asm) and np.allclose(np.linalg.norm(asm.factors, axis=1) ** 2, 0.5)

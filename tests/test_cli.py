@@ -403,6 +403,11 @@ class TestReportDocument:
         back = ReportDocument.from_json(text)
         assert back.to_json() == text
 
+    def test_json_is_one_line(self):
+        doc, _ = run(RunConfig(scenario="paradox-qubit", theta=0.7, settings="z,x"))
+        text = doc.to_json()
+        assert "\n" not in text and json.loads(text) == vars(doc)
+
     def test_text_format(self):
         doc, _ = run(RunConfig(scenario="ghz", format="text"))
         text = doc.to_text()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,25 @@ class TestProjectorDistances:
         v = np.array([[1, 1j, 0], [1j, -1, 0], [0, 0, 1]]) / np.array([[2**0.5], [2**0.5], [1]])
         dist = projector_distances(v)
         assert dist[0, 1] <= 1e-15 and dist[0, 2] == pytest.approx(1.0, abs=1e-15)
+
+    def test_real_vectors(self):
+        v = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1e-9]])
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(projector_distances(v), projector_distances(v.astype(complex)))
+
+    def test_peak_memory_bounded(self):
+        # The complex Gram matrix takes two result sizes and the squared
+        # distances a third; nothing else of that size may be alive at once.
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(800, 100)) + 1j * rng.normal(size=(800, 100))
+        vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+        tracemalloc.start()
+        try:
+            dist = projector_distances(vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * dist.nbytes
 
 
 class TestSchmidtDecompose:
