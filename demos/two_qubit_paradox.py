@@ -21,17 +21,18 @@ theta = np.pi / 6
 psi = theta_state(theta)
 settings = [bloch_projectors([0, 0, 1]), bloch_projectors([1, 0, 0])]
 
-# Bob's states come straight from the 2x2 coefficient matrix of psi; a
-# density matrix on the two qubits would be accepted too.
+# Bob's states come straight from the 2x2 coefficient matrix of psi: the
+# assemblage holds one vector w_a per outcome, and each state w_a w_a^dag is
+# rank one by construction.
 asm = conditional_states(psi, settings, (2, 2))
 print(f"state: cos({theta:.4f})|00> + sin({theta:.4f})|11>")
 print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 
-# The profile's arrays follow the assemblage's rows; index and
-# residual_mass cover the nonvacuous ones, here all four.
+# The profile's probabilities follow the assemblage's rows; index covers
+# the nonvacuous ones, here all four.
 prof = purity_profile(asm)
-for (n, a), p, residual in zip(prof.index.tolist(), prof.probabilities, prof.residual_mass):
-    print(f"  setting {n} outcome {a}: p = {p:.4f}, rank-1 residual = {residual:.2e}")
+for (n, a), p in zip(prof.index.tolist(), prof.probabilities):
+    print(f"  setting {n} outcome {a}: p = {p:.4f}")
 print(f"min pairwise trace distance: {prof.min_distance:.4f}")
 
 cert = pure_state_paradox(psi, settings)

@@ -1,14 +1,7 @@
 """steerkit: quantum steering assemblages, local-hidden-state models, and
 the k-vs-1 trace contradiction for bipartite pure entangled states."""
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    hermitian_eig,
-    is_rank_one,
-    partial_trace,
-    trace_distance,
-)
+from .linalg import DEFAULT_TOL, Tolerances, partial_trace
 from .states import (
     BipartitePureState,
     MultiQubitPureState,
@@ -43,7 +36,6 @@ from .steering import (
     GhzExpectations,
     LHSModel,
     ParadoxCertificate,
-    ParadoxInvariantError,
     default_candidates,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,

@@ -12,10 +12,8 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _strict_upper,
-    is_rank_one,
     partial_trace,
     projector_distances,
-    trace_distance,
 )
 from .measurements import MeasurementSetting, validate_setting
 from .states import BipartitePureState, PureStates
@@ -114,34 +112,27 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PurityProfile:
-    """Purity and distinctness of an assemblage's conditional states.
+    """Purity and distinctness of a factored assemblage's conditional states.
 
     probabilities covers every row, in assemblage row order. A row with
     probability at most tol.rank1 is vacuous; the other fields cover the
     nonvacuous rows only, in the same order, and describe the normalized
     states.
 
-    On a factored assemblage every row is w_a w_a^dag: its principal is
-    w_a / |w_a|, it is rank 1 by construction, and its residual_mass is
-    exactly 0, not a bound. On a dense one, residual_mass is an upper bound
-    r on a state's subdominant eigenvalue mass, and the state lies within
-    trace distance r of its principal projector (within delta = r/3 where
-    is_rank_one's witness accepts it). Between two rank-1 states the
-    distance is that of these projectors, so it is within r_i + r_j <= 2 *
-    tol.rank1 (delta_i + delta_j for witness states) of the states' own
-    trace distance, whatever the dimension. Every pair involving a state
-    that is not rank 1 is an eigendecomposition of the difference.
+    Every row is w_a w_a^dag: its principal is w_a / |w_a|, it is rank 1 by
+    construction, so rank_one is all true and residual_mass all 0, and the
+    trace distance between two rows is that of their principal projectors.
     all_rank_one, max_residual_mass and min_distance sum up.
     """
 
     probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
     index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
-    rank_one: np.ndarray  # (m,) bool
-    residual_mass: np.ndarray  # (m,) bound on the subdominant eigenvalue mass, 0 if factored
-    principals: np.ndarray  # (m, dB) normalized factors, witness vectors or top eigenvectors
+    rank_one: np.ndarray  # (m,) bool, all true
+    residual_mass: np.ndarray  # (m,) subdominant eigenvalue mass, all 0
+    principals: np.ndarray  # (m, dB) normalized factors
     distance_matrix: np.ndarray  # (m, m) pairwise trace distances
     all_rank_one: bool
-    max_residual_mass: float  # largest residual_mass, 0 with no nonvacuous row
+    max_residual_mass: float
     min_distance: float  # smallest off-diagonal distance, inf with fewer than two rows
 
 
@@ -236,28 +227,22 @@ def _stack(arrays: list) -> np.ndarray:
 
 
 def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
-    """Classify every conditional state as rank-1 / mixed / vacuous and
-    compute pairwise trace distances of the normalized nonvacuous states.
+    """Flag the vacuous conditional states and compute pairwise trace
+    distances of the normalized nonvacuous ones.
 
-    a is an Assemblage, or a list of assemblages of one row layout whose
-    profiles then come as a list, in order. The assemblages that share
-    their nonvacuous rows go together. When every assemblage is factored,
-    each row's probability, principal and rank come from its factor w_a
-    (see PurityProfile). Otherwise one is_rank_one call checks all states of
-    a group (no eigendecomposition for pure inputs). Pairs of rank-1 states
-    take their distance from the principal vectors, and each other state's
-    row is one batched trace_distance.
+    a is a factored Assemblage, or a list of them of one row layout whose
+    profiles then come as a list, in order; a dense assemblage raises
+    TypeError. Each row's probability and principal come from its factor
+    w_a (see PurityProfile). The assemblages that share their nonvacuous
+    rows go together, one projector_distances call per group.
     """
     batch = _batch(a)
-    counts = batch[0].outcome_counts
-    if factored := all(x.factors is not None for x in batch):
-        w = _stack([x.factors for x in batch])
-        probs = (w.real**2 + w.imag**2).sum(axis=2)
-    else:
-        stacks = _stack([x.stack for x in batch])
-        probs = np.trace(stacks, axis1=2, axis2=3).real
+    if any(x.factors is None for x in batch):
+        raise TypeError("purity_profile needs factored assemblages (of pure states), got a dense one")
+    w = _stack([x.factors for x in batch])
+    probs = (w.real**2 + w.imag**2).sum(axis=2)
     live = probs > tol.rank1
-    keys = row_keys(counts)
+    keys = row_keys(batch[0].outcome_counts)
     groups = {}
     for p, row in enumerate(live):
         groups.setdefault(row.tobytes(), []).append(p)
@@ -269,27 +254,12 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
         if g < len(batch) or m < len(keys):  # the group drops states or rows
             rows, index = np.zeros(live.shape, dtype=bool), keys[mask]
             rows[members] = mask
-        if factored:
-            principals = (w[rows] / np.sqrt(probs[rows])[..., None]).reshape(g, m, d)
-            flags, residuals = np.ones((g, m), dtype=bool), np.zeros((g, m))
-        else:
-            states = stacks[rows]
-            flags, principals, residuals = is_rank_one(states, tol)
-            flags, principals, residuals = flags.reshape(g, m), principals.reshape(g, m, d), residuals.reshape(g, m)
-        all_rank_one = flags.all(axis=1).tolist()
+        principals = (w[rows] / np.sqrt(probs[rows])[..., None]).reshape(g, m, d)
         dist = projector_distances(principals)
-        if not all(all_rank_one):
-            normalized = (states / probs[rows][..., None, None]).reshape(g, m, d, d)
-            for j, i in zip(*np.nonzero(~flags)):
-                # Later states and earlier rank-1 ones; earlier mixed rows did the rest.
-                cols = np.flatnonzero((np.arange(m) > i) | flags[j])
-                if cols.size:
-                    dist[j, i, cols] = dist[j, cols, i] = trace_distance(normalized[j, i], normalized[j, cols], tol)
-        summaries = zip(
-            all_rank_one,
-            residuals.max(axis=1, initial=0.0).tolist(),
-            dist.min(axis=(1, 2), where=_strict_upper(m), initial=np.inf).tolist(),
-        )
-        for j, (p, summary) in enumerate(zip(members, summaries)):
-            profiles[p] = PurityProfile(probs[p], index, flags[j], residuals[j], principals[j], dist[j], *summary)
+        min_distances = dist.min(axis=(1, 2), where=_strict_upper(m), initial=np.inf).tolist()
+        rank_one, residual_mass = np.ones(m, dtype=bool), np.zeros(m)
+        for j, (p, min_distance) in enumerate(zip(members, min_distances)):
+            profiles[p] = PurityProfile(
+                probs[p], index, rank_one, residual_mass, principals[j], dist[j], True, 0.0, min_distance
+            )
     return profiles[0] if isinstance(a, Assemblage) else profiles

@@ -14,7 +14,6 @@ from dataclasses import MISSING, fields
 
 from .linalg import Tolerances
 from .report import (
-    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     SCENARIOS,
@@ -22,7 +21,6 @@ from .report import (
     RunConfig,
     run,
 )
-from .steering import ParadoxInvariantError
 
 
 def _run_inputs() -> dict:
@@ -110,9 +108,6 @@ def main(argv=None) -> int:
     try:
         doc, code = run(cfg)
         _emit(doc, cfg)
-    except ParadoxInvariantError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -18,7 +18,6 @@ __all__ = [
     "hermitian_eig",
     "trace_distance",
     "projector_distances",
-    "is_rank_one",
     "herm_deviation",
     "unit_norm",
 ]
@@ -28,10 +27,12 @@ __all__ = [
 class Tolerances:
     """Numeric thresholds used across the toolkit.
 
-    herm     : max entrywise deviation allowed from M = M^dagger
+    herm     : max entrywise deviation from M = M^dagger that hermitian_eig
+               and trace_distance allow
     eig      : residual allowed in eigen reconstructions and basis checks
     state_eq : trace-distance threshold below which two states count as equal
-    rank1    : subdominant eigenvalue mass below which a state counts as pure
+    rank1    : subdominant Schmidt mass above which a pure state is entangled,
+               and outcome probability up to which a conditional state is vacuous
     lp       : residual threshold for LP feasibility and LHS-model checks
     """
 
@@ -92,6 +93,7 @@ def partial_trace(rho, dA: int, dB: int) -> np.ndarray:
     return np.einsum("imin->mn", rho.reshape(dA, dB, dA, dB))
 
 
+# Kept because bench/tracing.py wraps it.
 def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
@@ -103,6 +105,7 @@ def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL):
     return w[..., ::-1], v[..., ::-1]
 
 
+# Kept because bench/tracing.py wraps it.
 def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     """Trace distance (1/2)||rho - sigma||_1 for Hermitian inputs; stacks
     broadcast over leading axes and give an array of distances."""
@@ -116,8 +119,6 @@ def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
 
 _GRAM_CLOSE = 1e-3  # closer pairs take their distance from residuals
 _SHAPE_CACHE = 64  # shapes whose constant arrays (masks, index arrays) are kept
-_WITNESS_ENTRIES = 1 << 15  # entries per witness block: 512 KB of complex, so a block
-# and its temporaries stay in a 2 MB L2 cache (4 MB blocks ran 15-25% slower)
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
@@ -153,53 +154,3 @@ def projector_distances(vecs: np.ndarray) -> np.ndarray:
         r = vj - np.sum(vi.conj() * vj, axis=-1)[:, None] * vi
         dist[(*lead, i, j)] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
     return dist + dist.swapaxes(-1, -2)
-
-
-def is_rank_one(rho, tol: Tolerances = DEFAULT_TOL):
-    """Test whether a PSD matrix, or each in a stack, is rank one up to
-    tolerance. Returns (flag, principal vector, residual_mass) as numpy
-    values; residual_mass bounds sum_{i>=1} |l_i| / tr rho from above.
-    Zero-trace input is rejected: it signals a probability-zero outcome.
-
-    The witness, O(d^2) per matrix: t = tr rho, v the unit column with the
-    largest diagonal entry, R = rho/t - vv^dag (of rho's Hermitian part,
-    formed explicitly) and delta = sqrt(d)/2 ||R||_F >= T = ||R||_1 / 2. As
-    R is traceless, 1 - l_0/t <= T and the negative l_i sum to >= -tT, so
-    sum_{i>=1} |l_i| / t <= 3T, l_min >= -tT and l_0 >= t (1 - T). Matrices
-    with t > tol.rank1, 3 delta <= tol.rank1 and t delta <= tol.eig *
-    max(1, t (1 - delta)) thus pass both checks of the eigendecomposition
-    (rank one, PSD within tol.eig) and take residual 3 delta and principal
-    v; the others go through hermitian_eig, in one call.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"is_rank_one input must be square, got shape {rho.shape}")
-    d = rho.shape[-1]
-    flat = rho.reshape(-1, d, d)
-    principal, residual = np.empty(flat.shape[:2], dtype=complex), np.empty(len(flat))
-    accept, step = np.zeros(len(flat), dtype=bool), max(1, _WITNESS_ENTRIES // max(1, d * d))
-    for s in range(0, len(flat), step):
-        block = _require_hermitian(flat[s : s + step], tol, "is_rank_one input")
-        diag = np.diagonal(block, axis1=1, axis2=2).real.copy()  # rows summed in order, whatever the layout
-        t = diag.sum(axis=1)
-        col = block[np.arange(len(block)), :, diag.argmax(axis=1)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = col / np.sqrt(np.sum(col.real**2 + col.imag**2, axis=1))[:, None]
-            a = np.sqrt(t)[:, None] * v  # t R = block - a a^dag
-            r = (block - a[:, :, None] * a.conj()[:, None, :]).reshape(len(block), -1).view(float)
-            delta = 0.5 * np.sqrt(d) * np.sqrt(np.einsum("ij,ij->i", r, r)) / t
-        principal[s : s + step], residual[s : s + step] = v, 3 * delta
-        psd = t * delta <= tol.eig * np.maximum(1.0, t * (1 - delta))
-        accept[s : s + step] = (t > tol.rank1) & (3 * delta <= tol.rank1) & psd
-    if (rest := np.flatnonzero(~accept)).size:
-        w, vecs = hermitian_eig(flat[rest], tol)
-        not_psd = w[:, -1] < -tol.eig * np.maximum(1.0, np.max(np.abs(w), axis=-1))
-        if np.any(not_psd):
-            raise ValueError(f"is_rank_one: input not PSD, min eigenvalue {np.min(w[not_psd, -1]):.3e}")
-        tr = np.sum(w, axis=-1)
-        if np.any(tr <= tol.rank1):
-            raise ValueError(f"is_rank_one: trace {np.min(tr):.3e} is not positive")
-        principal[rest], residual[rest] = vecs[..., 0], np.sum(np.abs(w[:, 1:]), axis=-1) / tr
-    residual = residual.reshape(rho.shape[:-2])[()]
-    return residual <= tol.rank1, principal.reshape(rho.shape[:-1]), residual
-

@@ -20,7 +20,6 @@ from .states import BipartitePureState, MultiQubitPureState, PureStates
 __all__ = [
     "CoincidentSettingsError",
     "DegenerateSettingGeometryError",
-    "ParadoxInvariantError",
     "LHSModel",
     "ParadoxCertificate",
     "FeasibilityOutcome",
@@ -42,10 +41,6 @@ class CoincidentSettingsError(ValueError):
 class DegenerateSettingGeometryError(ValueError):
     """Entangled input but some normalized conditional states coincide, so
     the single-term collapse step cannot be applied as stated."""
-
-
-class ParadoxInvariantError(RuntimeError):
-    """A numerical invariant the theorem guarantees failed its tolerance."""
 
 
 def _require_states(stack: np.ndarray, tol: Tolerances, what: str) -> None:
@@ -329,17 +324,8 @@ def _coinciding_pair(settings: tuple, state_eq: float):
 
 
 def _require_collapsible(prof: PurityProfile, tol: Tolerances) -> None:
-    """Raise unless every nonvacuous conditional state is rank 1 and no two
-    coincide, as the single-term collapse needs."""
-    if not prof.all_rank_one:
-        bad = np.flatnonzero(~prof.rank_one)
-        worst = bad[np.argmax(prof.residual_mass[bad])]
-        n, a = prof.index[worst]
-        raise ParadoxInvariantError(
-            f"conditional state for setting {n}, outcome {a} is not rank-1 "
-            f"(residual mass {prof.residual_mass[worst]:.3e}); purity is guaranteed "
-            "for pure entangled inputs, so this is a numerical failure"
-        )
+    """Raise unless no two nonvacuous conditional states coincide, as the
+    single-term collapse needs; each is rank 1 by construction."""
     if prof.min_distance <= tol.state_eq:
         raise DegenerateSettingGeometryError(
             "some normalized conditional states coincide across outcomes or "

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lhs_cases import werner_assemblage
 
-from steerkit import assemblage, linalg
+from steerkit import linalg
 from steerkit.assemblage import (
     Assemblage,
     conditional_states,
@@ -12,7 +13,7 @@ from steerkit.assemblage import (
     row_keys,
     setting_sums,
 )
-from steerkit.linalg import DEFAULT_TOL, is_rank_one, partial_trace, trace_distance
+from steerkit.linalg import DEFAULT_TOL, partial_trace
 from steerkit.measurements import (
     MeasurementSetting,
     angle_projectors,
@@ -72,6 +73,12 @@ def random_density(rng, n, rank):
 
 def haar_settings(rng, d, count):
     return [basis_from_unitary(haar_unitary(rng, d), f"haar{i}") for i in range(count)]
+
+
+def eigh_trace_distance(rho, sigma):
+    """(1/2)||rho - sigma||_1 from np.linalg.eigvalsh of the difference;
+    stacks broadcast. The reference for the closed-form distances."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
 
 
 class TestConditionalStates:
@@ -144,41 +151,22 @@ class TestNoSignalling:
 
 class TestPurityProfile:
     def test_theta_pi4(self):
-        rho = theta_state(np.pi / 4).density_matrix()
-        prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
+        prof = purity_profile(conditional_states(theta_state(np.pi / 4), [Z, X], (2, 2)))
         assert prof.all_rank_one
         assert abs(prof.min_distance - 1 / np.sqrt(2)) < 1e-9
         assert np.allclose(prof.probabilities, [0.5, 0.5, 0.5, 0.5])
 
     def test_separable_all_coincide(self):
         beta = np.array([np.cos(0.4), np.sin(0.4)])
-        rho = separable_state(beta).density_matrix()
         prof = purity_profile(
-            conditional_states(rho, [angle_projectors(0.3), angle_projectors(1.1)], (2, 2))
+            conditional_states(separable_state(beta), [angle_projectors(0.3), angle_projectors(1.1)], (2, 2))
         )
         assert prof.all_rank_one
         assert np.max(prof.distance_matrix) <= 1e-9
 
-    def test_mixed_state_not_rank_one(self):
-        rho = 0.5 * theta_state(np.pi / 4).density_matrix() + 0.5 * np.eye(4) / 4
-        prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
-        assert prof.rank_one.shape == (4,)
-        assert not np.any(prof.rank_one)
-
-    def test_only_mixed_rows_are_eigendecomposed(self, monkeypatch):
-        # Phi+ mixed with |11>: both z outcomes leave Bob pure, the x ones do not.
-        rho = 0.6 * theta_state(np.pi / 4).density_matrix() + 0.4 * np.diag([0.0, 0, 0, 1])
-        asm = conditional_states(rho, [Z, X], (2, 2))
-        calls = []
-        exact = linalg.hermitian_eig
-        monkeypatch.setattr(linalg, "hermitian_eig", lambda h, tol: calls.append(h.copy()) or exact(h, tol))
-        prof = purity_profile(asm)
-        assert prof.rank_one.tolist() == [True, True, False, False]
-        assert len(calls) == 1 and np.array_equal(calls[0], asm.stack[2:])
-
     def test_vacuous_outcome_flagged(self):
-        rho = theta_state(0.0).density_matrix()  # |00>, z-outcome 1 has p = 0
-        prof = purity_profile(conditional_states(rho, [Z, X], (2, 2)))
+        psi = theta_state(0.0)  # |00>, z-outcome 1 has p = 0
+        prof = purity_profile(conditional_states(psi, [Z, X], (2, 2)))
         assert prof.index.tolist() == [[0, 0], [1, 0], [1, 1]]
         assert prof.probabilities[1] <= DEFAULT_TOL.rank1
 
@@ -187,6 +175,13 @@ class TestPurityProfile:
         rho = theta_state(theta).density_matrix()
         probs = np.trace(conditional_states(rho, [Z, X], (2, 2)).stack, axis1=1, axis2=2).real
         assert np.max(np.abs(probs - [np.cos(theta) ** 2, np.sin(theta) ** 2, 0.5, 0.5])) <= DEFAULT_TOL.eig
+
+    def test_dense_assemblage_rejected(self):
+        asm, _ = werner_assemblage(0.5, "zx")
+        with pytest.raises(TypeError, match="^purity_profile needs factored assemblages"):
+            purity_profile(asm)
+        with pytest.raises(TypeError, match="needs factored"):
+            purity_profile([conditional_states(theta_state(0.6), [Z, X], (2, 2)), asm])
 
 
 class TestPurityInvariant:
@@ -197,11 +192,7 @@ class TestPurityInvariant:
             n1, n2 = rng.normal(size=3), rng.normal(size=3)
             n1 /= np.linalg.norm(n1)
             n2 /= np.linalg.norm(n2)
-            asm = conditional_states(
-                theta_state(theta).density_matrix(),
-                [bloch_projectors(n1), bloch_projectors(n2)],
-                (2, 2),
-            )
+            asm = conditional_states(theta_state(theta), [bloch_projectors(n1), bloch_projectors(n2)], (2, 2))
             prof = purity_profile(asm)
             assert prof.all_rank_one
 
@@ -260,32 +251,30 @@ class TestDenseReference:
 
 
 class TestBatchedPurityChecks:
-    """purity_profile batches its eigendecompositions; each state must still
-    get exactly the per-state verdicts and checks."""
+    """purity_profile profiles a batch in one computation; each state must
+    still get exactly the per-state verdicts and checks."""
 
-    @pytest.mark.parametrize("pure", [True, False])
-    def test_matches_per_state_calls(self, pure):
+    def test_matches_per_state_calls(self):
         d = 7
         rng = np.random.default_rng(7)
         psi = BipartitePureState(random_vector(rng, d * d), d, d)
-        state = psi if pure else random_density(rng, d * d, 3)
-        asm = conditional_states(state, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
+        asm = conditional_states(psi, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
         prof = purity_profile(asm)
-        assert prof.all_rank_one == pure
+        assert prof.all_rank_one
         assert prof.index.tolist() == row_keys(asm.outcome_counts).tolist()
         normalized = []
         for i, rho in enumerate(asm.stack):
-            flag, principal, residual = is_rank_one(rho)
-            assert prof.rank_one[i] == flag
-            assert abs(prof.residual_mass[i] - residual) <= 1e-12
-            assert abs(abs(np.vdot(prof.principals[i], principal)) - 1) <= 1e-12
+            w, v = np.linalg.eigh(rho)
+            assert prof.rank_one[i]
+            assert abs(prof.residual_mass[i] - np.sum(np.abs(w[:-1])) / np.sum(w)) <= 1e-12
+            assert abs(abs(np.vdot(prof.principals[i], v[:, -1])) - 1) <= 1e-12
             assert abs(prof.probabilities[i] - np.trace(rho).real) <= 1e-12
             normalized.append(rho / prof.probabilities[i])
         m = len(normalized)
         assert prof.distance_matrix.shape == (m, m)
         for i in range(m):
             for j in range(m):
-                want = trace_distance(normalized[i], normalized[j]) if i != j else 0.0
+                want = eigh_trace_distance(normalized[i], normalized[j]) if i != j else 0.0
                 assert abs(prof.distance_matrix[i, j] - want) <= 1e-12
 
     @pytest.mark.parametrize("order", ["batch", "reversed", "subset"])
@@ -295,23 +284,6 @@ class TestBatchedPurityChecks:
         asms = conditional_states(PureStates.of(*states), [computational_basis(d), fourier_mub_basis(d)], (d, d))
         chosen = {"batch": asms, "reversed": asms[::-1], "subset": asms[1:3]}[order]
         assert_profiles_match_single_calls(chosen)
-
-    @staticmethod
-    def corrupted(row, bad):
-        good = conditional_states(theta_state(0.6), [Z, X], (2, 2))
-        stack = good.stack.copy()
-        stack[row] = bad
-        return Assemblage(good.setting_labels, good.outcome_counts, stack, good.bob_reduced, good.dims)
-
-    def test_non_hermitian_state_rejected(self):
-        bad = self.corrupted(2, np.array([[0.5, 0.1], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="Hermitian"):
-            purity_profile(bad)
-
-    def test_non_psd_state_rejected(self):
-        bad = self.corrupted(3, np.diag([0.6, -0.1]))
-        with pytest.raises(ValueError, match="PSD"):
-            purity_profile(bad)
 
     def test_vacuous_outcome_pure_input(self):
         prof = purity_profile(conditional_states(theta_state(0.0), [Z, X], (2, 2)))
@@ -375,7 +347,8 @@ def assert_profiles_match_single_calls(asms):
 
 class TestFactoredAssemblages:
     """A pure state's assemblage holds its factors w_a. Every quantity read
-    from them must match the dense path of the state's density matrix."""
+    from them must match the dense assemblage of the state's density
+    matrix, the profile's through np.linalg.eigh of its states."""
 
     @staticmethod
     def assert_matches_dense(psi, settings_):
@@ -385,11 +358,18 @@ class TestFactoredAssemblages:
         assert factored.factors is not None and dense.factors is None
         assert np.max(np.abs(factored.stack - dense.stack)) <= 1e-12
         assert np.max(np.abs(factored.bob_reduced - dense.bob_reduced)) <= 1e-12
-        got, want = purity_profile(factored), purity_profile(dense)
-        assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-12
-        assert np.array_equal(got.index, want.index)
-        assert np.max(np.abs(got.distance_matrix - want.distance_matrix)) <= 1e-12
-        assert abs(got.min_distance - want.min_distance) <= 1e-12
+        got = purity_profile(factored)
+        probs = np.trace(dense.stack, axis1=1, axis2=2).real
+        live = probs > DEFAULT_TOL.rank1
+        normalized = dense.stack[live] / probs[live, None, None]
+        w, v = np.linalg.eigh(normalized)
+        want = eigh_trace_distance(normalized[:, None], normalized[None])
+        assert np.max(np.abs(got.probabilities - probs)) <= 1e-12
+        assert np.array_equal(got.index, row_keys(dense.outcome_counts)[live])
+        assert np.max(np.sum(np.abs(w[:, :-1]), axis=1)) <= 1e-12  # every row rank 1
+        assert np.max(np.abs(np.abs(np.sum(got.principals.conj() * v[:, :, -1], axis=1)) - 1)) <= 1e-12
+        assert np.max(np.abs(got.distance_matrix - want)) <= 1e-12
+        assert abs(got.min_distance - np.min(want[np.triu_indices(len(want), 1)])) <= 1e-12
         assert abs(no_signalling_check(factored) - no_signalling_check(dense)) <= 1e-12
         assert got.all_rank_one and got.rank_one.all()
         assert got.max_residual_mass == 0.0 and not got.residual_mass.any()
@@ -453,10 +433,10 @@ class TestFactoredAssemblages:
 
     def test_pure_inputs_run_no_purity_witness(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("purity witness on a factored assemblage")
+            raise AssertionError("dense purity check on a factored assemblage")
 
-        monkeypatch.setattr(assemblage, "is_rank_one", refuse)
-        monkeypatch.setattr(linalg, "herm_deviation", refuse)
+        for name in ("hermitian_eig", "trace_distance", "herm_deviation"):
+            monkeypatch.setattr(linalg, name, refuse)
         asms = conditional_states(PureStates.of(theta_state(0.3), theta_state(0.0)), [Z, X], (2, 2))
         profiles = purity_profile(asms)
         assert [p.index.tolist() for p in profiles] == [[[0, 0], [0, 1], [1, 0], [1, 1]], [[0, 0], [1, 0], [1, 1]]]
@@ -478,7 +458,7 @@ def reference_distances(asm, prof):
     for i in range(m):
         for j in range(m):
             if i != j:
-                ref[i, j] = trace_distance(normalized[i], normalized[j])
+                ref[i, j] = eigh_trace_distance(normalized[i], normalized[j])
     return ref
 
 
@@ -514,15 +494,3 @@ class TestClosedFormDistances:
         assert prof.all_rank_one
         assert 0 < np.min(ref[np.triu_indices(2 * d, k=1)]) < 10 * eps
         assert np.max(np.abs(prof.distance_matrix - ref)) <= 1e-12
-
-    @pytest.mark.parametrize("mix", [0.0, 1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6, 0.3])
-    def test_nearly_pure_and_mixed(self, mix):
-        d = 4
-        rng = np.random.default_rng(11)
-        psi = BipartitePureState(random_vector(rng, d * d), d, d)
-        rho = (1 - mix) * psi.density_matrix() + mix * random_density(rng, d * d, d * d)
-        asm = conditional_states(rho, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
-        prof = purity_profile(asm)
-        r = prof.residual_mass
-        bound = r[:, None] + r[None, :] + 1e-12
-        assert np.all(np.abs(prof.distance_matrix - reference_distances(asm, prof)) <= bound)

@@ -20,6 +20,16 @@ def counting(calls, fn):
     return wrapper
 
 
+def count_dense_linalg(monkeypatch, calls):
+    """Count the calls of linalg's dense eigendecomposition, trace distance
+    and Hermiticity check, through every steerkit module that binds them."""
+    for name in ("hermitian_eig", "trace_distance", "herm_deviation"):
+        wrapped = counting(calls, getattr(linalg, name))
+        for module in (linalg, assemblage, steering, report, states):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+
+
 class TestRunConfig:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -60,29 +70,44 @@ class TestScenarios:
 
     def test_rank_one_distances_need_no_eigendecomposition(self, monkeypatch):
         calls = collections.Counter()
-        monkeypatch.setattr(linalg, "hermitian_eig", counting(calls, linalg.hermitian_eig))
-        monkeypatch.setattr(assemblage, "trace_distance", counting(calls, linalg.trace_distance))
+        count_dense_linalg(monkeypatch, calls)
         _, code = run(RunConfig(scenario="paradox-qudit", d=6))
         assert code == 0
+        # Schmidt states with vacuous Z outcomes, in one batch.
+        psi = states.PureStates.of(*(states.nopa_truncated(r, 18)[0] for r in (0.3, 1.0)))
+        certs = steering.pure_state_paradox(psi, report.parse_qudit_settings("Z,X", 18))
+        assert [len(c.purity.index) for c in certs] == [27, 36]
         assert calls == {}
-
-        calls.clear()
-        rho = 0.5 * states.qudit_schmidt_state(np.full(3, 1 / np.sqrt(3))).density_matrix() + np.eye(9) / 18
-        settings = report.parse_qudit_settings("Z,X", 3)
-        prof = assemblage.purity_profile(assemblage.conditional_states(rho, settings, (3, 3)))
-        assert not prof.all_rank_one
-        assert calls == {"hermitian_eig": 1, "trace_distance": 5}
 
     def test_pure_paradox_runs_no_purity_witness(self, monkeypatch):
         # A factored row is rank 1 by construction: its residual mass is exactly 0.
         calls = collections.Counter()
-        monkeypatch.setattr(assemblage, "is_rank_one", counting(calls, assemblage.is_rank_one))
-        monkeypatch.setattr(linalg, "herm_deviation", counting(calls, linalg.herm_deviation))
+        count_dense_linalg(monkeypatch, calls)
         for scenario in ("paradox-qubit", "paradox-qudit", "paradox-nopa"):
             doc, code = run(RunConfig(scenario=scenario, d=6))
             assert code == 0
             assert doc.checks["all_rank_one"] is True and doc.checks["max_purity_residual"] == 0.0
         assert calls == {}
+
+    @pytest.mark.parametrize("shift, want", [(0.5, report.EXIT_OK), (2.0, report.EXIT_NUMERICAL)])
+    def test_trace_sum_mismatch_is_a_numerical_failure(self, monkeypatch, capsys, shift, want):
+        # The paradox scenarios' only exit 2: an LHS trace sum more than
+        # tol.lp from k.
+        exact = steering.purity_profile
+
+        def off_by(asms, tol):
+            profiles = exact(asms, tol)
+            for j, prof in enumerate(profiles):
+                probs = prof.probabilities.copy()
+                probs[0] += shift * tol.lp
+                profiles[j] = dataclasses.replace(prof, probabilities=probs)
+            return profiles
+
+        monkeypatch.setattr(steering, "purity_profile", off_by)
+        assert main(["paradox-qubit", "--theta", "0.6"]) == want
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["lhs_trace_sum"] == pytest.approx(2 + shift * linalg.DEFAULT_TOL.lp, abs=1e-14)
+        assert main(["sweep", "--param", "theta", "--values", "0.3,0.6"]) == want
 
     def test_paradox_nopa(self):
         doc, code = run(RunConfig(scenario="paradox-nopa", r=1.0, d=12))
@@ -263,20 +288,16 @@ class TestBatchedSweep:
         assert summary["max_contradiction_magnitude"] is None
 
     @staticmethod
-    def fail_rank_one_at(monkeypatch, theta):
-        """Make the purity profile of the point at theta call its z-outcome-0
-        state not rank-1."""
+    def coincide_at(monkeypatch, theta):
+        """Make the purity profile of the point at theta report two
+        coinciding conditional states."""
         exact = steering.purity_profile
 
         def flaky(asms, tol):
             profiles = exact(asms, tol)
             for j, prof in enumerate(profiles):
                 if abs(prof.probabilities[0] - np.cos(theta) ** 2) <= 1e-12:
-                    flags, residual = prof.rank_one.copy(), prof.residual_mass.copy()
-                    flags[0], residual[0] = False, 0.5
-                    profiles[j] = dataclasses.replace(
-                        prof, rank_one=flags, residual_mass=residual, all_rank_one=False, max_residual_mass=0.5
-                    )
+                    profiles[j] = dataclasses.replace(prof, min_distance=0.0)
             return profiles
 
         monkeypatch.setattr(steering, "purity_profile", flaky)
@@ -285,10 +306,11 @@ class TestBatchedSweep:
         argv = ["sweep", "--param", "theta", "--values", "0.3,0.6,0.9,2.0"]
         assert main(argv) == report.EXIT_PRECONDITION
         assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got 2.0\n"
-        self.fail_rank_one_at(monkeypatch, 0.6)
-        assert main(argv) == report.EXIT_NUMERICAL
+        self.coincide_at(monkeypatch, 0.6)
+        assert main(argv) == report.EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: conditional state for setting 0, outcome 0 is not rank-1")
+        assert err.startswith("error: some normalized conditional states coincide")
+        assert err.endswith("(min trace distance 0.000e+00)\n")
         assert main(["sweep", "--param", "theta", "--values", "0.3,2.0,0.6"]) == report.EXIT_PRECONDITION
         assert "got 2.0" in capsys.readouterr().err
         # A value that no point config takes fails as that point's config.

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerkit import linalg
 from steerkit.linalg import (
     DEFAULT_TOL,
     Tolerances,
     hermitian_eig,
-    is_rank_one,
     partial_trace,
     projector_distances,
     trace_distance,
@@ -134,122 +132,6 @@ class TestTraceDistance:
             assert trace_distance(a, c) <= (
                 trace_distance(a, b) + trace_distance(b, c) + 10 * DEFAULT_TOL.eig
             )
-
-
-class TestIsRankOne:
-    def test_scaled_pure(self):
-        flag, principal, residual = is_rank_one(np.cos(0.4) ** 2 * density(K0))
-        assert flag
-        assert residual <= 1e-12
-        assert abs(abs(principal @ K0.conj()) - 1) < 1e-12
-
-    def test_maximally_mixed(self):
-        flag, _, residual = is_rank_one(np.eye(2) / 2)
-        assert not flag
-        assert abs(residual - 0.5) < 1e-12
-
-    def test_chi_plus(self):
-        theta = np.pi / 6
-        chi = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-        flag, principal, _ = is_rank_one(0.5 * density(chi))
-        assert flag
-        assert abs(abs(principal @ chi.conj()) - 1) < 1e-12
-
-    def test_zero_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            is_rank_one(np.zeros((2, 2)))
-
-    @pytest.mark.parametrize(
-        "bad, match",
-        [
-            (np.zeros((2, 2)), "trace 0.000e"),
-            (np.diag([1.5, -0.5]), "not PSD, min eigenvalue -5.000e-01"),
-            # Rank one by the witness (3 delta = 9e-10), but not PSD within tol.eig.
-            (np.diag([1.0, -3e-10]), "not PSD, min eigenvalue -3.000e-10"),
-            (np.array([[0.5, 1e-6], [0, 0.5]]), "not Hermitian"),
-        ],
-    )
-    def test_every_row_checked(self, bad, match, monkeypatch):
-        # Pure rows pass the witness; the bad row fails it, also in a block
-        # of its own.
-        monkeypatch.setattr(linalg, "_WITNESS_ENTRIES", 8)
-        with pytest.raises(ValueError, match=match):
-            is_rank_one(np.stack([density(K0), 0.3 * density(PLUS), density(K1), bad]))
-
-    def test_blocks_and_layout_give_the_same_result(self, monkeypatch):
-        stack = witness_stack(np.random.default_rng(3), 12, 9)
-        whole = is_rank_one(stack)
-        # The same matrices with the stack axis innermost in memory, the
-        # layout of the outer products that conditional_states forms.
-        transposed = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
-        monkeypatch.setattr(linalg, "_WITNESS_ENTRIES", 2 * 144)
-        for got, also, want in zip(is_rank_one(stack), is_rank_one(transposed), whole):
-            assert np.array_equal(got, want) and np.array_equal(also, want)
-
-    def test_eigendecomposes_only_the_rows_the_witness_rejects(self, monkeypatch):
-        rows = []
-        exact = linalg.hermitian_eig
-        monkeypatch.setattr(linalg, "hermitian_eig", lambda h, tol: rows.append(len(h)) or exact(h, tol))
-        pure = [t * density(v) for t, v in ((1.0, K0), (0.2, PLUS), (3.0, K1))]
-        flags, _, residual = is_rank_one(np.stack(pure))
-        assert rows == [] and flags.all() and np.all(residual <= 1e-15)
-        flags, _, residual = is_rank_one(np.stack(pure + [np.eye(2) / 2, pure[0]]))
-        assert rows == [1]
-        assert flags.tolist() == [True, True, True, False, True] and residual[3] == pytest.approx(0.5)
-
-    def test_bound_covers_negative_eigenvalues(self, monkeypatch):
-        # PSD within tol.eig, residual mass 15x. R = rho - |0><0| has 16
-        # eigenvalues +-x, so T = 8x = sqrt(16)/2 ||R||_F: both the factor
-        # 3 and the sqrt(d) are needed.
-        x = 1e-12
-        rho = np.diag([1 - x] + [x] * 8 + [-x] * 7)
-        monkeypatch.setattr(linalg, "hermitian_eig", None)  # the witness decides
-        flag, principal, residual = is_rank_one(rho)
-        assert flag and np.array_equal(principal, np.eye(16)[0])
-        assert residual >= 15 * x
-
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12), n=st.integers(1, 12))
-    def test_witness_bounds_the_eigendecomposition(self, seed, d, n):
-        rng = np.random.default_rng(seed)
-        stack = witness_stack(rng, d, n)
-        want_flags, want = eigh_rank_one(stack)
-        flags, principals, residual = is_rank_one(stack)
-        # The bound holds on every row, up to rounding, with the default
-        # tolerances and with loose ones that let the witness take rows of
-        # residual mass up to about 0.1 too.
-        assert np.all(residual >= want - 1e-14)
-        unit = stack / np.trace(stack, axis1=1, axis2=2).real[:, None, None]
-        assert np.all(is_rank_one(unit, Tolerances(eig=1.0, rank1=0.9))[2] >= want - 1e-14)
-        away = (want <= DEFAULT_TOL.rank1 / 10) | (want >= DEFAULT_TOL.rank1 * 10)
-        assert np.array_equal(flags[away], want_flags[away])
-        _, vecs = hermitian_eig(stack)
-        overlap = np.abs(np.sum(principals.conj() * vecs[..., 0], axis=-1))
-        assert np.all(overlap[flags] >= 1 - 1e-6)
-
-
-def eigh_rank_one(rho, tol=DEFAULT_TOL):
-    """The rank-1 test by eigendecomposition alone: (flags, residual mass)."""
-    w, _ = hermitian_eig(rho, tol)
-    residual = np.sum(np.abs(w[..., 1:]), axis=-1) / np.sum(w, axis=-1)
-    return residual <= tol.rank1, residual
-
-
-def witness_stack(rng, d, n):
-    """n PSD d x d matrices, each pure, nearly pure (a random density at
-    weight 1e-16 to 0.1) or of random rank 2 to d, with traces 1e-3 to 5."""
-    out = []
-    for kind in rng.integers(0, 3, size=n):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        rho = density(v / np.linalg.norm(v))
-        if kind == 1:
-            rho = rho + 10 ** rng.uniform(-16, -1) * random_density(rng, d)
-        elif kind == 2:
-            size = (d, rng.integers(2, d + 1))
-            m = rng.normal(size=size) + 1j * rng.normal(size=size)
-            rho = m @ m.conj().T
-        out.append(10 ** rng.uniform(-3, np.log10(5)) * rho / np.trace(rho).real)
-    return np.array(out)
 
 
 def residual_distances(vecs):

@@ -37,7 +37,6 @@ from steerkit.steering import (
     CoincidentSettingsError,
     DegenerateSettingGeometryError,
     LHSModel,
-    ParadoxInvariantError,
     default_candidates,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
@@ -742,17 +741,15 @@ class TestStateBatches:
         exact = steering.purity_profile
 
         def flaky(asms, tol):
-            # z outcome 1 of theta = 0.6 and z outcome 0 of theta = 0.9 (every row is nonvacuous)
+            # theta = 0.6 and theta = 0.9 get coinciding states, at min
+            # distances 1e-10 and 0 (every row is nonvacuous)
             profiles = exact(asms, tol)
             for j, prof in enumerate(profiles):
-                first = np.abs(prof.probabilities - np.sin(0.6) ** 2) <= 1e-12
-                second = np.abs(prof.probabilities - np.cos(0.9) ** 2) <= 1e-12
-                residual = np.where(first, 0.25, np.where(second, 0.5, prof.residual_mass))
-                flags = prof.rank_one & ~first & ~second
-                summary = {"all_rank_one": bool(flags.all()), "max_residual_mass": residual.max()}
-                profiles[j] = dataclasses.replace(prof, rank_one=flags, residual_mass=residual, **summary)
+                for theta, dist in ((0.6, 1e-10), (0.9, 0.0)):
+                    if abs(prof.probabilities[0] - np.cos(theta) ** 2) <= 1e-12:
+                        profiles[j] = dataclasses.replace(prof, min_distance=dist)
             return profiles
 
         monkeypatch.setattr(steering, "purity_profile", flaky)
-        with pytest.raises(ParadoxInvariantError, match=r"setting 0, outcome 1 is not rank-1 \(residual mass 2\.500e-01\)"):
+        with pytest.raises(DegenerateSettingGeometryError, match=r"\(min trace distance 1\.000e-10\)"):
             pure_state_paradox(self.theta_states([0.3, 0.6, 0.9]), [Z, X])
