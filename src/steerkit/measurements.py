@@ -66,9 +66,7 @@ class MeasurementSetting:
     @functools.cached_property
     def _deviations(self) -> tuple:
         """(max|U^dag U - 1|, max|U U^dag - 1|) of the vectors U."""
-        u = self.vectors
-        orth = float(np.max(np.abs(u.conj().T @ u - np.eye(self.outcomes))))
-        return orth, float(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))))
+        return _basis_deviations(self)
 
     @property
     def dim(self) -> int:
@@ -84,6 +82,16 @@ class MeasurementSetting:
         p = self.vectors.T[:, :, None] * self.vectors.T.conj()[:, None, :]
         p.setflags(write=False)
         return p
+
+
+_DEVIATIONS_CACHE = 64  # settings whose deviations are kept; equal settings share an entry
+
+
+@functools.lru_cache(maxsize=_DEVIATIONS_CACHE)
+def _basis_deviations(s: MeasurementSetting) -> tuple:
+    u = s.vectors
+    orth = float(np.max(np.abs(u.conj().T @ u - np.eye(s.outcomes))))
+    return orth, float(np.max(np.abs(u @ u.conj().T - np.eye(s.dim))))
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,8 @@ def validate_setting(s: MeasurementSetting, tol: Tolerances = DEFAULT_TOL) -> Se
     (completeness); passes iff both are within tol.eig. The projectors
     u u^dag are then Hermitian, idempotent and pairwise orthogonal by
     construction, so nothing else is checked. The deviations are computed
-    once per setting; the comparison with tol.eig is made on every call.
+    once per distinct setting (equal settings share them); the comparison
+    with tol.eig is made on every call.
     """
     orth, comp = s._deviations
     return SettingValidation(orth, comp, max(orth, comp) <= tol.eig)

@@ -4,14 +4,16 @@ Revised simplex with Dantzig pricing and a Bland fallback. Rows with
 b < 0 are negated and an artificial variable per row (cost 1) starts as
 the basis. The method keeps T = [B^-1 | x_B], the basis inverse with the
 basic values as one more column, and the basic costs c_B. Each pivot
-forms y = c_B B^-1 and prices every column of [A | I] with one matvec:
-y A_j for the x columns, y_i - 1 for the artificials, the amount by which
-a unit of the column lowers the objective. The column that enters is the
-lowest index whose price is within 1e-9 of the largest, so rounding does
-not choose between equal prices, such as those of symmetric candidate
-states; the loop stops when no price exceeds 1e-9. The ratio test on
-B^-1 A_j runs on Python floats and ties to the lowest basis index, and
-one row scale and one rank-1 update of T move B^-1 and x_B.
+forms y = c_B B^-1 and prices every column of [A | I], the amount by
+which a unit of the column lowers the objective, into one buffer of
+n + m prices allocated per solve: y A, one product with the row-major A,
+for the x columns, and y_i - 1 for the artificials in its tail. The
+column that enters is the lowest index whose price is within 1e-9 of the
+largest, so rounding does not choose between equal prices, such as those
+of symmetric candidate states; the loop stops when no price exceeds 1e-9.
+The ratio test on B^-1 A_j runs on Python floats, as does the basis, and
+ties to the lowest basis index. The pivot row of T is scaled once and
+moves B^-1 and x_B by one rank-1 update.
 
 A pivot whose step (the minimum ratio) is at most 1e-9 is degenerate.
 After _BLAND_AFTER degenerate pivots in a row, the lowest-index column
@@ -67,24 +69,25 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
     sign = np.where(b < 0, -1.0, 1.0)
     A = A * sign[:, None]
     b = b * sign
-    AT = np.ascontiguousarray(A.T)
     # basis[i] is the column basic in row i: x columns 0..n-1 cost 0, the
     # artificial of row i is column n + i and costs 1. T = [B^-1 | x_B].
-    basis = np.arange(n, n + m)
+    basis = list(range(n, n + m))
     c_B = np.ones(m)
     T = np.hstack([np.eye(m), b[:, None]])
     B_inv = T[:, :m]
+    price = np.empty(n + m)
 
     iters = degenerate = 0
     while iters < max_iter:
         y = c_B @ B_inv
-        price = np.concatenate([AT @ y, y - 1.0])
+        np.matmul(y, A, out=price[:n])
+        np.subtract(y, 1.0, out=price[n:])
         top = price.max(initial=0.0)
         if top <= _PIVOT_EPS:
             break
         floor = _PIVOT_EPS if degenerate >= _BLAND_AFTER else top - _PIVOT_EPS
-        enter = int(np.argmax(price > floor))
-        col = B_inv @ AT[enter] if enter < n else B_inv[:, enter - n].copy()
+        enter = int((price > floor).argmax())
+        col = B_inv @ A[:, enter] if enter < n else B_inv[:, enter - n].copy()
         # Ratio test, ties broken by lowest basis index (Bland).
         leave, best = -1, np.inf
         for i, (c, x_i) in enumerate(zip(col.tolist(), T[:, m].tolist())):
@@ -99,14 +102,16 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
             # numerically treat as a stall.
             break
         degenerate = degenerate + 1 if best <= _PIVOT_EPS else 0
-        T[leave] /= col[leave]
+        row = T[leave] / col[leave]
         col[leave] = 0.0
-        T -= col[:, None] * T[leave]
+        T -= col[:, None] * row
+        T[leave] = row
         basis[leave] = enter
         c_B[leave] = float(enter >= n)
         iters += 1
 
     x = np.zeros(n)
+    basis = np.array(basis, dtype=int)
     structural = basis < n
     x[basis[structural]] = np.maximum(0.0, T[structural, m])
     residual = float(max(0.0, c_B @ T[:, m], np.max(np.abs(A @ x - b), initial=0.0)))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,13 @@ class DegenerateSettingGeometryError(ValueError):
     the single-term collapse step cannot be applied as stated."""
 
 
-def _require_states(stack: np.ndarray, tol: Tolerances, what: str) -> None:
+def _require_states(stack: np.ndarray, lp: float, what: str) -> None:
     """Raise ValueError unless every matrix of an (H, d, d) stack is a
-    density matrix: Hermitian, PSD and of unit trace, each within tol.lp."""
+    density matrix: Hermitian, PSD and of unit trace, each within lp."""
     herm = np.max(np.abs(stack - np.swapaxes(stack, 1, 2).conj()), axis=(1, 2))
     low = np.linalg.eigvalsh(stack)[:, 0]
     trace = np.trace(stack, axis1=1, axis2=2).real
-    bad = np.flatnonzero((herm > tol.lp) | (low < -tol.lp) | (np.abs(trace - 1.0) > tol.lp))
+    bad = np.flatnonzero((herm > lp) | (low < -lp) | (np.abs(trace - 1.0) > lp))
     if bad.size:
         i = bad[0]
         raise ValueError(
@@ -99,7 +100,7 @@ class LHSModel:
             raise ValueError("all hidden-state weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > tol.lp:
             raise ValueError(f"weights sum to {np.sum(w)}, expected 1")
-        _require_states(self.hidden_states, tol, "hidden state")
+        _require_states(self.hidden_states, tol.lp, "hidden state")
         if np.min(self.responses) < -tol.lp:
             raise ValueError(f"a response is negative: {np.min(self.responses)}")
         miss = np.abs(setting_sums(self.responses, self.outcome_counts) - 1.0)
@@ -267,11 +268,11 @@ def pure_state_paradox(
     if isinstance(psi, BipartitePureState):
         return _paradoxes(PureStates.of(psi), settings, tol)[0]
     step = _states_per_chunk(settings, psi.dA, psi.dB)
-    return [cert for lo in range(0, len(psi), step) for cert in _paradoxes(psi[lo : lo + step], settings, tol)]
+    return [cert for lo in range(0, len(psi), step) for cert in _paradoxes(psi[lo : lo + step], settings, tol, lo)]
 
 
-def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
-    """The certificates of one chunk of a batch, in order."""
+def _paradoxes(psi: PureStates, settings: list, tol: Tolerances, first=None) -> list:
+    """The certificates of one chunk of a batch, in order; psi[0] has batch index first (None: one state)."""
     if (k := len(settings)) < 2:
         raise ValueError(f"need at least 2 settings, got {k}")
     asms = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
@@ -284,8 +285,8 @@ def _paradoxes(psi: PureStates, settings: list, tol: Tolerances) -> list:
     verdicts = iter(())
     if live:
         profiles = purity_profile(live, tol)
-        for prof in profiles:
-            _require_collapsible(prof, tol)
+        for i, prof in zip((j for j, e in enumerate(entangled) if e), profiles):
+            _require_collapsible(prof, settings, tol, None if first is None else first + i)
         lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
         quantum = _stack([asm.bob_reduced for asm in live]).trace(axis1=1, axis2=2).real.tolist()
         verdicts = zip(live, profiles, lhs, quantum)
@@ -323,14 +324,20 @@ def _coinciding_pair(settings: tuple, state_eq: float):
     return (int(i[0]), int(j[0])) if i.size else None
 
 
-def _require_collapsible(prof: PurityProfile, tol: Tolerances) -> None:
+def _require_collapsible(prof: PurityProfile, settings: list, tol: Tolerances, position=None) -> None:
     """Raise unless no two nonvacuous conditional states coincide, as the
-    single-term collapse needs; each is rank 1 by construction."""
+    single-term collapse needs (each is rank 1 by construction), naming the
+    closest pair and position, the state's batch index, unless it is None."""
     if prof.min_distance <= tol.state_eq:
+        rows, cols = np.nonzero(_strict_upper(len(prof.index)))
+        closest = np.argmin(prof.distance_matrix[rows, cols])
+        (n, a), (n2, a2) = prof.index[[rows[closest], cols[closest]]].tolist()
+        where = "" if position is None else f" of batch index {position}"
         raise DegenerateSettingGeometryError(
             "some normalized conditional states coincide across outcomes or "
-            "settings; the single-term collapse needs them pairwise distinct "
-            f"(min trace distance {prof.min_distance:.3e})"
+            "settings; the single-term collapse needs them pairwise distinct; "
+            f"closest: outcome {a} of {settings[n].label!r} and outcome {a2} of "
+            f"{settings[n2].label!r}{where} (min trace distance {prof.min_distance:.3e})"
         )
 
 
@@ -393,6 +400,20 @@ def _vectorize_hermitian(m: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
+_ANSATZ_CACHE = 64  # candidate ansatzes whose check and real vectors are kept, per tol.lp
+
+
+@functools.lru_cache(maxsize=_ANSATZ_CACHE)
+def _candidate_vectors(data: bytes, shape: tuple, lp: float) -> np.ndarray:
+    """Read-only real vectors of the complex candidate stack data, checked to
+    be density matrices within lp; a failed check raises, and is not kept."""
+    stack = np.frombuffer(data, dtype=complex).reshape(shape)
+    _require_states(stack, lp, "candidate")
+    vec = _vectorize_hermitian(stack)
+    vec.setflags(write=False)
+    return vec
+
+
 def lhs_feasibility_lp(
     a: Assemblage,
     candidates=None,
@@ -410,7 +431,8 @@ def lhs_feasibility_lp(
     rows; a dropped row then misses by the same amount for every solution of
     the kept ones, so an assemblage that breaks no-signalling is rejected.
     A feasible point is folded back into weights and stochastic responses.
-    Every candidate must be a density matrix within tol.lp.
+    Every candidate must be a density matrix within tol.lp; an ansatz equal
+    to a recent call's is not checked again under the same tol.lp.
     """
     if candidates is None:
         candidates = default_candidates(a, tol)
@@ -418,13 +440,12 @@ def lhs_feasibility_lp(
     dB = a.dims[1]
     if candidates.ndim != 3 or candidates.shape[1:] != (dB, dB) or not len(candidates):
         raise ValueError(f"candidates have shape {candidates.shape}, expected (count > 0, {dB}, {dB})")
-    _require_states(candidates, tol, "candidate")
+    cand_vec = _candidate_vectors(candidates.tobytes(), candidates.shape, tol.lp)
 
     strategies = np.array(list(itertools.product(*(range(o) for o in a.outcome_counts))))
     keys = row_keys(a.outcome_counts)
     # hits[row, di]: strategy di answers outcome a on setting n, (n, a) = keys[row]
     hits = strategies[:, keys[:, 0]].T == keys[:, 1:]
-    cand_vec = _vectorize_hermitian(candidates)
     b = _vectorize_hermitian(a.stack)
     implied = (keys[:, 0] > 0) & (keys[:, 1] == np.asarray(a.outcome_counts)[keys[:, 0]] - 1)
     # Equation (row, component i) has entry i of candidate c's vector in
@@ -478,16 +499,8 @@ def ghz_lhv_bruteforce(targets=(1, -1, -1, -1)):
     drops out, any joint assignment would force that product to equal +1,
     so -1 certifies that no assignment can exist.
     """
-    count = 0
-    for v1x, v2x, v3x, v1y, v2y, v3y in itertools.product((-1, 1), repeat=6):
-        if (
-            v1x * v2x * v3x == targets[0]
-            and v1x * v2y * v3y == targets[1]
-            and v1y * v2x * v3y == targets[2]
-            and v1y * v2y * v3x == targets[3]
-        ):
-            count += 1
-    witness = 1
-    for t in targets:
-        witness *= t
-    return count, witness
+    count = sum(
+        (v1x * v2x * v3x, v1x * v2y * v3y, v1y * v2x * v3y, v1y * v2y * v3x) == tuple(targets)
+        for v1x, v2x, v3x, v1y, v2y, v3y in itertools.product((-1, 1), repeat=6)
+    )
+    return count, math.prod(targets)

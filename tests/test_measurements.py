@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steerkit import measurements
 from steerkit.linalg import DEFAULT_TOL, Tolerances
 from steerkit.measurements import (
     MeasurementSetting,
@@ -251,6 +252,14 @@ class TestValidateSetting:
         assert calls == []  # not at construction
         assert validate_setting(s).passed and validate_setting(s, Tolerances(eig=0.0)).passed
         assert calls == [s]
+
+    def test_equal_settings_share_their_deviations(self):
+        measurements._basis_deviations.cache_clear()
+        first, second = bloch_projectors([0, 0, 1]), bloch_projectors([0, 0, 1])
+        assert first is not second and first == second
+        assert validate_setting(first) == validate_setting(second)
+        info = measurements._basis_deviations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("strict_first", [True, False])
     def test_tolerance_applied_on_every_call(self, strict_first):

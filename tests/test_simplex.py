@@ -140,6 +140,17 @@ class TestPhaseOne:
             assert res.feasible, f"residual {res.residual}"
             assert np.max(np.abs(A @ res.x - b)) <= 1e-8
 
+    def test_inputs_unmodified(self):
+        # Rows of both signs, so that phase_one negates some; read-only
+        # inputs make any write to them raise.
+        A, b = random_system(9, 6, 12, integer=False, feasible=True)
+        assert (b < 0).any() and (b > 0).any()
+        A0, b0 = A.copy(), b.copy()
+        A.setflags(write=False)
+        b.setflags(write=False)
+        assert phase_one(A, b).feasible
+        assert np.array_equal(A, A0) and np.array_equal(b, b0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             phase_one(np.eye(2), np.ones(3))
@@ -219,10 +230,11 @@ class TestAgainstDenseTableau:
     def test_random_systems(self, m, n, integer, feasible, seed):
         check_random_system(m, n, integer, feasible, seed)
 
-    @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])
-    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("offset", [-0.05, -0.01, 0.01, 0.05])
     def test_lhs_grid_lps(self, grid, offset):
-        # the 9 x 256 circle LP and the 16 x 2048 cube + Fibonacci LP
+        # every grid, from the 9 x 32 circle LP to the 16 x 2048 cube +
+        # Fibonacci LP
         check_grid_lp(grid, offset, full=False)
 
     @pytest.mark.parametrize("grid", ["circle64", "cube_fib248"])

@@ -265,6 +265,22 @@ class TestSettingCoincidence:
         with pytest.raises(CoincidentSettingsError, match=r"^settings 'bloch\(0,0,1\)' and 'z again' coincide$"):
             pure_state_paradox(theta_state(0.5), settings_)
 
+    def test_coinciding_conditional_states_named(self):
+        # Distinct settings sharing the projector onto |0>: outcome 0 of
+        # each leaves Bob in the same state, whatever the entangled state.
+        shared = np.eye(3, dtype=complex)
+        shared[1:, 1:] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        settings_ = [computational_basis(3), MeasurementSetting("shares |0>", shared)]
+        entangled = qudit_schmidt_state([0.6, 0.8, 0.0])
+        pair = "closest: outcome 0 of 'Z(d=3)' and outcome 0 of 'shares |0>'"
+        with pytest.raises(DegenerateSettingGeometryError, match=re.escape(pair + " (min trace distance")):
+            pure_state_paradox(entangled, settings_)
+        # In a batch, the entangled state at index 1 fails; the separable
+        # one at index 0 is not collapsed.
+        batch = PureStates.of(qudit_schmidt_state([1.0, 0.0, 0.0]), entangled)
+        with pytest.raises(DegenerateSettingGeometryError, match=re.escape(pair + " of batch index 1 (min")):
+            pure_state_paradox(batch, settings_)
+
 
 class TestParadoxProperty:
     """Every pure state with generic settings either certifies the k-vs-1
@@ -550,6 +566,59 @@ class TestFeasibilityLp:
         asm = conditional_states(theta_state(0.5).density_matrix(), [Z, X], (2, 2))
         with pytest.raises(ValueError, match="candidate"):
             lhs_feasibility_lp(asm, [np.eye(3) / 3])
+
+
+class TestAnsatzCache:
+    """lhs_feasibility_lp checks and vectorizes each candidate ansatz once
+    per tol.lp."""
+
+    @staticmethod
+    def werner_circle8():
+        axes, states, threshold = GRIDS["circle8"]
+        asm, _ = werner_assemblage(threshold - 0.05, axes)
+        return asm, [np.array(c) for c in states()]
+
+    def test_candidates_mutated_in_place_are_checked_again(self):
+        asm, cands = self.werner_circle8()
+        assert lhs_feasibility_lp(asm, cands).feasible
+        cands[3][:] = np.diag([1.2, -0.2])
+        with pytest.raises(ValueError, match="candidate 3 is not a density matrix"):
+            lhs_feasibility_lp(asm, cands)
+
+    @pytest.mark.parametrize("strict_first", [True, False])
+    def test_lp_tolerance_is_part_of_the_key(self, strict_first):
+        steering._candidate_vectors.cache_clear()
+        asm, cands = self.werner_circle8()
+        cands.append(np.diag([0.5 + 5e-8, 0.5]))
+        order = [Tolerances(lp=1e-8), Tolerances(lp=1e-7)]
+        for tol in order if strict_first else order[::-1]:
+            if tol.lp < 5e-8:
+                with pytest.raises(ValueError, match="candidate 8 is not a density matrix"):
+                    lhs_feasibility_lp(asm, cands, tol)
+            else:
+                assert lhs_feasibility_lp(asm, cands, tol).feasible
+
+    def test_cached_call_gives_the_same_outcome(self):
+        asm, cands = self.werner_circle8()
+        steering._candidate_vectors.cache_clear()
+        outcomes = [lhs_feasibility_lp(asm, cands), lhs_feasibility_lp(asm, cands)]
+        assert steering._candidate_vectors.cache_info().hits == 1
+        steering._candidate_vectors.cache_clear()
+        outcomes.append(lhs_feasibility_lp(asm, cands))
+        first = outcomes[0]
+        for out in outcomes[1:]:
+            assert (out.status, out.residual, out.iterations) == (first.status, first.residual, first.iterations)
+            for field in ("weights", "hidden_states", "responses"):
+                assert np.array_equal(getattr(out.model, field), getattr(first.model, field))
+
+    def test_cached_vectors_are_read_only(self):
+        _, cands = self.werner_circle8()
+        stack = np.array(cands, dtype=complex)
+        vec = steering._candidate_vectors(stack.tobytes(), stack.shape, DEFAULT_TOL.lp)
+        assert vec is steering._candidate_vectors(stack.tobytes(), stack.shape, DEFAULT_TOL.lp)
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0, 0] = 1.0
 
 
 class TestIndependentRows:
