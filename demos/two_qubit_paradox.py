@@ -33,7 +33,10 @@ print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 prof = purity_profile(asm)
 for (n, a), p in zip(prof.index.tolist(), prof.probabilities):
     print(f"  setting {n} outcome {a}: p = {p:.4f}")
+# The closest pair is the evidence that no two conditional states coincide.
+(n, a), (n2, a2) = prof.closest.tolist()
 print(f"min pairwise trace distance: {prof.min_distance:.4f}")
+print(f"  closest pair: setting {n} outcome {a} and setting {n2} outcome {a2}")
 
 cert = pure_state_paradox(psi, settings)
 print(f"\nhidden-state side of the trace sum: {cert.lhs_trace_sum}")

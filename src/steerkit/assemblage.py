@@ -11,7 +11,6 @@ from .linalg import (
     _SHAPE_CACHE,
     DEFAULT_TOL,
     Tolerances,
-    _strict_upper,
     partial_trace,
     projector_distances,
 )
@@ -112,28 +111,24 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PurityProfile:
-    """Purity and distinctness of a factored assemblage's conditional states.
+    """Distinctness of a factored assemblage's conditional states.
 
     probabilities covers every row, in assemblage row order. A row with
-    probability at most tol.rank1 is vacuous; the other fields cover the
-    nonvacuous rows only, in the same order, and describe the normalized
-    states.
+    probability at most tol.rank1 is vacuous; index and principals cover
+    the nonvacuous rows only, in the same order, and describe the
+    normalized states.
 
-    Every row is w_a w_a^dag: its principal is w_a / |w_a|, it is rank 1 by
-    construction, so rank_one is all true and residual_mass all 0, and the
-    trace distance between two rows is that of their principal projectors.
-    all_rank_one, max_residual_mass and min_distance sum up.
+    Every row is w_a w_a^dag, rank 1 by construction, with principal
+    w_a / |w_a|; the trace distance between two rows is that of their
+    principal projectors. min_distance is the smallest over distinct pairs
+    and closest names the first pair at it in row-major order.
     """
 
     probabilities: np.ndarray  # (rows,) tr(rho~^n_a)
     index: np.ndarray  # (m, 2) (setting, outcome) of each nonvacuous row
-    rank_one: np.ndarray  # (m,) bool, all true
-    residual_mass: np.ndarray  # (m,) subdominant eigenvalue mass, all 0
     principals: np.ndarray  # (m, dB) normalized factors
-    distance_matrix: np.ndarray  # (m, m) pairwise trace distances
-    all_rank_one: bool
-    max_residual_mass: float
-    min_distance: float  # smallest off-diagonal distance, inf with fewer than two rows
+    min_distance: float  # inf with fewer than two rows
+    closest: np.ndarray | None  # (2, 2) index rows of the closest pair, None with fewer than two rows
 
 
 def conditional_states(
@@ -189,20 +184,15 @@ def no_signalling_check(a):
     """Max entrywise deviation of sum_a rho~^n_a from rho_B over settings.
 
     a is an Assemblage, or a list of assemblages of one row layout whose
-    deviations then come as a list, in order, from one computation. When
-    every assemblage is factored, setting n's sum is W_n^T conj(W_n) for its
-    factor rows W_n, all from one batched product.
+    deviations then come as a list, in order, from one computation. When all
+    are factored with equal outcome counts, setting n's sum is W_n^T conj(W_n)
+    for its factor rows W_n, all from one batched product.
     """
     batch = _batch(a)
     counts, bobs = batch[0].outcome_counts, _stack([x.bob_reduced for x in batch])
-    if all(x.factors is not None for x in batch):
+    if len(set(counts)) == 1 and all(x.factors is not None for x in batch):
         w = _stack([x.factors for x in batch])
-        shape = (len(batch), len(counts), max(counts), w.shape[2])
-        if shape[1] * shape[2] == w.shape[1]:  # every setting has max(counts) outcomes
-            v = w.reshape(shape)
-        else:  # zero rows pad each setting to max(counts)
-            v, keys = np.zeros(shape, dtype=complex), row_keys(counts)
-            v[:, keys[:, 0], keys[:, 1]] = w
+        v = w.reshape(len(batch), len(counts), counts[0], w.shape[2])
         sums = v.swapaxes(2, 3) @ v.conj()
     else:
         sums = setting_sums(_stack([x.stack for x in batch]), counts, axis=1)
@@ -227,8 +217,8 @@ def _stack(arrays: list) -> np.ndarray:
 
 
 def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
-    """Flag the vacuous conditional states and compute pairwise trace
-    distances of the normalized nonvacuous ones.
+    """Flag the vacuous conditional states and find the closest pair of
+    the normalized nonvacuous ones.
 
     a is a factored Assemblage, or a list of them of one row layout whose
     profiles then come as a list, in order; a dense assemblage raises
@@ -255,11 +245,14 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
             rows, index = np.zeros(live.shape, dtype=bool), keys[mask]
             rows[members] = mask
         principals = (w[rows] / np.sqrt(probs[rows])[..., None]).reshape(g, m, d)
-        dist = projector_distances(principals)
-        min_distances = dist.min(axis=(1, 2), where=_strict_upper(m), initial=np.inf).tolist()
-        rank_one, residual_mass = np.ones(m, dtype=bool), np.zeros(m)
-        for j, (p, min_distance) in enumerate(zip(members, min_distances)):
-            profiles[p] = PurityProfile(
-                probs[p], index, rank_one, residual_mass, principals[j], dist[j], True, 0.0, min_distance
-            )
+        min_distances, pairs = [np.inf] * g, [None] * g
+        if m > 1:
+            # Exactly symmetric distances: the first minimum lies above the diagonal.
+            dist = projector_distances(principals).reshape(g, m * m)
+            dist[:, :: m + 1] = np.inf
+            first = dist.argmin(axis=1)
+            min_distances, pairs = dist[np.arange(g), first].tolist(), index[np.stack(np.divmod(first, m), axis=1)]
+            del dist
+        for j, p in enumerate(members):
+            profiles[p] = PurityProfile(probs[p], index, principals[j], min_distances[j], pairs[j])
     return profiles[0] if isinstance(a, Assemblage) else profiles

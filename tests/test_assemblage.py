@@ -13,7 +13,7 @@ from steerkit.assemblage import (
     row_keys,
     setting_sums,
 )
-from steerkit.linalg import DEFAULT_TOL, partial_trace
+from steerkit.linalg import DEFAULT_TOL, partial_trace, projector_distances
 from steerkit.measurements import (
     MeasurementSetting,
     angle_projectors,
@@ -73,6 +73,18 @@ def random_density(rng, n, rank):
 
 def haar_settings(rng, d, count):
     return [basis_from_unitary(haar_unitary(rng, d), f"haar{i}") for i in range(count)]
+
+
+def closest_pair_reference(prof):
+    """(min distance, (2, 2) keys of the closest pair) by brute force: the
+    first minimum over the strict upper triangle of the principals' distances
+    in row-major order; (inf, None) with fewer than two rows."""
+    dist = projector_distances(prof.principals)
+    rows, cols = np.triu_indices(len(dist), 1)
+    if not rows.size:
+        return np.inf, None
+    first = np.argmin(dist[rows, cols])
+    return dist[rows[first], cols[first]], prof.index[[rows[first], cols[first]]]
 
 
 def eigh_trace_distance(rho, sigma):
@@ -152,8 +164,8 @@ class TestNoSignalling:
 class TestPurityProfile:
     def test_theta_pi4(self):
         prof = purity_profile(conditional_states(theta_state(np.pi / 4), [Z, X], (2, 2)))
-        assert prof.all_rank_one
         assert abs(prof.min_distance - 1 / np.sqrt(2)) < 1e-9
+        assert prof.closest.tolist() == [[0, 0], [1, 0]]
         assert np.allclose(prof.probabilities, [0.5, 0.5, 0.5, 0.5])
 
     def test_separable_all_coincide(self):
@@ -161,8 +173,9 @@ class TestPurityProfile:
         prof = purity_profile(
             conditional_states(separable_state(beta), [angle_projectors(0.3), angle_projectors(1.1)], (2, 2))
         )
-        assert prof.all_rank_one
-        assert np.max(prof.distance_matrix) <= 1e-9
+        assert np.max(projector_distances(prof.principals)) <= 1e-9
+        want_min, want_pair = closest_pair_reference(prof)
+        assert prof.min_distance == want_min <= 1e-9 and np.array_equal(prof.closest, want_pair)
 
     def test_vacuous_outcome_flagged(self):
         psi = theta_state(0.0)  # |00>, z-outcome 1 has p = 0
@@ -194,7 +207,9 @@ class TestPurityInvariant:
             n2 /= np.linalg.norm(n2)
             asm = conditional_states(theta_state(theta), [bloch_projectors(n1), bloch_projectors(n2)], (2, 2))
             prof = purity_profile(asm)
-            assert prof.all_rank_one
+            assert np.max(np.linalg.eigvalsh(asm.stack)[:, :-1]) <= 1e-12  # every row rank 1
+            projectors = prof.principals[:, :, None] * prof.principals.conj()[:, None]
+            assert np.max(np.abs(projectors - asm.stack / prof.probabilities[:, None, None])) <= 1e-12
 
     def test_qudit_matches_theta_assemblage(self):
         theta = 0.6
@@ -260,22 +275,22 @@ class TestBatchedPurityChecks:
         psi = BipartitePureState(random_vector(rng, d * d), d, d)
         asm = conditional_states(psi, [computational_basis(d)] + haar_settings(rng, d, 2), (d, d))
         prof = purity_profile(asm)
-        assert prof.all_rank_one
         assert prof.index.tolist() == row_keys(asm.outcome_counts).tolist()
         normalized = []
         for i, rho in enumerate(asm.stack):
             w, v = np.linalg.eigh(rho)
-            assert prof.rank_one[i]
-            assert abs(prof.residual_mass[i] - np.sum(np.abs(w[:-1])) / np.sum(w)) <= 1e-12
+            assert np.sum(np.abs(w[:-1])) / np.sum(w) <= 1e-12  # rank 1
             assert abs(abs(np.vdot(prof.principals[i], v[:, -1])) - 1) <= 1e-12
             assert abs(prof.probabilities[i] - np.trace(rho).real) <= 1e-12
             normalized.append(rho / prof.probabilities[i])
         m = len(normalized)
-        assert prof.distance_matrix.shape == (m, m)
+        dist = projector_distances(prof.principals)
         for i in range(m):
             for j in range(m):
                 want = eigh_trace_distance(normalized[i], normalized[j]) if i != j else 0.0
-                assert abs(prof.distance_matrix[i, j] - want) <= 1e-12
+                assert abs(dist[i, j] - want) <= 1e-12
+        want_min, want_pair = closest_pair_reference(prof)
+        assert prof.min_distance == want_min and np.array_equal(prof.closest, want_pair)
 
     @pytest.mark.parametrize("order", ["batch", "reversed", "subset"])
     def test_lists_of_batch_members_match_single_calls(self, order):
@@ -290,9 +305,9 @@ class TestBatchedPurityChecks:
         assert prof.probabilities.shape == (4,)
         assert prof.probabilities[1] <= DEFAULT_TOL.rank1
         assert prof.index.tolist() == [[0, 0], [1, 0], [1, 1]]
-        for field in (prof.rank_one, prof.residual_mass, prof.principals, prof.distance_matrix):
-            assert len(field) == 3
-        assert prof.all_rank_one
+        assert len(prof.principals) == 3
+        # Every nonvacuous row leaves Bob in |0>: the first pair coincides.
+        assert prof.min_distance == 0.0 and prof.closest.tolist() == [[0, 0], [1, 0]]
 
     def test_row_layout(self):
         assert row_keys((2, 3)).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
@@ -335,14 +350,45 @@ def assert_profiles_match_single_calls(asms):
     single-call results exactly."""
     for asm, prof, dev in zip(asms, purity_profile(asms), no_signalling_check(asms)):
         single = purity_profile(asm)
-        for name in ("probabilities", "index", "rank_one", "residual_mass", "principals", "distance_matrix"):
+        for name in ("probabilities", "index", "principals", "closest"):
             assert np.array_equal(getattr(prof, name), getattr(single, name)), name
-        assert (prof.all_rank_one, prof.max_residual_mass, prof.min_distance) == (
-            single.all_rank_one,
-            single.max_residual_mass,
-            single.min_distance,
-        )
+        assert prof.min_distance == single.min_distance
         assert dev == no_signalling_check(asm)
+
+
+class TestClosestPair:
+    """min_distance and closest are the first minimum, in row-major order,
+    over the distinct pairs of nonvacuous rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        size=st.integers(1, 4),
+        drop=st.floats(0, 0.9),
+        both=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_schmidt_states_with_vacuous_rows(self, d, size, drop, both, seed):
+        # Zero Schmidt coefficients leave vacuous Z outcomes; one nonzero
+        # coefficient makes every X row coincide with a Z row (ties), and
+        # under Z alone leaves a single nonvacuous row (no pair).
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(size):
+            lam = rng.dirichlet(np.ones(d)) * (rng.random(d) >= drop)
+            if not lam.any():
+                lam[rng.integers(d)] = 1.0
+            states.append(qudit_schmidt_state(np.sqrt(lam / lam.sum())))
+        settings_ = [computational_basis(d), fourier_mub_basis(d)][: 1 + both]
+        asms = conditional_states(PureStates.of(*states), settings_, (d, d))
+        for asm in asms:
+            prof = purity_profile(asm)
+            want_min, want_pair = closest_pair_reference(prof)
+            assert prof.min_distance == want_min
+            assert (prof.closest is None) == (want_pair is None) == (len(prof.index) < 2)
+            if want_pair is not None:
+                assert prof.closest.shape == (2, 2) and np.array_equal(prof.closest, want_pair)
+        assert_profiles_match_single_calls(asms)
 
 
 class TestFactoredAssemblages:
@@ -368,11 +414,9 @@ class TestFactoredAssemblages:
         assert np.array_equal(got.index, row_keys(dense.outcome_counts)[live])
         assert np.max(np.sum(np.abs(w[:, :-1]), axis=1)) <= 1e-12  # every row rank 1
         assert np.max(np.abs(np.abs(np.sum(got.principals.conj() * v[:, :, -1], axis=1)) - 1)) <= 1e-12
-        assert np.max(np.abs(got.distance_matrix - want)) <= 1e-12
+        assert np.max(np.abs(projector_distances(got.principals) - want)) <= 1e-12
         assert abs(got.min_distance - np.min(want[np.triu_indices(len(want), 1)])) <= 1e-12
         assert abs(no_signalling_check(factored) - no_signalling_check(dense)) <= 1e-12
-        assert got.all_rank_one and got.rank_one.all()
-        assert got.max_residual_mass == 0.0 and not got.residual_mass.any()
         return factored
 
     @staticmethod
@@ -440,7 +484,6 @@ class TestFactoredAssemblages:
         asms = conditional_states(PureStates.of(theta_state(0.3), theta_state(0.0)), [Z, X], (2, 2))
         profiles = purity_profile(asms)
         assert [p.index.tolist() for p in profiles] == [[[0, 0], [0, 1], [1, 0], [1, 1]], [[0, 0], [1, 0], [1, 1]]]
-        assert all(p.max_residual_mass == 0.0 for p in profiles)
         assert max(no_signalling_check(asms)) <= 1e-15
 
     def test_factors_shape_checked(self):
@@ -474,8 +517,7 @@ class TestClosedFormDistances:
         psi = BipartitePureState(random_vector(rng, dA * dB), dA, dB)
         asm = conditional_states(psi, [computational_basis(dA)] + haar_settings(rng, dA, 2), dims)
         prof = purity_profile(asm)
-        assert prof.all_rank_one
-        assert np.max(np.abs(prof.distance_matrix - reference_distances(asm, prof))) <= 1e-12
+        assert np.max(np.abs(projector_distances(prof.principals) - reference_distances(asm, prof))) <= 1e-12
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
     @pytest.mark.parametrize("d", [2, 4, 6])
@@ -491,6 +533,6 @@ class TestClosedFormDistances:
         asm = conditional_states(psi, settings_, (d, d))
         prof = purity_profile(asm)
         ref = reference_distances(asm, prof)
-        assert prof.all_rank_one
         assert 0 < np.min(ref[np.triu_indices(2 * d, k=1)]) < 10 * eps
-        assert np.max(np.abs(prof.distance_matrix - ref)) <= 1e-12
+        assert np.max(np.abs(projector_distances(prof.principals) - ref)) <= 1e-12
+        assert abs(prof.min_distance - np.min(ref[np.triu_indices(2 * d, k=1)])) <= 1e-12

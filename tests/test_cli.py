@@ -64,7 +64,8 @@ class TestScenarios:
         for name in ("conditional_states", "purity_profile"):
             wrapped = counting(calls, getattr(assemblage, name))
             for module in (report, steering):
-                monkeypatch.setattr(module, name, wrapped)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
         run(RunConfig(scenario="paradox-qudit", d=3))
         assert calls == {"conditional_states": 1, "purity_profile": 1}
 
@@ -85,6 +86,20 @@ class TestScenarios:
         count_dense_linalg(monkeypatch, calls)
         for scenario in ("paradox-qubit", "paradox-qudit", "paradox-nopa"):
             doc, code = run(RunConfig(scenario=scenario, d=6))
+            assert code == 0
+            assert doc.checks["all_rank_one"] is True and doc.checks["max_purity_residual"] == 0.0
+        assert calls == {}
+
+    def test_lhs_scenarios_make_no_purity_profile(self, monkeypatch):
+        # Their conditional states are factored, rank one by construction:
+        # the purity checks are the constants true and 0.0.
+        calls = collections.Counter()
+        wrapped = counting(calls, assemblage.purity_profile)
+        for module in (assemblage, report, steering):
+            if hasattr(module, "purity_profile"):
+                monkeypatch.setattr(module, "purity_profile", wrapped)
+        for scenario in ("separable-lhs", "feasibility"):
+            doc, code = run(RunConfig(scenario=scenario))
             assert code == 0
             assert doc.checks["all_rank_one"] is True and doc.checks["max_purity_residual"] == 0.0
         assert calls == {}

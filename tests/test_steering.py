@@ -205,9 +205,16 @@ class TestPureStateParadox:
         doc = cert.to_json()
         assert doc["applicable"]
         assert doc["k"] == 2
-        assert doc["purity"]["all_rank_one"]
+        assert doc["purity"] == {
+            "all_rank_one": True,
+            "max_residual_mass": 0.0,
+            "min_pairwise_distance": cert.purity.min_distance,
+        }
         assert no_signalling_check(cert.assemblage) <= 1e-12
-        assert doc["purity"]["max_residual_mass"] == cert.purity.max_residual_mass
+        assert doc["collapsed_assignments"] == [
+            {"setting": n, "outcome": a, "hidden": xi} for (n, a), xi in cert.collapsed_assignments.items()
+        ]
+        assert [row["hidden"] for row in doc["collapsed_assignments"]] == [1, 2, 3, 4]
         assert pure_state_paradox(theta_state(0.0), [Z, X]).assemblage is None
 
 
@@ -611,6 +618,22 @@ class TestAnsatzCache:
             for field in ("weights", "hidden_states", "responses"):
                 assert np.array_equal(getattr(out.model, field), getattr(first.model, field))
 
+    def test_large_ansatz_is_not_kept(self):
+        # 1108 qubit candidates, 70912 bytes: over the cache's per-ansatz bound.
+        asm, cands = self.werner_circle8()
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=(1100, 2)) + 1j * rng.normal(size=(1100, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        big = np.concatenate([np.array(cands), v[:, :, None] * v.conj()[:, None, :]])
+        assert big.nbytes > steering._ANSATZ_BYTES
+        steering._candidate_vectors.cache_clear()
+        first, second = lhs_feasibility_lp(asm, big), lhs_feasibility_lp(asm, big)
+        assert steering._candidate_vectors.cache_info().currsize == 0
+        assert first.feasible
+        assert (second.status, second.residual, second.iterations) == (first.status, first.residual, first.iterations)
+        for field in ("weights", "hidden_states", "responses"):
+            assert np.array_equal(getattr(second.model, field), getattr(first.model, field))
+
     def test_cached_vectors_are_read_only(self):
         _, cands = self.werner_circle8()
         stack = np.array(cands, dtype=complex)
@@ -765,7 +788,8 @@ class TestStateBatches:
         for cert, single in zip(certs, singles):
             if cert.applicable:
                 assert np.array_equal(cert.assemblage.stack, single.assemblage.stack)
-                assert np.array_equal(cert.purity.distance_matrix, single.purity.distance_matrix)
+                assert np.array_equal(cert.purity.principals, single.purity.principals)
+                assert np.array_equal(cert.purity.closest, single.purity.closest)
         asms = [c.assemblage for c in certs if c.applicable]
         assert no_signalling_check(asms) == [no_signalling_check(a) for a in asms]
 
@@ -797,12 +821,9 @@ class TestStateBatches:
         for prof, asm in zip(profiles, asms):
             single = purity_profile(asm)
             assert np.array_equal(prof.index, single.index)
-            assert np.array_equal(prof.distance_matrix, single.distance_matrix)
-            assert (prof.all_rank_one, prof.max_residual_mass, prof.min_distance) == (
-                single.all_rank_one,
-                single.max_residual_mass,
-                single.min_distance,
-            )
+            assert np.array_equal(prof.principals, single.principals)
+            assert np.array_equal(prof.closest, single.closest)
+            assert prof.min_distance == single.min_distance
         with pytest.raises(ValueError, match="share their outcome counts"):
             purity_profile([asms[0], conditional_states(nopa_truncated(0.3, 18)[0], settings_[:1], (18, 18))])
 
