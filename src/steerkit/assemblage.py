@@ -131,6 +131,23 @@ class PurityProfile:
     closest: np.ndarray | None  # (2, 2) index rows of the closest pair, None with fewer than two rows
 
 
+def _checked_settings(settings, dA: int, tol: Tolerances) -> list:
+    """settings as a nonempty list, each a MeasurementSetting on dimension
+    dA that validate_setting passes within tol.eig; raises otherwise."""
+    settings = list(settings)
+    if not settings:
+        raise ValueError("need at least one measurement setting")
+    for i, s in enumerate(settings):
+        if not isinstance(s, MeasurementSetting):
+            raise TypeError(f"setting {i} is not a MeasurementSetting")
+        if s.dim != dA:
+            raise ValueError(f"setting {s.label!r} acts on dim {s.dim}, expected dA = {dA}")
+        report = validate_setting(s, tol)
+        if not report.passed:
+            raise ValueError(f"invalid setting {s.label!r}: {report}")
+    return settings
+
+
 def conditional_states(
     state,
     settings,
@@ -151,17 +168,7 @@ def conditional_states(
     run bit for bit. A density matrix gives a dense assemblage.
     """
     dA, dB = dims
-    settings = list(settings)
-    if not settings:
-        raise ValueError("need at least one measurement setting")
-    for i, s in enumerate(settings):
-        if not isinstance(s, MeasurementSetting):
-            raise TypeError(f"setting {i} is not a MeasurementSetting")
-        if s.dim != dA:
-            raise ValueError(f"setting {s.label!r} acts on dim {s.dim}, expected dA = {dA}")
-        report = validate_setting(s, tol)
-        if not report.passed:
-            raise ValueError(f"invalid setting {s.label!r}: {report}")
+    settings = _checked_settings(settings, dA, tol)
     labels, counts = tuple(s.label for s in settings), tuple(s.outcomes for s in settings)
     if isinstance(state, (BipartitePureState, PureStates)):
         batch = state if isinstance(state, PureStates) else PureStates.of(state)

@@ -63,11 +63,6 @@ class MeasurementSetting:
     def _hash(self) -> int:  # + 0 maps -0.0, which array_equal counts equal, to 0.0
         return hash((self.label, self.vectors.shape, (self.vectors + 0).tobytes()))
 
-    @functools.cached_property
-    def _deviations(self) -> tuple:
-        """(max|U^dag U - 1|, max|U U^dag - 1|) of the vectors U."""
-        return _basis_deviations(self)
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
@@ -89,6 +84,7 @@ _DEVIATIONS_CACHE = 64  # settings whose deviations are kept; equal settings sha
 
 @functools.lru_cache(maxsize=_DEVIATIONS_CACHE)
 def _basis_deviations(s: MeasurementSetting) -> tuple:
+    """(max|U^dag U - 1|, max|U U^dag - 1|) of the vectors U."""
     u = s.vectors
     orth = float(np.max(np.abs(u.conj().T @ u - np.eye(s.outcomes))))
     return orth, float(np.max(np.abs(u @ u.conj().T - np.eye(s.dim))))
@@ -169,5 +165,5 @@ def validate_setting(s: MeasurementSetting, tol: Tolerances = DEFAULT_TOL) -> Se
     once per distinct setting (equal settings share them); the comparison
     with tol.eig is made on every call.
     """
-    orth, comp = s._deviations
+    orth, comp = _basis_deviations(s)
     return SettingValidation(orth, comp, max(orth, comp) <= tol.eig)

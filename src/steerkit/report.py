@@ -24,7 +24,6 @@ from .measurements import (
 )
 from .states import PureStates, ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
 from .steering import (
-    _states_per_chunk,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
     lhs_feasibility_lp,
@@ -238,16 +237,28 @@ def _paradox_input(cfg: RunConfig):
     return psi, parse_qudit_settings(cfg.settings or "Z,X", cfg.d), {"truncation_weight": tail}
 
 
+_BATCH_ENTRIES = 1 << 18  # entries per batch of paradox states: 4 MB of complex
+
+
+def _states_per_chunk(settings, dA: int, dB: int) -> int:
+    """How many dA x dB states a batch holds under settings: as many as keep
+    their factors (rows x dB entries, for rows = k dA conditional states)
+    and distance matrices (rows^2) within _BATCH_ENTRIES entries, at least one."""
+    rows = len(settings) * dA
+    return max(1, _BATCH_ENTRIES // max(1, rows * (dB + rows)))
+
+
 def _paradox_runs(configs) -> list:
     """(ReportDocument, exit code) of each paradox-* config, in order.
 
     Consecutive configs that share their settings, dims and tolerances run
     as one PureStates batch of at most _states_per_chunk states, and a
     batch's reports are built before the next batch runs, so memory stays
-    that of one batch. One no_signalling_check covers a batch's applicable
-    certificates, and each point's duration_s is an equal share of the
-    batch's time. A config or input that raises does so after the batches
-    before it have run, so the first failing point decides the error.
+    that of one batch (pure_state_paradox runs each batch whole). One
+    no_signalling_check covers a batch's applicable certificates, and each
+    point's duration_s is an equal share of the batch's time. A config or
+    input that raises does so after the batches before it have run, so the
+    first failing point decides the error.
     """
     runs, batch = [], []  # batch: (key, cfg, state, extra) of each pending config
     t0 = time.perf_counter()

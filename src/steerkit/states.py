@@ -100,9 +100,6 @@ class PureStates:
     def __len__(self) -> int:
         return len(self.coefficients)
 
-    def __getitem__(self, rows: slice) -> "PureStates":
-        return PureStates(self.coefficients[rows])
-
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """True for each state whose subdominant Schmidt mass sum_{m>0} c_m^2
         exceeds tol.rank1, the mass tolerance that decides purity; a bool

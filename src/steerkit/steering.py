@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, PurityProfile, _stack, conditional_states, purity_profile, row_keys, setting_sums
+from .assemblage import Assemblage, PurityProfile, _checked_settings, _stack, conditional_states, purity_profile
+from .assemblage import row_keys, setting_sums
 from .linalg import DEFAULT_TOL, Tolerances, _strict_upper, projector_distances
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
@@ -226,19 +227,6 @@ class GhzExpectations:
     eigenstate_residuals: tuple
 
 
-# Entries per chunk of a batch of states: 4 MB of complex, so that a batch
-# of any size runs in bounded memory.
-_BATCH_ENTRIES = 1 << 18
-
-
-def _states_per_chunk(settings, dA: int, dB: int) -> int:
-    """How many dA x dB states a chunk holds under settings: as many as keep
-    their factors (rows x dB entries, for rows = k dA conditional states)
-    and distance matrices (rows^2) within _BATCH_ENTRIES entries, at least one."""
-    rows = len(settings) * dA
-    return max(1, _BATCH_ENTRIES // max(1, rows * (dB + rows)))
-
-
 def pure_state_paradox(
     psi,
     settings,
@@ -255,38 +243,33 @@ def pure_state_paradox(
     Separable inputs yield applicable=False rather than an error.
 
     psi is a BipartitePureState, the batch of one, or a PureStates batch,
-    whose certificates come as a list, in order. A batch goes in chunks of
-    at most _BATCH_ENTRIES factor and distance entries (at least one state);
-    each chunk validates and compares the settings once and makes one
-    conditional_states and one purity_profile call. A setting's deviations
-    from a basis are computed once per setting, and whether two settings
-    coincide once per settings tuple and tol.state_eq; the tolerances are
-    applied on every call. A failed check raises the error of the first
-    failing state.
+    whose certificates come as a list, in order. A batch runs as one
+    computation, whatever its size: one conditional_states call, one
+    coincidence lookup and one purity_profile call. Its certificates keep
+    every state's factors and principals, so memory grows with the batch;
+    the CLI cuts its sweeps into batches of bounded size. A setting's
+    deviations from a basis are computed once per setting, and whether two
+    settings coincide once per settings tuple and tol.state_eq; the
+    tolerances are applied on every call. A failed check raises the error
+    of the first failing state, naming its batch index when the batch holds
+    more than one state.
     """
     settings = list(settings)
-    if isinstance(psi, BipartitePureState):
-        return _paradoxes(PureStates.of(psi), settings, tol)[0]
-    step = _states_per_chunk(settings, psi.dA, psi.dB)
-    return [cert for lo in range(0, len(psi), step) for cert in _paradoxes(psi[lo : lo + step], settings, tol, lo)]
-
-
-def _paradoxes(psi: PureStates, settings: list, tol: Tolerances, first=None) -> list:
-    """The certificates of one chunk of a batch, in order; psi[0] has batch index first (None: one state)."""
     if (k := len(settings)) < 2:
         raise ValueError(f"need at least 2 settings, got {k}")
-    asms = conditional_states(psi, settings, (psi.dA, psi.dB), tol)  # validates the settings
+    batch = psi if isinstance(psi, PureStates) else PureStates.of(psi)
+    asms = conditional_states(batch, settings, (batch.dA, batch.dB), tol)  # validates the settings
     if pair := _coinciding_pair(tuple(settings), tol.state_eq):
         i, j = pair
         raise CoincidentSettingsError(f"settings {settings[i].label!r} and {settings[j].label!r} coincide")
 
-    entangled = psi.entangled(tol).tolist()
+    entangled = batch.entangled(tol).tolist()
     live = [asm for asm, e in zip(asms, entangled) if e]
     verdicts = iter(())
     if live:
         profiles = purity_profile(live, tol)
         for i, prof in zip((j for j, e in enumerate(entangled) if e), profiles):
-            _require_collapsible(prof, settings, tol, None if first is None else first + i)
+            _require_collapsible(prof, settings, tol, i if len(batch) > 1 else None)
         lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
         quantum = _stack([asm.bob_reduced for asm in live]).trace(axis1=1, axis2=2).real.tolist()
         verdicts = zip(live, profiles, lhs, quantum)
@@ -298,7 +281,7 @@ def _paradoxes(psi: PureStates, settings: list, tol: Tolerances, first=None) -> 
             continue
         asm, prof, lhs, quantum = next(verdicts)
         certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, tol, note))
-    return certs
+    return certs if batch is psi else certs[0]
 
 
 # Settings tuples whose coincidence verdict is kept, per tol.state_eq. The
@@ -348,15 +331,11 @@ def separable_lhs_model(
 
     The hidden state is Bob's (pure) reduced state and the responses are
     Alice's local outcome probabilities u_a^dag rho_A u_a = |Psi^dag u_a|^2.
+    The settings are validated as conditional_states validates them.
     """
     if psi.entangled(tol):
         raise ValueError("separable_lhs_model requires a separable (Schmidt rank 1) state")
-    settings = list(settings)
-    if not settings:
-        raise ValueError("need at least one measurement setting")
-    for s in settings:
-        if s.dim != psi.dA:
-            raise ValueError(f"setting {s.label!r} acts on dim {s.dim}, expected {psi.dA}")
+    settings = _checked_settings(settings, psi.dA, tol)
     vectors = np.concatenate([s.vectors for s in settings], axis=1)
     probs = np.sum(np.abs(psi.coefficients.conj().T @ vectors) ** 2, axis=0)
     counts = tuple(s.outcomes for s in settings)

@@ -332,6 +332,27 @@ class TestBatchedSweep:
         assert main(["sweep", "--param", "theta", "--values", "0.3,nan"]) == report.EXIT_PRECONDITION
         assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got nan\n"
 
+    def test_single_runs_name_no_batch_index(self, monkeypatch, capsys):
+        # A paradox-* run, and each point of a k sweep, is a batch of one.
+        self.coincide_at(monkeypatch, np.pi / 4)
+        for argv in (["paradox-qubit"], ["sweep", "--param", "k", "--values", "2,3"]):
+            assert main(argv) == report.EXIT_PRECONDITION
+            err = capsys.readouterr().err
+            assert err.startswith("error: some normalized conditional states coincide")
+            assert "batch index" not in err
+
+    def test_theta_sweep_chunks_bound_a_batch(self, monkeypatch):
+        # One state of two qubit settings holds 4 factors of 2 entries and a
+        # 4 x 4 distance matrix: 24 entries.
+        monkeypatch.setattr(report, "_BATCH_ENTRIES", 3 * 24)
+        sizes = []
+        exact = report.pure_state_paradox
+        monkeypatch.setattr(report, "pure_state_paradox", lambda psi, *args: sizes.append(len(psi)) or exact(psi, *args))
+        values = [float(v) for v in np.linspace(0.1, 1.4, 7)]
+        cfg = RunConfig(scenario="sweep", param="theta", values=",".join(map(repr, values)))
+        self.assert_points_are_single_runs(cfg, values)
+        assert sizes == [3, 3, 1] + [1] * len(values)  # the sweep, then the single runs
+
     def test_one_eigendecomposition_and_validation_per_sweep(self, monkeypatch):
         calls = collections.Counter()
         monkeypatch.setattr(linalg, "hermitian_eig", counting(calls, linalg.hermitian_eig))

@@ -244,14 +244,14 @@ class TestValidateSetting:
         assert rep.passed
         assert max(rep.orthonormality, rep.completeness) <= 1e-12
 
-    def test_deviations_computed_lazily_once(self, monkeypatch):
-        calls = []
-        prop = vars(MeasurementSetting)["_deviations"]
-        monkeypatch.setattr(prop, "func", lambda s: calls.append(s) or (0.0, 0.0))
+    def test_deviations_computed_lazily_once(self):
+        measurements._basis_deviations.cache_clear()
         s = fourier_mub_basis(5)
-        assert calls == []  # not at construction
-        assert validate_setting(s).passed and validate_setting(s, Tolerances(eig=0.0)).passed
-        assert calls == [s]
+        assert measurements._basis_deviations.cache_info().misses == 0  # not at construction
+        loose, strict = validate_setting(s), validate_setting(s, Tolerances(eig=0.0))
+        assert loose.passed
+        assert (strict.orthonormality, strict.completeness) == (loose.orthonormality, loose.completeness)
+        assert measurements._basis_deviations.cache_info().misses == 1
 
     def test_equal_settings_share_their_deviations(self):
         measurements._basis_deviations.cache_clear()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
-from steerkit import assemblage, steering
+from steerkit import assemblage, measurements, steering
 from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check, purity_profile, row_keys
 from steerkit.linalg import DEFAULT_TOL, Tolerances, projector_distances
 from steerkit.measurements import (
@@ -115,16 +115,15 @@ class TestPureStateParadox:
 
     def test_settings_checked_once_per_tuple(self):
         steering._coinciding_pair.cache_clear()
+        measurements._basis_deviations.cache_clear()
         settings = (angle_projectors(0.2), angle_projectors(0.9))
-        deviations = vars(MeasurementSetting)["_deviations"]
         with (
-            mock.patch.object(deviations, "func", wraps=deviations.func) as validated,
             mock.patch.object(steering, "projector_distances", wraps=projector_distances) as compared,
             mock.patch.object(assemblage, "validate_setting", wraps=assemblage.validate_setting) as checked,
         ):
             for theta in (0.5, 0.7):
                 assert pure_state_paradox(theta_state(theta), settings).applicable
-        assert validated.call_count == 2  # once per setting
+        assert measurements._basis_deviations.cache_info().misses == 2  # once per setting
         assert compared.call_count == 1  # once per tuple
         assert checked.call_count == 4  # the tolerance is applied on every call
 
@@ -348,6 +347,14 @@ class TestSeparableLhsModel:
     def test_entangled_rejected(self):
         with pytest.raises(ValueError, match="separable"):
             separable_lhs_model(theta_state(0.5), [Z, X])
+
+    def test_settings_validated(self):
+        # Columns of norms 1 and 1.25: the responses of setting 0 would sum to 1.25.
+        psi = separable_state(K0)
+        with pytest.raises(ValueError, match="^invalid setting 'bad'"):
+            separable_lhs_model(psi, [MeasurementSetting("bad", [[1, 0.5], [0, 1]]), X])
+        with pytest.raises(TypeError, match="^setting 1 is not a MeasurementSetting$"):
+            separable_lhs_model(psi, [X, np.eye(2)])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -760,8 +767,6 @@ class TestStateBatches:
             assert np.array_equal(batch.coefficients[i], single.coefficients)
             assert np.array_equal(batch.schmidt_coeffs[i], single.schmidt_coeffs)
             assert batch.entangled()[i] == single.entangled()
-        one = PureStates.of(theta_state(0.3))
-        assert np.array_equal(one.coefficients, batch[1:2].coefficients)
 
     def test_nopa_batch_matches_single_certificates(self):
         # Row-major conditional states: a state's share of a batch is its
@@ -793,18 +798,22 @@ class TestStateBatches:
         asms = [c.assemblage for c in certs if c.applicable]
         assert no_signalling_check(asms) == [no_signalling_check(a) for a in asms]
 
-    def test_chunks_bound_a_batch(self, monkeypatch):
-        thetas = np.linspace(0.1, 1.4, 7)
-        whole = pure_state_paradox(self.theta_states(thetas), [Z, X])
+    def test_batch_runs_whole(self, monkeypatch):
+        # Five states at d = 100 under Z, X: more than a CLI sweep puts in
+        # one batch (four), yet the library runs them as one computation.
+        rng = np.random.default_rng(24)
+        psis = [qudit_schmidt_state(np.sqrt(rng.dirichlet(np.ones(100)))) for _ in range(5)]
+        settings_ = [computational_basis(100), fourier_mub_basis(100)]
         calls = []
         exact = steering.conditional_states
         monkeypatch.setattr(steering, "conditional_states", lambda psi, *args: calls.append(len(psi)) or exact(psi, *args))
-        # One state of two qubit settings holds 4 factors of 2 entries and a
-        # 4 x 4 distance matrix: 24 entries.
-        monkeypatch.setattr(steering, "_BATCH_ENTRIES", 3 * 24)
-        chunked = pure_state_paradox(self.theta_states(thetas), [Z, X])
-        assert calls == [3, 3, 1]
-        assert [json.dumps(c.to_json()) for c in chunked] == [json.dumps(c.to_json()) for c in whole]
+        certs = pure_state_paradox(PureStates.of(*psis), settings_)
+        assert calls == [5]
+        for psi, cert in zip(psis, certs):
+            single = pure_state_paradox(psi, settings_)
+            assert cert.applicable and json.dumps(cert.to_json()) == json.dumps(single.to_json())
+            assert np.array_equal(cert.assemblage.factors, single.assemblage.factors)
+            assert np.array_equal(cert.purity.principals, single.purity.principals)
 
     def test_purity_profiles_group_by_nonvacuous_rows(self, monkeypatch):
         # At d = 18, tanh(0.3)^(2m) falls below tol.rank1 from m = 9: nine
