@@ -30,7 +30,6 @@ from .assemblage import (
     purity_profile,
 )
 from .steering import (
-    CoincidentSettingsError,
     DegenerateSettingGeometryError,
     FeasibilityOutcome,
     GhzExpectations,

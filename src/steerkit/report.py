@@ -24,6 +24,7 @@ from .measurements import (
 )
 from .states import PureStates, ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
 from .steering import (
+    DegenerateSettingGeometryError,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
     lhs_feasibility_lp,
@@ -258,18 +259,25 @@ def _paradox_runs(configs) -> list:
     no_signalling_check covers a batch's applicable certificates, and each
     point's duration_s is an equal share of the batch's time. A config or
     input that raises does so after the batches before it have run, so the
-    first failing point decides the error.
+    first failing point decides the error. The error of a point that shares
+    its key with a neighbouring config names the point's index in configs.
     """
     runs, batch = [], []  # batch: (key, cfg, state, extra) of each pending config
-    t0 = time.perf_counter()
+    t0, last_key = time.perf_counter(), None
 
-    def flush():
-        nonlocal t0
+    def flush(next_key=None):
+        nonlocal t0, last_key
         entries, batch[:] = batch[:], []
         if not entries:
             return
-        settings, _, _, tol = entries[0][0]
-        certs = pure_state_paradox(PureStates.of(*(psi for _, _, psi, _ in entries)), settings, tol)
+        settings, _, _, tol = key = entries[0][0]
+        try:
+            certs = pure_state_paradox(PureStates.of(*(psi for _, _, psi, _ in entries)), settings, tol)
+        except DegenerateSettingGeometryError as err:
+            if err.position is None and key not in (last_key, next_key):
+                raise  # the point runs alone
+            raise DegenerateSettingGeometryError(err.closest, err.distance, len(runs) + (err.position or 0)) from None
+        last_key = key
         applicable = [cert.assemblage for cert in certs if cert.applicable]
         deviations = iter(no_signalling_check(applicable) if applicable else ())
         share = (time.perf_counter() - t0) / len(entries)
@@ -285,7 +293,7 @@ def _paradox_runs(configs) -> list:
             psi, settings, extra = _paradox_input(cfg)
             key = (settings, psi.dA, psi.dB, cfg.tolerances)
             if batch and (key != batch[0][0] or len(batch) == _states_per_chunk(settings, psi.dA, psi.dB)):
-                flush()
+                flush(key)
             batch.append((key, cfg, psi, extra))
     finally:
         flush()

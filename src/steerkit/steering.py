@@ -14,13 +14,12 @@ import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, _checked_settings, _stack, conditional_states, purity_profile
 from .assemblage import row_keys, setting_sums
-from .linalg import DEFAULT_TOL, Tolerances, _strict_upper, projector_distances
+from .linalg import DEFAULT_TOL, Tolerances, _strict_upper
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState, PureStates
 
 __all__ = [
-    "CoincidentSettingsError",
     "DegenerateSettingGeometryError",
     "LHSModel",
     "ParadoxCertificate",
@@ -36,13 +35,22 @@ __all__ = [
 ]
 
 
-class CoincidentSettingsError(ValueError):
-    """Two supplied settings have the same projector multiset."""
-
-
 class DegenerateSettingGeometryError(ValueError):
     """Entangled input but some normalized conditional states coincide, so
-    the single-term collapse step cannot be applied as stated."""
+    the single-term collapse step cannot be applied as stated. closest names
+    the closest pair, at trace distance distance, and position the failing
+    state's batch index, None for a batch of one."""
+
+    def __init__(self, closest: str, distance: float, position=None):
+        super().__init__(closest, distance, position)
+        self.closest, self.distance, self.position = closest, distance, position
+
+    def __str__(self):
+        where = "" if self.position is None else f" of batch index {self.position}"
+        return (
+            "some normalized conditional states coincide across outcomes or settings; the single-term collapse "
+            f"needs them pairwise distinct; closest: {self.closest}{where} (min trace distance {self.distance:.3e})"
+        )
 
 
 def _require_states(stack: np.ndarray, lp: float, what: str) -> None:
@@ -234,42 +242,39 @@ def pure_state_paradox(
 ):
     """Run the trace-sum contradiction for a pure bipartite state.
 
-    For an entangled input and k pairwise-distinct settings: every
-    nonvacuous conditional state is verified rank-1 and pairwise distinct,
-    each equation is collapsed onto a single hidden state with response
-    probability 1, and the certificate reports the hidden-side trace sum k
-    against the quantum value 1.
+    For an entangled input, the nonvacuous conditional states (rank 1 by
+    construction) are checked pairwise distinct, which coincident settings
+    fail; each equation is collapsed onto a single hidden state with
+    response probability 1, and the certificate reports the hidden-side
+    trace sum k against the quantum value 1.
 
     Separable inputs yield applicable=False rather than an error.
 
     psi is a BipartitePureState, the batch of one, or a PureStates batch,
     whose certificates come as a list, in order. A batch runs as one
-    computation, whatever its size: one conditional_states call, one
-    coincidence lookup and one purity_profile call. Its certificates keep
-    every state's factors and principals, so memory grows with the batch;
-    the CLI cuts its sweeps into batches of bounded size. A setting's
-    deviations from a basis are computed once per setting, and whether two
-    settings coincide once per settings tuple and tol.state_eq; the
-    tolerances are applied on every call. A failed check raises the error
-    of the first failing state, naming its batch index when the batch holds
-    more than one state.
+    computation, whatever its size: one conditional_states call and one
+    purity_profile call. Its certificates keep every state's factors and
+    principals, so memory grows with the batch; the CLI cuts its sweeps into
+    batches of bounded size. A setting's deviations from a basis are
+    computed once per setting; the tolerances are applied on every call. A
+    failed check raises the error of the first failing state, naming its
+    batch index when the batch holds more than one state.
     """
     settings = list(settings)
     if (k := len(settings)) < 2:
         raise ValueError(f"need at least 2 settings, got {k}")
     batch = psi if isinstance(psi, PureStates) else PureStates.of(psi)
     asms = conditional_states(batch, settings, (batch.dA, batch.dB), tol)  # validates the settings
-    if pair := _coinciding_pair(tuple(settings), tol.state_eq):
-        i, j = pair
-        raise CoincidentSettingsError(f"settings {settings[i].label!r} and {settings[j].label!r} coincide")
-
     entangled = batch.entangled(tol).tolist()
     live = [asm for asm, e in zip(asms, entangled) if e]
     verdicts = iter(())
     if live:
         profiles = purity_profile(live, tol)
         for i, prof in zip((j for j, e in enumerate(entangled) if e), profiles):
-            _require_collapsible(prof, settings, tol, i if len(batch) > 1 else None)
+            if prof.min_distance <= tol.state_eq:  # the single-term collapse needs them pairwise distinct
+                (n, a), (n2, a2) = prof.closest.tolist()
+                closest = f"outcome {a} of {settings[n].label!r} and outcome {a2} of {settings[n2].label!r}"
+                raise DegenerateSettingGeometryError(closest, prof.min_distance, i if len(batch) > 1 else None)
         lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
         quantum = _stack([asm.bob_reduced for asm in live]).trace(axis1=1, axis2=2).real.tolist()
         verdicts = zip(live, profiles, lhs, quantum)
@@ -282,44 +287,6 @@ def pure_state_paradox(
         asm, prof, lhs, quantum = next(verdicts)
         certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, tol, note))
     return certs if batch is psi else certs[0]
-
-
-# Settings tuples whose coincidence verdict is kept, per tol.state_eq. The
-# CLI hands every run of one spec the same tuple, so it is compared once.
-_COINCIDENCE_CACHE = 64
-
-
-@functools.lru_cache(maxsize=_COINCIDENCE_CACHE)
-def _coinciding_pair(settings: tuple, state_eq: float):
-    """(i, j) of the first two of the validated settings that coincide, in
-    row-major order, or None.
-
-    Validated, each setting is a basis of d vectors at trace distance 1 from
-    each other, so each projector is within state_eq < 1/2 of at most one
-    partner: settings i and j coincide iff every projector of each has a
-    partner in the other.
-    """
-    k, d = len(settings), settings[0].dim
-    vecs = np.concatenate([s.vectors for s in settings], axis=1).T
-    close = (projector_distances(vecs) <= state_eq).reshape(k, d, k, d)
-    paired = close.any(axis=3).all(axis=1)
-    i, j = np.nonzero(np.triu(paired & paired.T, 1))
-    return (int(i[0]), int(j[0])) if i.size else None
-
-
-def _require_collapsible(prof: PurityProfile, settings: list, tol: Tolerances, position=None) -> None:
-    """Raise unless no two nonvacuous conditional states coincide, as the
-    single-term collapse needs (each is rank 1 by construction), naming the
-    closest pair and position, the state's batch index, unless it is None."""
-    if prof.min_distance <= tol.state_eq:
-        (n, a), (n2, a2) = prof.closest.tolist()
-        where = "" if position is None else f" of batch index {position}"
-        raise DegenerateSettingGeometryError(
-            "some normalized conditional states coincide across outcomes or "
-            "settings; the single-term collapse needs them pairwise distinct; "
-            f"closest: outcome {a} of {settings[n].label!r} and outcome {a2} of "
-            f"{settings[n2].label!r}{where} (min trace distance {prof.min_distance:.3e})"
-        )
 
 
 def separable_lhs_model(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lhs_cases import werner_assemblage
+from schmidt_anchors import schmidt_distance, schmidt_min_distance
 
 from steerkit import linalg
 from steerkit.assemblage import (
@@ -536,3 +537,20 @@ class TestClosedFormDistances:
         assert 0 < np.min(ref[np.triu_indices(2 * d, k=1)]) < 10 * eps
         assert np.max(np.abs(projector_distances(prof.principals) - ref)) <= 1e-12
         assert abs(prof.min_distance - np.min(ref[np.triu_indices(2 * d, k=1)])) <= 1e-12
+
+
+class TestSchmidtAnchors:
+    """purity_profile on a Schmidt-form state under Z and X against the
+    closed forms of schmidt_anchors, zero coefficients included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=2, max_size=12).filter(any))
+    def test_closest_pair_and_min_distance(self, lam):
+        lam = np.array(lam) / np.linalg.norm(lam)
+        d = lam.size
+        settings_ = [computational_basis(d), fourier_mub_basis(d)]
+        prof = purity_profile(conditional_states(qudit_schmidt_state(lam), settings_, (d, d)))
+        # A zero coefficient leaves its Z row vacuous; every X row has probability 1/d.
+        assert prof.index.tolist() == [[0, j] for j in np.flatnonzero(lam)] + [[1, a] for a in range(d)]
+        assert abs(schmidt_distance(lam, *prof.closest.tolist()) - prof.min_distance) <= 1e-12
+        assert abs(schmidt_min_distance(lam) - prof.min_distance) <= 1e-12

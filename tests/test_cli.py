@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schmidt_anchors import schmidt_min_distance
 
 from steerkit import assemblage, cli, linalg, report, states, steering
 from steerkit.cli import main
@@ -341,6 +342,46 @@ class TestBatchedSweep:
             assert err.startswith("error: some normalized conditional states coincide")
             assert "batch index" not in err
 
+    @pytest.mark.parametrize(
+        "values, batches", [("0.3,0.6,1.0,1.5,2.0,2.5", [4, 2]), ("0.3,0.6,1.0,1.5,2.0", [4, 1])], ids=["4+2", "4+1"]
+    )
+    def test_sweep_errors_name_the_grid_point(self, monkeypatch, capsys, values, batches):
+        # The last point of an r sweep at d = 100 fails: the error names its
+        # index in the grid, in a batch of two or alone in the last batch,
+        # and reads the same when the whole sweep runs as one batch.
+        grid = [float(v) for v in values.split(",")]
+        exact = steering.purity_profile
+
+        def fail_where(hit):
+            """Make each purity profile for which hit holds report two
+            coinciding conditional states."""
+            monkeypatch.setattr(
+                steering,
+                "purity_profile",
+                lambda asms, tol: [dataclasses.replace(p, min_distance=0.0) if hit(p) else p for p in exact(asms, tol)],
+            )
+
+        last = np.sum(np.abs(states.nopa_truncated(grid[-1], 100)[0].coefficients[0]) ** 2)
+        fail_where(lambda prof: abs(prof.probabilities[0] - last) <= 1e-12)
+        sizes = []
+        run_batch = report.pure_state_paradox
+        monkeypatch.setattr(
+            report, "pure_state_paradox", lambda psi, *args: sizes.append(len(psi)) or run_batch(psi, *args)
+        )
+        errors = []
+        for entries in (report._BATCH_ENTRIES, 1 << 30):
+            monkeypatch.setattr(report, "_BATCH_ENTRIES", entries)
+            assert main(["sweep", "--param", "r", "--values", values, "--d", "100"]) == report.EXIT_PRECONDITION
+            errors.append(capsys.readouterr().err)
+        assert sizes == batches + [len(grid)]
+        assert errors[0] == errors[1]
+        assert errors[0].endswith(f"of batch index {len(grid) - 1} (min trace distance 0.000e+00)\n")
+        # Each point of a d sweep runs alone, and names no index.
+        fail_where(lambda prof: prof.principals.shape[-1] == 4)
+        assert main(["sweep", "--param", "d", "--values", "3,4"]) == report.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: some normalized conditional states coincide") and "batch index" not in err
+
     def test_theta_sweep_chunks_bound_a_batch(self, monkeypatch):
         # One state of two qubit settings holds 4 factors of 2 entries and a
         # 4 x 4 distance matrix: 24 entries.
@@ -396,6 +437,31 @@ class TestSweepValues:
         doc, code = run(RunConfig(scenario="sweep", param="k", values="2.4,2.6"))
         assert code == 0
         assert [(p["config"]["k"], p["result"]["k"]) for p in doc.result["reports"]] == [(2, 2), (3, 3)]
+
+
+class TestSchmidtAnchors:
+    """Every paradox scenario runs a Schmidt-form state under Z and X, whose
+    minimum pairwise distance has a closed form (schmidt_anchors)."""
+
+    @pytest.mark.parametrize(
+        "scenario, value, d",
+        [("paradox-qubit", theta, 2) for theta in (0.3, 0.7, 1.2)]
+        + [("paradox-qudit", "dirichlet", d) for d in (5, 50, 300)]
+        + [("paradox-nopa", r, d) for r in (0.3, 1.0, 2.0) for d in (5, 50, 300)],
+    )
+    def test_min_distance_and_trace_sums(self, scenario, value, d, capsys):
+        if scenario == "paradox-qubit":
+            argv, lam = ["--theta", repr(value)], [np.cos(value), np.sin(value)]
+        elif scenario == "paradox-qudit":
+            lam = np.sqrt(np.random.default_rng(d).dirichlet(np.ones(d))).tolist()
+            argv = ["--lambdas", ",".join(map(repr, lam))]
+        else:
+            argv, lam = ["--r", repr(value), "--d", str(d)], np.tanh(value) ** np.arange(d)
+        assert main([scenario, *argv]) == report.EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        tol = result["tolerances"]["lp"]
+        assert abs(result["purity"]["min_pairwise_distance"] - schmidt_min_distance(lam)) <= 1e-12
+        assert abs(result["lhs_trace_sum"] - 2) <= tol and abs(result["quantum_trace_sum"] - 1) <= tol
 
 
 class TestRunInputs:
@@ -545,7 +611,14 @@ class TestMain:
 
     def test_coinciding_settings_named(self, capsys):
         assert main(["paradox-qubit", "--settings", "z,x,z"]) == report.EXIT_PRECONDITION
-        assert capsys.readouterr().err == "error: settings 'bloch(0,0,1)' and 'bloch(0,0,1)' coincide\n"
+        assert capsys.readouterr().err == (
+            "error: some normalized conditional states coincide across outcomes or settings; the single-term "
+            "collapse needs them pairwise distinct; closest: outcome 0 of 'bloch(0,0,1)' and outcome 0 of "
+            "'bloch(0,0,1)' (min trace distance 0.000e+00)\n"
+        )
+        # On a separable state the paradox does not apply, coincident settings or not.
+        assert main(["paradox-qubit", "--theta", "0", "--settings", "z,z"]) == report.EXIT_PRECONDITION
+        assert json.loads(capsys.readouterr().out)["result"]["reason"] == "separable: paradox not applicable"
 
     @pytest.mark.parametrize(
         "argv, message",

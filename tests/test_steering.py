@@ -34,7 +34,6 @@ from steerkit.states import (
     theta_state,
 )
 from steerkit.steering import (
-    CoincidentSettingsError,
     DegenerateSettingGeometryError,
     LHSModel,
     default_candidates,
@@ -95,17 +94,20 @@ class TestPureStateParadox:
         assert cert.note is not None
 
     def test_coincident_settings_rejected(self):
-        with pytest.raises(CoincidentSettingsError):
-            pure_state_paradox(theta_state(0.5), [Z, bloch_projectors([0, 0, 1])])
+        # Coincident settings give an entangled state coincident conditional
+        # states; on a separable state the paradox does not apply.
+        settings_ = [Z, bloch_projectors([0, 0, 1])]
+        with pytest.raises(DegenerateSettingGeometryError, match=r"\(min trace distance 0\.000e\+00\)$"):
+            pure_state_paradox(theta_state(0.5), settings_)
+        assert pure_state_paradox(theta_state(0.0), settings_).reason == "separable: paradox not applicable"
 
     @pytest.mark.parametrize("theta", [np.pi / 4, 0.0])
     def test_invalid_settings_reported_invalid(self, theta):
         # a duplicated column: not a basis, and equal to its twin, so only
-        # validating before the coincidence test names the real fault
+        # validating before the distinctness check names the real fault
         bad = [MeasurementSetting(label, [[1, 1], [0, 0]]) for label in ("a", "b")]
-        with pytest.raises(ValueError, match="invalid setting") as err:
+        with pytest.raises(ValueError, match="invalid setting"):
             pure_state_paradox(theta_state(theta), bad)
-        assert not isinstance(err.value, CoincidentSettingsError)
 
     @pytest.mark.parametrize("theta", [np.pi / 4, 0.0])
     def test_each_setting_validated_once(self, theta):
@@ -114,29 +116,24 @@ class TestPureStateParadox:
         assert check.call_count == 3
 
     def test_settings_checked_once_per_tuple(self):
-        steering._coinciding_pair.cache_clear()
         measurements._basis_deviations.cache_clear()
         settings = (angle_projectors(0.2), angle_projectors(0.9))
-        with (
-            mock.patch.object(steering, "projector_distances", wraps=projector_distances) as compared,
-            mock.patch.object(assemblage, "validate_setting", wraps=assemblage.validate_setting) as checked,
-        ):
+        with mock.patch.object(assemblage, "validate_setting", wraps=assemblage.validate_setting) as checked:
             for theta in (0.5, 0.7):
                 assert pure_state_paradox(theta_state(theta), settings).applicable
         assert measurements._basis_deviations.cache_info().misses == 2  # once per setting
-        assert compared.call_count == 1  # once per tuple
         assert checked.call_count == 4  # the tolerance is applied on every call
 
     @pytest.mark.parametrize("loose_first", [True, False])
     def test_coincidence_cached_per_state_eq(self, loose_first):
-        # Projectors 1e-6 apart: one setting under state_eq = 1e-3, two
-        # under the default 1e-9, whichever tolerance the tuple meets first.
-        steering._coinciding_pair.cache_clear()
+        # Projectors 1e-6 apart, and so, on the maximally entangled state,
+        # conditional states 1e-6 apart: one setting under state_eq = 1e-3,
+        # two under the default 1e-9, whichever tolerance comes first.
         settings = (angle_projectors(0.3), angle_projectors(0.3 + 1e-6))
         psi = theta_state(np.pi / 4)
         for loose in (loose_first, not loose_first):
             if loose:
-                with pytest.raises(CoincidentSettingsError, match="coincide"):
+                with pytest.raises(DegenerateSettingGeometryError, match="coincide"):
                     pure_state_paradox(psi, settings, Tolerances(state_eq=1e-3))
             else:
                 assert abs(pure_state_paradox(psi, settings).lhs_trace_sum - 2) <= 1e-9
@@ -219,9 +216,8 @@ class TestPureStateParadox:
 
 def settings_coincide_reference(s1, s2, tol):
     """True if the projectors of two settings pair up, each pair within
-    trace distance tol.state_eq: the rule applied one pair of settings at a
-    time, kept as the reference for pure_state_paradox's single distance
-    matrix over every setting."""
+    trace distance tol.state_eq: the rule by which settings coincide,
+    applied one pair of settings at a time."""
     if s1.dim != s2.dim:
         return False
     k = s1.outcomes
@@ -231,9 +227,36 @@ def settings_coincide_reference(s1, s2, tol):
 
 
 class TestSettingCoincidence:
+    """Coincident settings have no check of their own: on an entangled
+    state they give coincident conditional states, which the distinctness
+    check rejects. Within tol.state_eq of coincidence the two rules could
+    disagree, as u -> Psi^T conj(u) is no isometry; these tests pin the
+    verdict there."""
+
+    @staticmethod
+    def assert_rejected_if_coincident(psi, settings_):
+        """Whether the run raised DegenerateSettingGeometryError, which it
+        must when the reference calls any two settings coincident; a run
+        that does not raise certifies."""
+        k = len(settings_)
+        coincident = any(
+            settings_coincide_reference(settings_[i], settings_[j], DEFAULT_TOL)
+            for i in range(k)
+            for j in range(i + 1, k)
+        )
+        try:
+            cert = pure_state_paradox(psi, settings_)
+        except DegenerateSettingGeometryError:  # also distinct settings sharing a projector
+            return True
+        assert not coincident
+        assert abs(cert.lhs_trace_sum - k) <= DEFAULT_TOL.lp
+        return False
+
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(2, 5), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_first_pair_matches_pairwise_rule(self, d, k, seed):
+        # On the maximally entangled state the normalized conditional state
+        # of u is conj(u): conditional states lie as far apart as projectors.
         rng = np.random.default_rng(seed)
         bases = [haar_unitary(rng, d)]
         while len(bases) < k:
@@ -251,24 +274,36 @@ class TestSettingCoincidence:
                 u[:, :2] = u[:, :2] @ haar_unitary(rng, 2)  # shares all but two projectors
             bases.append(u)
         settings_ = [MeasurementSetting(f"s{i}", u) for i, u in enumerate(bases)]
-        pairs = [
-            (i, j)
-            for i in range(k)
-            for j in range(i + 1, k)
-            if settings_coincide_reference(settings_[i], settings_[j], DEFAULT_TOL)
-        ]
-        try:
-            pure_state_paradox(qudit_schmidt_state(np.full(d, 1 / np.sqrt(d))), settings_)
-            named = None
-        except CoincidentSettingsError as err:
-            named = str(err)
-        except DegenerateSettingGeometryError:  # distinct settings sharing a projector
-            named = None
-        assert named == (f"settings 's{pairs[0][0]}' and 's{pairs[0][1]}' coincide" if pairs else None)
+        self.assert_rejected_if_coincident(qudit_schmidt_state(np.full(d, 1 / np.sqrt(d))), settings_)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.01, np.pi / 2 - 0.01),
+        alpha=st.floats(0, np.pi),
+        log_eps=st.floats(-13, -7),
+        swap=st.booleans(),
+    )
+    def test_qubit_theta_states_reject_coincident_settings(self, theta, alpha, log_eps, swap):
+        # Real qubit bases at angles alpha and alpha + eps, the second with
+        # its outcomes swapped or not, lie eps apart in trace distance. With
+        # c = cos(alpha), s = sin(alpha) and Schmidt coefficients l0, l1 of
+        # the theta state, outcome 0 maps to (l0 c, l1 s), whose angle moves
+        # by l0 l1 / (l0^2 c^2 + l1^2 s^2) per unit of alpha, and outcome 1
+        # to (l0 s, -l1 c), whose angle moves by l0 l1 / (l0^2 s^2 + l1^2 c^2).
+        # The denominators multiply to c^2 s^2 (l0^4 + l1^4) + l0^2 l1^2
+        # (c^4 + s^4) >= l0^2 l1^2 (c^2 + s^2)^2, as l0^4 + l1^4 >= 2 l0^2 l1^2
+        # (AM-GM), so the two stretch factors multiply to at most 1: to first
+        # order, some conditional pair lies no farther apart than its
+        # projectors, and settings within tol.state_eq are rejected.
+        eps = 10**log_eps
+        settings_ = [angle_projectors(alpha), angle_projectors(alpha + eps + (np.pi / 2 if swap else 0))]
+        rejected = self.assert_rejected_if_coincident(theta_state(theta), settings_)
+        assert rejected or eps > 0.99e-9
 
     def test_first_coinciding_pair_named(self):
         settings_ = [Z, X, MeasurementSetting("z again", Z.vectors), MeasurementSetting("x again", X.vectors)]
-        with pytest.raises(CoincidentSettingsError, match=r"^settings 'bloch\(0,0,1\)' and 'z again' coincide$"):
+        pair = "closest: outcome 0 of 'bloch(0,0,1)' and outcome 0 of 'z again' (min trace distance 0.000e+00)"
+        with pytest.raises(DegenerateSettingGeometryError, match=re.escape(pair) + "$"):
             pure_state_paradox(theta_state(0.5), settings_)
 
     def test_coinciding_conditional_states_named(self):
