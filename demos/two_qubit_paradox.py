@@ -11,7 +11,6 @@ import numpy as np
 from steerkit import (
     bloch_projectors,
     conditional_states,
-    no_signalling_check,
     pure_state_paradox,
     purity_profile,
     theta_state,
@@ -26,7 +25,6 @@ settings = [bloch_projectors([0, 0, 1]), bloch_projectors([1, 0, 0])]
 # rank one by construction.
 asm = conditional_states(psi, settings, (2, 2))
 print(f"state: cos({theta:.4f})|00> + sin({theta:.4f})|11>")
-print(f"no-signalling deviation: {no_signalling_check(asm):.2e}")
 
 # The profile's probabilities follow the assemblage's rows; index covers
 # the nonvacuous ones, here all four.
@@ -38,8 +36,11 @@ for (n, a), p in zip(prof.index.tolist(), prof.probabilities):
 print(f"min pairwise trace distance: {prof.min_distance:.4f}")
 print(f"  closest pair: setting {n} outcome {a} and setting {n2} outcome {a2}")
 
+# The contradiction assumes each setting's states sum to rho_B; the
+# certificate carries that check.
 cert = pure_state_paradox(psi, settings)
-print(f"\nhidden-state side of the trace sum: {cert.lhs_trace_sum}")
+print(f"\nno-signalling deviation:            {cert.no_signalling_deviation:.2e}")
+print(f"hidden-state side of the trace sum: {cert.lhs_trace_sum}")
 print(f"quantum side of the trace sum:      {cert.quantum_trace_sum}")
 print(f"contradiction magnitude:            {cert.contradiction_magnitude}")
 print(f"collapsed assignments: {cert.collapsed_assignments}")

@@ -102,10 +102,6 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION if exc.code else EXIT_OK
     try:
         cfg = make_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
         doc, code = run(cfg)
         _emit(doc, cfg)
     except (ValueError, TypeError, OSError) as exc:

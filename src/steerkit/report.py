@@ -24,6 +24,7 @@ from .measurements import (
 )
 from .states import PureStates, ghz_state, nopa_truncated, qudit_schmidt_state, separable_state, theta_state
 from .steering import (
+    GHZ_TARGETS,
     DegenerateSettingGeometryError,
     ghz_lhv_bruteforce,
     ghz_operator_expectations,
@@ -118,12 +119,7 @@ class ReportDocument:
             else:
                 lines.append(f"{prefix}: {value}")
 
-        emit("schema", self.schema)
-        emit("scenario", self.scenario)
-        emit("config", self.config)
-        emit("result", self.result)
-        emit("checks", self.checks)
-        emit("duration_s", self.duration_s)
+        emit("", vars(self))
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -195,9 +191,11 @@ def _certificate_exit(cert, tol: Tolerances) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    """cfg's fields in order, the tolerances as a dict of their own."""
-    return {**vars(cfg), "tolerances": dict(vars(cfg.tolerances))}
+def _document(cfg: RunConfig, result: dict, checks: dict, duration_s: float) -> ReportDocument:
+    """The report of a cfg run; its config is cfg's fields in order, the
+    tolerances as a dict of their own."""
+    config = {**vars(cfg), "tolerances": dict(vars(cfg.tolerances))}
+    return ReportDocument(SCHEMA_VERSION, cfg.scenario, config, result, checks, duration_s)
 
 
 def _model_exit(model, settings, asm, tol: Tolerances):
@@ -230,6 +228,8 @@ def _paradox_input(cfg: RunConfig):
             # bits it has when the unscaled norm does neither.
             lam = np.ldexp(lam, -np.frexp(top)[1])
             lam = lam / np.linalg.norm(lam)
+        elif cfg.d < 2:
+            raise ValueError(f"dimension d must be >= 2, got {cfg.d}")
         else:
             lam = np.full(cfg.d, 1 / np.sqrt(cfg.d))
         psi = qudit_schmidt_state(lam)
@@ -255,9 +255,9 @@ def _paradox_runs(configs) -> list:
     Consecutive configs that share their settings, dims and tolerances run
     as one PureStates batch of at most _states_per_chunk states, and a
     batch's reports are built before the next batch runs, so memory stays
-    that of one batch (pure_state_paradox runs each batch whole). One
-    no_signalling_check covers a batch's applicable certificates, and each
-    point's duration_s is an equal share of the batch's time. A config or
+    that of one batch (pure_state_paradox runs each batch whole). A point's
+    no_signalling_deviation check is its certificate's, and each point's
+    duration_s is an equal share of the batch's time. A config or
     input that raises does so after the batches before it have run, so the
     first failing point decides the error. The error of a point that shares
     its key with a neighbouring config names the point's index in configs.
@@ -278,13 +278,10 @@ def _paradox_runs(configs) -> list:
                 raise  # the point runs alone
             raise DegenerateSettingGeometryError(err.closest, err.distance, len(runs) + (err.position or 0)) from None
         last_key = key
-        applicable = [cert.assemblage for cert in certs if cert.applicable]
-        deviations = iter(no_signalling_check(applicable) if applicable else ())
         share = (time.perf_counter() - t0) / len(entries)
         for (_, cfg, _, extra), cert in zip(entries, certs):
-            checks = _assemblage_checks(next(deviations)) if cert.applicable else {}
-            result = {**cert.to_json(), **extra}
-            doc = ReportDocument(SCHEMA_VERSION, cfg.scenario, _config_dict(cfg), result, checks, share)
+            checks = _assemblage_checks(cert.no_signalling_deviation) if cert.applicable else {}
+            doc = _document(cfg, {**cert.to_json(), **extra}, checks, share)
             runs.append((doc, _certificate_exit(cert, tol)))
         t0 = time.perf_counter()
 
@@ -342,9 +339,8 @@ def run(cfg: RunConfig):
             "witness_product": witness,
         }
         checks = {"max_eigenstate_residual": max(exp.eigenstate_residuals)}
-        expected = [1.0, -1.0, -1.0, -1.0]
         ok = (
-            all(abs(v - e) <= tol.eig for v, e in zip(exp.values, expected))
+            all(abs(v - e) <= tol.eig for v, e in zip(exp.values, GHZ_TARGETS))
             and max(exp.eigenstate_residuals) <= tol.eig
             and count == 0
         )
@@ -353,15 +349,7 @@ def run(cfg: RunConfig):
     else:  # pragma: no cover - guarded by RunConfig
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
-    doc = ReportDocument(
-        schema=SCHEMA_VERSION,
-        scenario=cfg.scenario,
-        config=_config_dict(cfg),
-        result=result,
-        checks=checks,
-        duration_s=time.perf_counter() - t0,
-    )
-    return doc, code
+    return _document(cfg, result, checks, time.perf_counter() - t0), code
 
 
 # The scenario that each point of a sweep over the key runs.
@@ -379,19 +367,21 @@ def _grid_values(cfg: RunConfig):
 
 def _sweep_point_config(cfg: RunConfig, value: float) -> RunConfig:
     """The config of the sweep point at value. Only the swept value is
-    converted: a d or k must be finite and is rounded to an int."""
+    converted: a d or k must be finite and is rounded to an int. A theta,
+    r or d point runs cfg.settings, which a theta point defaults to z,x."""
     if cfg.param not in _SWEEP_SCENARIOS:
         raise ValueError(f"sweep param must be one of {sorted(_SWEEP_SCENARIOS)}, got {cfg.param!r}")
     if cfg.param == "theta":
         point = {"theta": value, "settings": cfg.settings or "z,x"}
     elif cfg.param == "r":
-        point = {"r": value, "d": cfg.d}
+        point = {"r": value, "d": cfg.d, "settings": cfg.settings}
+    elif not np.isfinite(value):
+        raise ValueError(f"sweep {cfg.param} must be finite, got {value}")
+    elif cfg.param == "d":
+        point = {"d": int(round(value)), "settings": cfg.settings}
     else:
-        if not np.isfinite(value):
-            raise ValueError(f"sweep {cfg.param} must be finite, got {value}")
-        point = {cfg.param: int(round(value))}
-        if cfg.param == "k":
-            point.update(theta=cfg.theta, settings=_k_settings(point["k"]))
+        k = int(round(value))
+        point = {"k": k, "theta": cfg.theta, "settings": _k_settings(k)}
     return RunConfig(_SWEEP_SCENARIOS[cfg.param], format=cfg.format, tolerances=cfg.tolerances, **point)
 
 
@@ -418,12 +408,5 @@ def _run_sweep(cfg: RunConfig, t0: float):
         "max_contradiction_magnitude": max(magnitudes) if magnitudes else None,
         "max_no_signalling_deviation": max(ns_devs) if ns_devs else None,
     }
-    doc = ReportDocument(
-        schema=SCHEMA_VERSION,
-        scenario="sweep",
-        config=_config_dict(cfg),
-        result={"reports": reports, "summary": summary},
-        checks={"worst_exit_code": worst},
-        duration_s=time.perf_counter() - t0,
-    )
-    return doc, worst
+    result = {"reports": reports, "summary": summary}
+    return _document(cfg, result, {"worst_exit_code": worst}, time.perf_counter() - t0), worst

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, PurityProfile, _checked_settings, _stack, conditional_states, purity_profile
-from .assemblage import row_keys, setting_sums
+from .assemblage import Assemblage, PurityProfile, _checked_settings, _stack, conditional_states, no_signalling_check
+from .assemblage import purity_profile, row_keys, setting_sums
 from .linalg import DEFAULT_TOL, Tolerances, _strict_upper
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
@@ -134,28 +134,35 @@ class LHSModel:
         }
 
 
-_APPLIES = "entangled pure state: trace contradiction established"
-_SEPARABLE = "separable: paradox not applicable"
-
-
 @dataclass(frozen=True)
 class ParadoxCertificate:
     """Verdict record for the k-vs-1 trace contradiction.
 
-    assemblage and purity are the conditional states the verdict was
-    drawn from and their purity profile; both are None when the paradox
-    does not apply.
+    no_signalling_deviation is no_signalling_check of the assemblage:
+    the contradiction holds only if every setting's conditional states sum
+    to rho_B. assemblage and purity are the conditional states the verdict
+    was drawn from and their purity profile. All three are NaN or None when
+    the paradox does not apply.
     """
 
     applicable: bool
-    reason: str
     k: int
     lhs_trace_sum: float
     quantum_trace_sum: float
+    no_signalling_deviation: float
     assemblage: Assemblage | None
     purity: PurityProfile | None
     tolerances: Tolerances
-    note: str | None = None
+
+    @property
+    def reason(self) -> str:
+        if self.applicable:
+            return "entangled pure state: trace contradiction established"
+        return "separable: paradox not applicable"
+
+    @property
+    def note(self) -> str | None:
+        return "k-setting extension of the two-setting collapse" if self.applicable and self.k > 2 else None
 
     @property
     def contradiction_magnitude(self) -> float:
@@ -246,19 +253,20 @@ def pure_state_paradox(
     construction) are checked pairwise distinct, which coincident settings
     fail; each equation is collapsed onto a single hidden state with
     response probability 1, and the certificate reports the hidden-side
-    trace sum k against the quantum value 1.
+    trace sum k against the quantum value 1. The certificate also carries
+    the assemblage's no_signalling_check, which the contradiction assumes.
 
     Separable inputs yield applicable=False rather than an error.
 
     psi is a BipartitePureState, the batch of one, or a PureStates batch,
     whose certificates come as a list, in order. A batch runs as one
-    computation, whatever its size: one conditional_states call and one
-    purity_profile call. Its certificates keep every state's factors and
-    principals, so memory grows with the batch; the CLI cuts its sweeps into
-    batches of bounded size. A setting's deviations from a basis are
-    computed once per setting; the tolerances are applied on every call. A
-    failed check raises the error of the first failing state, naming its
-    batch index when the batch holds more than one state.
+    computation, whatever its size: one call each of conditional_states,
+    purity_profile and no_signalling_check. Its certificates keep every
+    state's factors and principals, so memory grows with the batch; the CLI
+    cuts its sweeps into batches of bounded size. A setting's deviations
+    from a basis are computed once per setting; the tolerances are applied
+    on every call. A failed check raises the error of the first failing
+    state, naming its batch index when the batch holds more than one state.
     """
     settings = list(settings)
     if (k := len(settings)) < 2:
@@ -277,15 +285,10 @@ def pure_state_paradox(
                 raise DegenerateSettingGeometryError(closest, prof.min_distance, i if len(batch) > 1 else None)
         lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
         quantum = _stack([asm.bob_reduced for asm in live]).trace(axis1=1, axis2=2).real.tolist()
-        verdicts = zip(live, profiles, lhs, quantum)
-    note = "k-setting extension of the two-setting collapse" if k > 2 else None
-    certs = []
-    for e in entangled:
-        if not e:
-            certs.append(ParadoxCertificate(False, _SEPARABLE, k, float("nan"), float("nan"), None, None, tol))
-            continue
-        asm, prof, lhs, quantum = next(verdicts)
-        certs.append(ParadoxCertificate(True, _APPLIES, k, lhs, quantum, asm, prof, tol, note))
+        verdicts = zip(lhs, quantum, no_signalling_check(live), live, profiles)
+    nan = float("nan")
+    skipped = (nan, nan, nan, None, None)
+    certs = [ParadoxCertificate(e, k, *(next(verdicts) if e else skipped), tol) for e in entangled]
     return certs if batch is psi else certs[0]
 
 
@@ -418,6 +421,8 @@ _GHZ_OPERATORS = np.array(
     [np.kron(np.kron(_PAULI[a], _PAULI[b]), _PAULI[c]) for a, b, c in ("xxx", "xyy", "yxy", "yyx")]
 )
 _GHZ_OPERATORS.setflags(write=False)
+# The GHZ state's eigenvalues of xxx, xyy, yxy and yyx.
+GHZ_TARGETS = (1, -1, -1, -1)
 
 
 def ghz_operator_expectations(state: MultiQubitPureState) -> GhzExpectations:
@@ -426,17 +431,13 @@ def ghz_operator_expectations(state: MultiQubitPureState) -> GhzExpectations:
     if state.n_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.n_qubits} qubits")
     psi = state.vector
-    values = []
-    residuals = []
-    for op in _GHZ_OPERATORS:
-        applied = op @ psi
-        val = float(np.real(np.vdot(psi, applied)))
-        values.append(val)
-        residuals.append(float(np.linalg.norm(applied - val * psi)))
-    return GhzExpectations(tuple(values), tuple(residuals))
+    applied = _GHZ_OPERATORS @ psi  # row i is operator i applied to psi
+    values = (applied @ psi.conj()).real
+    residuals = np.linalg.norm(applied - values[:, None] * psi, axis=1)
+    return GhzExpectations(tuple(values.tolist()), tuple(residuals.tolist()))
 
 
-def ghz_lhv_bruteforce(targets=(1, -1, -1, -1)):
+def ghz_lhv_bruteforce(targets=GHZ_TARGETS):
     """Exhaustively test all 64 assignments of +/-1 to the six local values
     (v1x, v2x, v3x, v1y, v2y, v3y) against the four product constraints.
 

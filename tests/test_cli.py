@@ -415,6 +415,7 @@ class TestSweepValues:
             ("theta", "0.3,nan", "theta must lie in [0, pi/2], got nan"),
             ("d", "2,inf", "sweep d must be finite, got inf"),
             ("d", "2,nan", "sweep d must be finite, got nan"),
+            ("d", "0,3", "dimension d must be >= 2, got 0"),
             ("r", "0.5,inf", "squeezing parameter r must be finite and > 0, got inf"),
             ("r", "0.5,nan", "squeezing parameter r must be finite and > 0, got nan"),
             ("k", "2,inf", "sweep k must be finite, got inf"),
@@ -437,6 +438,40 @@ class TestSweepValues:
         doc, code = run(RunConfig(scenario="sweep", param="k", values="2.4,2.6"))
         assert code == 0
         assert [(p["config"]["k"], p["result"]["k"]) for p in doc.result["reports"]] == [(2, 2), (3, 3)]
+
+
+class TestSweepSettings:
+    """An r or d sweep runs its --settings at every point, as a theta sweep
+    does; the spec passes unchanged, so an empty one keeps its default."""
+
+    @pytest.mark.parametrize("param, values", [("r", "0.5,1.0"), ("d", "3,4")])
+    def test_points_carry_the_spec_unchanged(self, param, values):
+        for spec in ("", "X,Z"):
+            doc, code = run(RunConfig(scenario="sweep", param=param, values=values, d=3, settings=spec))
+            assert code == report.EXIT_OK
+            assert [p["config"]["settings"] for p in doc.result["reports"]] == [spec, spec]
+
+    def test_three_settings_at_every_point(self, capsys):
+        # Squeezed to Schmidt mass below rank1, both points are separable,
+        # so Z, X, Z is not rejected as a repeated basis and each point
+        # reports k = 3.
+        argv = ["sweep", "--param", "r", "--values", "1e-12,2e-12", "--d", "3", "--settings", "Z,X,Z"]
+        assert main(argv) == report.EXIT_PRECONDITION
+        reports = json.loads(capsys.readouterr().out)["result"]["reports"]
+        assert [(p["result"]["k"], p["result"]["applicable"]) for p in reports] == [(3, False), (3, False)]
+
+    def test_repeated_basis_reaches_every_point(self, capsys):
+        # Any three qudit settings repeat Z or X; on the maximally entangled
+        # points of a d sweep that fails the distinctness check.
+        assert main(["sweep", "--param", "d", "--values", "3,4", "--settings", "X,Z,X"]) == report.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and "closest: outcome 0 of 'X(d=3)' and outcome 0 of 'X(d=3)'" in err
+
+    @pytest.mark.parametrize("param, values", [("r", "0.5,1.0"), ("d", "3,4")])
+    def test_one_setting_rejected(self, param, values, capsys):
+        assert main(["sweep", "--param", param, "--values", values, "--settings", "X"]) == report.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: need at least 2 settings, got 1\n"
 
 
 class TestSchmidtAnchors:
@@ -625,6 +660,9 @@ class TestMain:
         [
             (["paradox-nopa", "--r", "inf"], "error: squeezing parameter r must be finite and > 0, got inf"),
             (["paradox-qudit", "--lambdas", "0,0"], "error: lambdas norm must be finite and > 0, got 0.0"),
+            (["paradox-qudit", "--d", "1"], "error: dimension d must be >= 2, got 1"),
+            (["paradox-qudit", "--d", "0"], "error: dimension d must be >= 2, got 0"),
+            (["paradox-qudit", "--d", "-3"], "error: dimension d must be >= 2, got -3"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

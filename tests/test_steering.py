@@ -93,6 +93,37 @@ class TestPureStateParadox:
         assert abs(cert.quantum_trace_sum - 1) <= 1e-9
         assert cert.note is not None
 
+    @pytest.mark.parametrize(
+        "theta, settings_, reason, note",
+        [
+            (np.pi / 4, [Z, X], "entangled pure state: trace contradiction established", None),
+            (0.5, [Z, X, Y], "entangled pure state: trace contradiction established",
+             "k-setting extension of the two-setting collapse"),
+            (0.0, [Z, X, Y], "separable: paradox not applicable", None),
+        ],
+    )
+    def test_reason_and_note(self, theta, settings_, reason, note):
+        cert = pure_state_paradox(theta_state(theta), settings_)
+        assert (cert.reason, cert.note) == (reason, note)
+        assert cert.to_json()["reason"] == reason and cert.to_json().get("note") == note
+
+    def test_certificate_carries_no_signalling_check(self):
+        # The deviation is that of no_signalling_check on the certificate's
+        # own assemblage, bit for bit, whether the state runs alone or in a
+        # batch; a state the paradox does not apply to has NaN.
+        cert = pure_state_paradox(theta_state(0.4), [Z, X, Y])
+        assert cert.no_signalling_deviation == no_signalling_check(cert.assemblage)
+        psis = [nopa_truncated(r, 9)[0] for r in (0.3, 1.0, 2.0)]
+        psis.insert(1, qudit_schmidt_state(np.eye(9)[0]))
+        certs = pure_state_paradox(PureStates.of(*psis), [computational_basis(9), fourier_mub_basis(9)])
+        assert [c.applicable for c in certs] == [True, False, True, True]
+        for c in certs:
+            if c.applicable:
+                assert c.no_signalling_deviation == no_signalling_check(c.assemblage)
+                assert 0 <= c.no_signalling_deviation <= 1e-12
+            else:
+                assert np.isnan(c.no_signalling_deviation)
+
     def test_coincident_settings_rejected(self):
         # Coincident settings give an entangled state coincident conditional
         # states; on a separable state the paradox does not apply.
@@ -766,6 +797,22 @@ class TestGhz:
         monkeypatch.setattr(np, "kron", None)  # a call would fail
         assert np.allclose(ghz_operator_expectations(ghz_state()).values, [1, -1, -1, -1], atol=1e-12)
         assert not steering._GHZ_OPERATORS.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_operator_reference(self, seed):
+        psi = random_vector(np.random.default_rng(seed), 8)
+        exp = ghz_operator_expectations(MultiQubitPureState(psi, 3))
+        for op, value, residual in zip(steering._GHZ_OPERATORS, exp.values, exp.eigenstate_residuals):
+            applied = op @ psi
+            want = np.vdot(psi, applied).real
+            assert abs(value - want) <= 1e-12
+            assert abs(residual - np.linalg.norm(applied - want * psi)) <= 1e-12
+        assert all(type(v) is float for v in exp.values + exp.eigenstate_residuals)
+
+    def test_targets_are_the_ghz_eigenvalues(self):
+        assert steering.GHZ_TARGETS == (1, -1, -1, -1)
+        assert np.allclose(ghz_operator_expectations(ghz_state()).values, steering.GHZ_TARGETS, atol=1e-12)
+        assert ghz_lhv_bruteforce() == ghz_lhv_bruteforce(steering.GHZ_TARGETS) == (0, -1)
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):
