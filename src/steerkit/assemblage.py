@@ -11,6 +11,8 @@ from .linalg import (
     _SHAPE_CACHE,
     DEFAULT_TOL,
     Tolerances,
+    _read_only,
+    _strict_upper,
     partial_trace,
     projector_distances,
 )
@@ -38,10 +40,8 @@ def row_keys(outcome_counts) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _row_keys(outcome_counts: tuple) -> np.ndarray:
-    keys = np.array([(n, a) for n, count in enumerate(outcome_counts) for a in range(count)], dtype=int)
-    keys = keys.reshape(-1, 2)
-    keys.setflags(write=False)
-    return keys
+    keys = [(n, a) for n, count in enumerate(outcome_counts) for a in range(count)]
+    return _read_only(np.array(keys, dtype=int).reshape(-1, 2))
 
 
 def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:
@@ -76,12 +76,12 @@ class Assemblage:
             raise ValueError(f"outcome_counts {outcome_counts}: need a setting, each with an outcome")
         rows, dB = sum(outcome_counts), dims[1]
         if factors is None:
-            stack = _read_only(stack)
+            stack = _read_only(stack, complex)
             if stack.shape != (rows, dB, dB):
                 raise ValueError(f"stack shape {stack.shape} does not fit {outcome_counts}, {dims}")
             vars(self)["stack"] = stack  # in place of the property below
         else:
-            factors = _read_only(factors)
+            factors = _read_only(factors, complex)
             if factors.shape != (rows, dB):
                 raise ValueError(f"factors shape {factors.shape} does not fit {outcome_counts}, {dims}")
         # Frozen: the fields go straight into the instance dict.
@@ -93,7 +93,7 @@ class Assemblage:
         """(sum(outcome_counts), dB, dB) conditional states; a factored
         assemblage forms them as w_a w_a^dag on first read."""
         w = self.factors
-        return _read_only(w[:, :, None] * w.conj()[:, None, :])
+        return _read_only(w[:, :, None] * w.conj()[:, None, :], complex)
 
     def state(self, n: int, a: int) -> np.ndarray:
         """The conditional state of outcome a of setting n."""
@@ -101,12 +101,6 @@ class Assemblage:
         if not (0 <= n < len(counts) and 0 <= a < counts[n]):
             raise ValueError(f"no outcome {a} of setting {n} for outcome counts {counts}")
         return self.stack[sum(counts[:n]) + a]
-
-
-def _read_only(values) -> np.ndarray:
-    a = np.asarray(values, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -148,12 +142,14 @@ def _checked_settings(settings, dA: int, tol: Tolerances) -> list:
     return settings
 
 
-def conditional_states(
-    state,
-    settings,
-    dims,
-    tol: Tolerances = DEFAULT_TOL,
-):
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _adjoint(settings: tuple) -> np.ndarray:
+    """Read-only V^dag for V = [u_a], the settings' vectors side by side;
+    equal settings tuples share it."""
+    return _read_only(np.concatenate([s.vectors for s in settings], axis=1).conj().T)
+
+
+def conditional_states(state, settings, dims, tol: Tolerances = DEFAULT_TOL):
     """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting.
 
     state is a BipartitePureState, a density matrix on dA*dB, or a
@@ -162,8 +158,8 @@ def conditional_states(
     coefficient matrix Psi, P_a = u_a u_a^dag gives rho~_a = w_a w_a^dag
     with w_a = Psi^T conj(u_a), row a of V^dag Psi for V = [u_a]: one product
     forms every w_a of every state (a single state is the batch of one),
-    and the assemblages of pure states are factored: they hold the w_a, and
-    neither projectors, bipartite densities nor outer products are built.
+    and the assemblages of pure states are factored: they hold the w_a and
+    the batch's rho_B, and no projector, density or outer product is built.
     The factors are row-major, so a state's share of a batch equals its own
     run bit for bit. A density matrix gives a dense assemblage.
     """
@@ -174,9 +170,8 @@ def conditional_states(
         batch = state if isinstance(state, PureStates) else PureStates.of(state)
         if (batch.dA, batch.dB) != (dA, dB):
             raise ValueError(f"state dims {(batch.dA, batch.dB)} do not match dims {dims}")
-        w = np.concatenate([s.vectors for s in settings], axis=1).conj().T @ batch.coefficients
-        bobs = batch.coefficients.swapaxes(1, 2) @ batch.coefficients.conj()
-        asms = [Assemblage(labels, counts, None, bob, (dA, dB), factors) for factors, bob in zip(w, bobs)]
+        w = _adjoint(tuple(settings)) @ batch.coefficients
+        asms = [Assemblage(labels, counts, None, bob, (dA, dB), factors) for factors, bob in zip(w, batch.bob_reduced)]
         return asms if batch is state else asms[0]
     rho_ab = np.asarray(state, dtype=complex)
     if rho_ab.shape != (dA * dB, dA * dB):
@@ -203,7 +198,8 @@ def no_signalling_check(a):
         sums = v.swapaxes(2, 3) @ v.conj()
     else:
         sums = setting_sums(_stack([x.stack for x in batch]), counts, axis=1)
-    dev = np.max(np.abs(sums - bobs[:, None]), axis=(1, 2, 3))
+    sums -= bobs[:, None]
+    dev = np.abs(sums).max(axis=(1, 2, 3))
     return float(dev[0]) if isinstance(a, Assemblage) else dev.tolist()
 
 
@@ -254,11 +250,10 @@ def purity_profile(a, tol: Tolerances = DEFAULT_TOL):
         principals = (w[rows] / np.sqrt(probs[rows])[..., None]).reshape(g, m, d)
         min_distances, pairs = [np.inf] * g, [None] * g
         if m > 1:
-            # Exactly symmetric distances: the first minimum lies above the diagonal.
-            dist = projector_distances(principals).reshape(g, m * m)
-            dist[:, :: m + 1] = np.inf
+            dist = projector_distances(principals)
             first = dist.argmin(axis=1)
-            min_distances, pairs = dist[np.arange(g), first].tolist(), index[np.stack(np.divmod(first, m), axis=1)]
+            pairs = index[[divmod(k, m) for k in _strict_upper(m)[first].tolist()]]
+            min_distances = dist.min(axis=1).tolist()  # the values at first
             del dist
         for j, p in enumerate(members):
             profiles[p] = PurityProfile(probs[p], index, principals[j], min_distances[j], pairs[j])

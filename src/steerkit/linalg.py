@@ -7,6 +7,7 @@ pure; the only state kept is read-only constant arrays, cached per shape.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ class Tolerances:
                and trace_distance allow
     eig      : residual allowed in eigen reconstructions and basis checks
     state_eq : trace-distance threshold below which two states count as equal
-    rank1    : subdominant Schmidt mass above which a pure state is entangled,
+    rank1    : subdominant Schmidt mass (all but the largest eigenvalue of
+               rho_B) above which a pure state is entangled,
                and outcome probability up to which a conditional state is vacuous
     lp       : residual threshold for LP feasibility and LHS-model checks
     """
@@ -52,10 +54,19 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _read_only(a, dtype=None) -> np.ndarray:
+    """np.asarray(a, dtype), flagged read-only."""
+    a = np.asarray(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def unit_norm(v, what: str) -> float:
-    """The 2-norm of v. Raises ValueError, naming v as what, unless it is
-    within 1e-8 of 1; a NaN norm is never within it."""
-    nrm = float(np.linalg.norm(v))
+    """The 2-norm of v, by np.linalg.norm's formula. Raises ValueError, naming
+    v as what, unless it is within 1e-8 of 1; a NaN norm never is."""
+    v = np.asarray(v).ravel()
+    re, im = (v.real, v.imag) if v.dtype.kind == "c" else (v.astype(float, copy=False), np.zeros(0))
+    nrm = math.sqrt(re.dot(re) + im.dot(im))
     if not abs(nrm - 1.0) <= 1e-8:
         raise ValueError(f"{what} norm {nrm} is not 1")
     return nrm
@@ -118,39 +129,39 @@ def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
 
 
 _GRAM_CLOSE = 1e-3  # closer pairs take their distance from residuals
-_SHAPE_CACHE = 64  # shapes whose constant arrays (masks, index arrays) are kept
+_SHAPE_CACHE = 64  # shapes or settings whose constant arrays (index arrays, stacked vectors) are kept
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _strict_upper(m: int) -> np.ndarray:
-    """Read-only m x m mask of the entries i < j."""
-    upper = ~np.tri(m, dtype=bool)
-    upper.setflags(write=False)
-    return upper
+    """Read-only flat indices i m + j of the entries i < j of an m x m
+    matrix, in row-major order (as np.triu_indices(m, 1))."""
+    return _read_only(np.flatnonzero(~np.tri(m, dtype=bool)))
 
 
 def projector_distances(vecs: np.ndarray) -> np.ndarray:
-    """Trace distances between the projectors onto unit vectors vecs[i].
+    """Trace distances between the projectors onto unit vectors vecs[i]: of
+    an (..., m, d) stack, the (..., m(m-1)/2) distances of the pairs i < j
+    of each set of m vectors, pair p being divmod(_strict_upper(m)[p], m).
 
     The distance is sqrt(1 - |G_ij|^2) for the Gram matrix G = V^* V^T, one
     product; an error eps in |G_ij|^2 moves it by about eps / (2 dist), below
     1e-12 where dist >= _GRAM_CLOSE. Closer pairs, where the square root
     cancels, take the norm of v_j's component orthogonal to v_i, from their
-    overlap taken afresh, which keeps full accuracy. An (..., m, d) stack
-    gives the (..., m, m) distances within each set of m vectors. G is
-    squared in place and freed before the symmetrizing add, so the peak is
-    G and one (..., m, m) float array.
+    overlap taken afresh, which keeps full accuracy. |G|^2 is formed in G's
+    own memory, so the peak is G and the distances.
     """
-    upper = _strict_upper(vecs.shape[-2])
+    upper = _strict_upper(m := vecs.shape[-2])
     g = (vecs.conj() @ vecs.swapaxes(-1, -2)).astype(complex, copy=False).view(float)
     np.square(g, out=g)
-    dist = np.add(g[..., ::2], g[..., 1::2])  # |G_ij|^2
-    del g
+    sq = np.add(g[..., ::2], g[..., 1::2], out=g[..., ::2])  # |G|^2
+    dist = sq.reshape(*sq.shape[:-2], m * m)[..., upper]
+    del g, sq
     np.sqrt(np.maximum(np.subtract(1.0, dist, out=dist), 0.0, out=dist), out=dist)
-    dist *= upper
-    if (close := (dist < _GRAM_CLOSE) & upper).any():
-        *lead, i, j = np.nonzero(close)
+    if np.count_nonzero(close := dist < _GRAM_CLOSE):
+        *lead, pair = np.nonzero(close)
+        i, j = np.divmod(upper[pair], m)
         vi, vj = vecs[(*lead, i)], vecs[(*lead, j)]
         r = vj - np.sum(vi.conj() * vj, axis=-1)[:, None] * vi
-        dist[(*lead, i, j)] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
-    return dist + dist.swapaxes(-1, -2)
+        dist[close] = np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))
+    return dist

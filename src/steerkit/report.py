@@ -184,10 +184,7 @@ def _assemblage_checks(no_signalling_deviation: float) -> dict:
 def _certificate_exit(cert, tol: Tolerances) -> int:
     if not cert.applicable:
         return EXIT_PRECONDITION
-    ok = (
-        abs(cert.lhs_trace_sum - cert.k) <= tol.lp
-        and abs(cert.quantum_trace_sum - 1.0) <= tol.lp
-    )
+    ok = abs(cert.lhs_trace_sum - cert.k) <= tol.lp and abs(cert.quantum_trace_sum - 1.0) <= tol.lp
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
@@ -244,7 +241,7 @@ _BATCH_ENTRIES = 1 << 18  # entries per batch of paradox states: 4 MB of complex
 def _states_per_chunk(settings, dA: int, dB: int) -> int:
     """How many dA x dB states a batch holds under settings: as many as keep
     their factors (rows x dB entries, for rows = k dA conditional states)
-    and distance matrices (rows^2) within _BATCH_ENTRIES entries, at least one."""
+    and Gram matrices (rows^2) within _BATCH_ENTRIES entries, at least one."""
     rows = len(settings) * dA
     return max(1, _BATCH_ENTRIES // max(1, rows * (dB + rows)))
 
@@ -301,8 +298,7 @@ def run(cfg: RunConfig):
     """Execute one scenario. Returns (ReportDocument, exit code)."""
     t0 = time.perf_counter()
     if cfg.scenario.startswith("paradox-"):
-        [point] = _paradox_runs([cfg])
-        return point
+        return _paradox_runs([cfg])[0]
     if cfg.scenario == "sweep":
         return _run_sweep(cfg, t0)
     tol = cfg.tolerances
@@ -360,8 +356,13 @@ def _grid_values(cfg: RunConfig):
     if cfg.values:
         return [float(x) for x in cfg.values.split(",")]
     if cfg.linspace:
-        lo, hi, num = cfg.linspace.split(":")
-        return list(np.linspace(float(lo), float(hi), int(num)))
+        try:
+            lo, hi, num = cfg.linspace.split(":")
+            if (num := int(num)) < 0:
+                raise ValueError
+            return list(np.linspace(float(lo), float(hi), num))
+        except ValueError:
+            raise ValueError(f"--linspace takes the form lo:hi:num, num an integer >= 0; got {cfg.linspace!r}") from None
     raise ValueError("sweep needs --values or --linspace")
 
 

@@ -1,7 +1,7 @@
 """Constructors for the bipartite and multi-qubit states used everywhere.
 
-All states are immutable value objects. Schmidt coefficients are
-computed on first use and kept.
+All states are immutable value objects. Schmidt coefficients come from
+the spectrum of Bob's reduced state, computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, unit_norm
+from .linalg import DEFAULT_TOL, Tolerances, _read_only, unit_norm
 
 __all__ = [
     "BipartitePureState",
@@ -37,20 +37,14 @@ class BipartitePureState:
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=complex).ravel()
         if vec.size != self.dA * self.dB:
-            raise ValueError(
-                f"vector length {vec.size} does not match dA*dB = {self.dA * self.dB}"
-            )
-        vec = vec / unit_norm(vec, "state vector")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+            raise ValueError(f"vector length {vec.size} does not match dA*dB = {self.dA * self.dB}")
+        object.__setattr__(self, "vector", _read_only(vec / unit_norm(vec, "state vector")))
 
     @functools.cached_property
     def schmidt_coeffs(self) -> np.ndarray:
         """Descending Schmidt coefficients, read-only (those of the batch
         of one, on first use)."""
-        coeffs = PureStates.of(self).schmidt_coeffs[0]
-        coeffs.setflags(write=False)
-        return coeffs
+        return _read_only(PureStates.of(self).schmidt_coeffs[0])
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """PureStates.entangled of the batch of one."""
@@ -65,29 +59,35 @@ class BipartitePureState:
         return density(self.vector)
 
     def reduced_bob(self) -> np.ndarray:
-        """rho_B = Psi^T Psi^*, without forming the bipartite density."""
-        psi = self.coefficients
-        return psi.T @ psi.conj()
+        """rho_B of the batch of one, without forming the bipartite density."""
+        return PureStates.of(self).bob_reduced[0]
 
 
 @dataclass(frozen=True)
 class PureStates:
-    """A batch of P pure states of one dA x dB system, for the paradox to
-    run once over all of them: row p of coefficients and of schmidt_coeffs
-    is state p's coefficient matrix and descending Schmidt coefficients, as
-    on a BipartitePureState."""
+    """A batch of P pure states of one dA x dB system, for the paradox to run
+    once over them all: row p of coefficients, bob_reduced and schmidt_coeffs
+    is state p's Psi, rho_B and descending Schmidt coefficients."""
 
     coefficients: np.ndarray  # (P, dA, dB)
 
     @staticmethod
     def of(*states: BipartitePureState) -> "PureStates":
         """The batch of the given states, in order; they must share their dims."""
-        return PureStates(np.stack([psi.coefficients for psi in states]))
+        return PureStates(np.array([psi.coefficients for psi in states]))
+
+    @functools.cached_property
+    def bob_reduced(self) -> np.ndarray:
+        """Read-only (P, dB, dB) reduced states Psi^T Psi^*, on first use."""
+        psi = self.coefficients
+        return _read_only(psi.swapaxes(1, 2) @ psi.conj())
 
     @functools.cached_property
     def schmidt_coeffs(self) -> np.ndarray:
-        """(P, min(dA, dB)) Schmidt coefficients, from one batched SVD on first use."""
-        return np.linalg.svd(self.coefficients, compute_uv=False)
+        """(P, min(dA, dB)) Schmidt coefficients, on first use: the square
+        roots of the top eigenvalues of bob_reduced, clipped at 0."""
+        top = np.linalg.eigvalsh(self.bob_reduced)[:, ::-1][:, : min(self.dA, self.dB)]
+        return np.sqrt(np.maximum(top, 0.0))
 
     @property
     def dA(self) -> int:
@@ -101,10 +101,9 @@ class PureStates:
         return len(self.coefficients)
 
     def entangled(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """True for each state whose subdominant Schmidt mass sum_{m>0} c_m^2
-        exceeds tol.rank1, the mass tolerance that decides purity; a bool
-        array."""
-        return np.sum(self.schmidt_coeffs[:, 1:] ** 2, axis=1) > tol.rank1
+        """True for each state whose subdominant Schmidt mass, all but the
+        largest eigenvalue of rho_B summed, exceeds tol.rank1; a bool array."""
+        return np.linalg.eigvalsh(self.bob_reduced)[:, :-1].sum(axis=1) > tol.rank1
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,7 @@ class MultiQubitPureState:
         vec = np.asarray(self.vector, dtype=complex).ravel()
         if vec.size != 2**self.n_qubits:
             raise ValueError(f"vector length {vec.size} != 2^{self.n_qubits}")
-        vec = vec / unit_norm(vec, "state vector")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "vector", _read_only(vec / unit_norm(vec, "state vector")))
 
 
 def theta_state(theta: float) -> BipartitePureState:
@@ -140,11 +137,11 @@ def qudit_schmidt_state(lambdas) -> BipartitePureState:
     d = lam.size
     if d < 2:
         raise ValueError(f"need at least 2 Schmidt coefficients, got {d}")
-    if np.any(lam < 0):
+    if (lam < 0).any():
         raise ValueError("Schmidt coefficients must be nonnegative")
     unit_norm(lam, "Schmidt coefficient vector")
     vec = np.zeros(d * d, dtype=complex)
-    vec[np.arange(d) * (d + 1)] = lam
+    vec[:: d + 1] = lam
     return BipartitePureState(vec, d, d)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, _checked_settings, _stack, conditional_states, no_signalling_check
 from .assemblage import purity_profile, row_keys, setting_sums
-from .linalg import DEFAULT_TOL, Tolerances, _strict_upper
+from .linalg import DEFAULT_TOL, Tolerances, _read_only, _strict_upper
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState, PureStates
@@ -187,7 +187,8 @@ class ParadoxCertificate:
             "quantum_trace_sum": self.quantum_trace_sum,
             "contradiction_magnitude": self.contradiction_magnitude,
             "collapsed_assignments": [
-                {"setting": n, "outcome": a, "hidden": xi} for (n, a), xi in self.collapsed_assignments.items()
+                {"setting": n, "outcome": a, "hidden": xi}
+                for xi, (n, a) in enumerate(() if self.purity is None else self.purity.index.tolist(), start=1)
             ],
             "tolerances": dict(vars(self.tolerances)),
         }
@@ -242,11 +243,7 @@ class GhzExpectations:
     eigenstate_residuals: tuple
 
 
-def pure_state_paradox(
-    psi,
-    settings,
-    tol: Tolerances = DEFAULT_TOL,
-):
+def pure_state_paradox(psi, settings, tol: Tolerances = DEFAULT_TOL):
     """Run the trace-sum contradiction for a pure bipartite state.
 
     For an entangled input, the nonvacuous conditional states (rank 1 by
@@ -274,17 +271,18 @@ def pure_state_paradox(
     batch = psi if isinstance(psi, PureStates) else PureStates.of(psi)
     asms = conditional_states(batch, settings, (batch.dA, batch.dB), tol)  # validates the settings
     entangled = batch.entangled(tol).tolist()
-    live = [asm for asm, e in zip(asms, entangled) if e]
+    positions = [i for i, e in enumerate(entangled) if e]
     verdicts = iter(())
-    if live:
+    if positions:
+        live = [asms[i] for i in positions]
         profiles = purity_profile(live, tol)
-        for i, prof in zip((j for j, e in enumerate(entangled) if e), profiles):
+        for i, prof in zip(positions, profiles):
             if prof.min_distance <= tol.state_eq:  # the single-term collapse needs them pairwise distinct
                 (n, a), (n2, a2) = prof.closest.tolist()
                 closest = f"outcome {a} of {settings[n].label!r} and outcome {a2} of {settings[n2].label!r}"
                 raise DegenerateSettingGeometryError(closest, prof.min_distance, i if len(batch) > 1 else None)
         lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
-        quantum = _stack([asm.bob_reduced for asm in live]).trace(axis1=1, axis2=2).real.tolist()
+        quantum = batch.bob_reduced.trace(axis1=1, axis2=2).real[positions].tolist()
         verdicts = zip(lhs, quantum, no_signalling_check(live), live, profiles)
     nan = float("nan")
     skipped = (nan, nan, nan, None, None)
@@ -343,7 +341,7 @@ def default_candidates(a: Assemblage, tol: Tolerances = DEFAULT_TOL):
 def _vectorize_hermitian(m: np.ndarray) -> np.ndarray:
     """Real vector of each d x d Hermitian matrix in a stack: diagonal, then
     real and imaginary parts of the strict upper triangle. No redundancy."""
-    upper = m[..., _strict_upper(m.shape[-1])]  # row by row, as np.triu_indices
+    upper = m.reshape(*m.shape[:-2], -1)[..., _strict_upper(m.shape[-1])]  # row by row
     return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
@@ -357,9 +355,7 @@ def _candidate_vectors(data: bytes, shape: tuple, lp: float) -> np.ndarray:
     be density matrices within lp; a failed check raises, and is not kept."""
     stack = np.frombuffer(data, dtype=complex).reshape(shape)
     _require_states(stack, lp, "candidate")
-    vec = _vectorize_hermitian(stack)
-    vec.setflags(write=False)
-    return vec
+    return _read_only(_vectorize_hermitian(stack))
 
 
 def lhs_feasibility_lp(

@@ -78,14 +78,14 @@ def haar_settings(rng, d, count):
 
 def closest_pair_reference(prof):
     """(min distance, (2, 2) keys of the closest pair) by brute force: the
-    first minimum over the strict upper triangle of the principals' distances
-    in row-major order; (inf, None) with fewer than two rows."""
-    dist = projector_distances(prof.principals)
-    rows, cols = np.triu_indices(len(dist), 1)
+    first minimum over the principals' distances of the pairs i < j in
+    row-major order; (inf, None) with fewer than two rows."""
+    rows, cols = np.triu_indices(len(prof.index), 1)
     if not rows.size:
         return np.inf, None
-    first = np.argmin(dist[rows, cols])
-    return dist[rows[first], cols[first]], prof.index[[rows[first], cols[first]]]
+    dist = projector_distances(prof.principals)
+    first = np.argmin(dist)
+    return dist[first], prof.index[[rows[first], cols[first]]]
 
 
 def eigh_trace_distance(rho, sigma):
@@ -286,10 +286,8 @@ class TestBatchedPurityChecks:
             normalized.append(rho / prof.probabilities[i])
         m = len(normalized)
         dist = projector_distances(prof.principals)
-        for i in range(m):
-            for j in range(m):
-                want = eigh_trace_distance(normalized[i], normalized[j]) if i != j else 0.0
-                assert abs(dist[i, j] - want) <= 1e-12
+        for i, j, got in zip(*np.triu_indices(m, 1), dist):
+            assert abs(got - eigh_trace_distance(normalized[i], normalized[j])) <= 1e-12
         want_min, want_pair = closest_pair_reference(prof)
         assert prof.min_distance == want_min and np.array_equal(prof.closest, want_pair)
 
@@ -391,6 +389,19 @@ class TestClosestPair:
                 assert prof.closest.shape == (2, 2) and np.array_equal(prof.closest, want_pair)
         assert_profiles_match_single_calls(asms)
 
+    def test_ties_on_the_maximally_entangled_qutrit(self):
+        # Under Z and X every cross distance is sqrt(2/3) and every other
+        # one 1: nine pairs tie at the minimum, and the first in row-major
+        # order is named.
+        settings_ = [computational_basis(3), fourier_mub_basis(3)]
+        asm = conditional_states(qudit_schmidt_state(np.full(3, 1 / np.sqrt(3))), settings_, (3, 3))
+        prof = purity_profile(asm)
+        dist = projector_distances(prof.principals)
+        assert np.sum(np.abs(dist - np.sqrt(2 / 3)) <= 1e-15) == 9
+        want_min, want_pair = closest_pair_reference(prof)
+        assert prof.min_distance == want_min and np.array_equal(prof.closest, want_pair)
+        assert abs(prof.min_distance - np.sqrt(2 / 3)) <= 1e-15 and prof.closest[0].tolist() == [0, 0]
+
 
 class TestFactoredAssemblages:
     """A pure state's assemblage holds its factors w_a. Every quantity read
@@ -415,8 +426,9 @@ class TestFactoredAssemblages:
         assert np.array_equal(got.index, row_keys(dense.outcome_counts)[live])
         assert np.max(np.sum(np.abs(w[:, :-1]), axis=1)) <= 1e-12  # every row rank 1
         assert np.max(np.abs(np.abs(np.sum(got.principals.conj() * v[:, :, -1], axis=1)) - 1)) <= 1e-12
+        want = want[np.triu_indices(len(want), 1)]
         assert np.max(np.abs(projector_distances(got.principals) - want)) <= 1e-12
-        assert abs(got.min_distance - np.min(want[np.triu_indices(len(want), 1)])) <= 1e-12
+        assert abs(got.min_distance - np.min(want)) <= 1e-12
         assert abs(no_signalling_check(factored) - no_signalling_check(dense)) <= 1e-12
         return factored
 
@@ -493,17 +505,12 @@ class TestFactoredAssemblages:
 
 
 def reference_distances(asm, prof):
-    """Per-pair trace distances of the profile's normalized states, each an
-    eigendecomposition of the difference: the reference for the closed form
-    purity_profile uses between rank-1 states."""
+    """Trace distances of the profile's normalized states, pairs i < j in
+    row-major order, each an eigendecomposition of the difference: the
+    reference for the closed form purity_profile uses between rank-1 states."""
     normalized = [asm.state(n, a) / np.trace(asm.state(n, a)).real for n, a in prof.index.tolist()]
-    m = len(normalized)
-    ref = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                ref[i, j] = eigh_trace_distance(normalized[i], normalized[j])
-    return ref
+    pairs = zip(*np.triu_indices(len(normalized), 1))
+    return np.array([eigh_trace_distance(normalized[i], normalized[j]) for i, j in pairs])
 
 
 class TestClosedFormDistances:
@@ -534,9 +541,9 @@ class TestClosedFormDistances:
         asm = conditional_states(psi, settings_, (d, d))
         prof = purity_profile(asm)
         ref = reference_distances(asm, prof)
-        assert 0 < np.min(ref[np.triu_indices(2 * d, k=1)]) < 10 * eps
+        assert 0 < np.min(ref) < 10 * eps
         assert np.max(np.abs(projector_distances(prof.principals) - ref)) <= 1e-12
-        assert abs(prof.min_distance - np.min(ref[np.triu_indices(2 * d, k=1)])) <= 1e-12
+        assert abs(prof.min_distance - np.min(ref)) <= 1e-12
 
 
 class TestSchmidtAnchors:

@@ -431,6 +431,13 @@ class TestSweepValues:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("linspace", ["0.1:1.4", "0.1:1.4:3:4", "0.1:1.4:2.5", "0.1:1.4:-3", "a:1.4:3"])
+    def test_malformed_linspace_names_the_flag_and_its_form(self, linspace, capsys):
+        assert main(["sweep", "--param", "theta", "--linspace", linspace]) == report.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --linspace takes the form lo:hi:num, num an integer >= 0; got {linspace!r}\n"
+
     def test_d_and_k_rounded(self):
         doc, code = run(RunConfig(scenario="sweep", param="d", linspace="2:7:4"))
         assert code == 0

@@ -135,11 +135,11 @@ class TestTraceDistance:
 
 
 def residual_distances(vecs):
-    """The distances between projectors as norms of residuals, for every
-    pair: the (..., m, m, d) form that projector_distances replaced."""
+    """The distances between projectors as norms of residuals, pairs i < j
+    in row-major order: the (..., m, m, d) form that projector_distances
+    replaced."""
     r = vecs[..., None, :, :] - (vecs.conj() @ vecs.swapaxes(-1, -2))[..., None] * vecs[..., :, None, :]
-    dist = np.triu(np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1)), 1)
-    return dist + dist.swapaxes(-1, -2)
+    return np.sqrt(np.sum(r.real**2 + r.imag**2, axis=-1))[(..., *np.triu_indices(vecs.shape[-2], 1))]
 
 
 class TestProjectorDistances:
@@ -160,14 +160,13 @@ class TestProjectorDistances:
         turned = (np.cos(angle) * base + np.sin(angle) * u) * np.exp(2j * np.pi * rng.uniform(size=shape + (1,)))
         vecs = np.concatenate([base, turned], axis=-2)
         dist = projector_distances(vecs)
-        assert np.max(np.abs(dist - residual_distances(vecs))) <= 1e-12
-        assert np.array_equal(dist, dist.swapaxes(-1, -2))
-        assert np.all(np.diagonal(dist, axis1=-2, axis2=-1) == 0)
+        assert dist.shape == shape[:-1] + (2 * m * (2 * m - 1) // 2,)
+        assert np.max(np.abs(dist - residual_distances(vecs)), initial=0.0) <= 1e-12
 
     def test_equal_states_at_zero(self):
         v = np.array([[1, 1j, 0], [1j, -1, 0], [0, 0, 1]]) / np.array([[2**0.5], [2**0.5], [1]])
-        dist = projector_distances(v)
-        assert dist[0, 1] <= 1e-15 and dist[0, 2] == pytest.approx(1.0, abs=1e-15)
+        dist = projector_distances(v)  # pairs (0, 1), (0, 2), (1, 2)
+        assert dist[0] <= 1e-15 and dist[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_real_vectors(self):
         v = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1e-9]])
@@ -175,8 +174,9 @@ class TestProjectorDistances:
         assert np.array_equal(projector_distances(v), projector_distances(v.astype(complex)))
 
     def test_peak_memory_bounded(self):
-        # The complex Gram matrix takes two result sizes and the squared
-        # distances a third; nothing else of that size may be alive at once.
+        # The complex Gram matrix takes two (m, m) float sizes and its
+        # gathered upper triangle a third; nothing else of that size may be
+        # alive at once.
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(800, 100)) + 1j * rng.normal(size=(800, 100))
         vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
@@ -186,7 +186,8 @@ class TestProjectorDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * dist.nbytes
+        assert dist.shape == (800 * 799 // 2,)
+        assert peak <= 3.5 * 800 * 800 * dist.itemsize
 
 
 class TestSchmidtDecompose:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steerkit.linalg import DEFAULT_TOL, hermitian_eig, partial_trace, unit_norm
 from steerkit.measurements import bloch_projectors
 from steerkit.states import (
     BipartitePureState,
     MultiQubitPureState,
+    PureStates,
     density,
     ghz_state,
     nopa_truncated,
@@ -15,6 +18,47 @@ from steerkit.states import (
 )
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def svd_entangled(psi, tol=DEFAULT_TOL) -> bool:
+    """The verdict from the subdominant mass of np.linalg.svd's Schmidt
+    coefficients: the reference for the rho_B spectrum."""
+    return bool(np.sum(np.linalg.svd(psi.coefficients, compute_uv=False)[1:] ** 2) > tol.rank1)
+
+
+class TestReducedStateSpectrum:
+    """Entanglement and Schmidt coefficients come from the eigenvalues of
+    rho_B; they must agree with the singular values of Psi."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mass=st.floats(1e-10, 1e-8), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_entangled_matches_svd_across_rank1(self, mass, d, seed):
+        # Subdominant mass spread over d - 1 Schmidt coefficients, under
+        # random local unitaries. The eigenvalues carry an absolute error
+        # near d * 1e-16, so masses within 1e-13 of tol.rank1 are skipped.
+        assume(abs(mass - DEFAULT_TOL.rank1) > 1e-13)
+        rng = np.random.default_rng(seed)
+        lam = np.sqrt(np.concatenate([[1 - mass], rng.dirichlet(np.ones(d - 1)) * mass]))
+        psi = BipartitePureState((random_unitary(rng, d) * lam) @ random_unitary(rng, d).T, d, d)
+        assert psi.entangled() == svd_entangled(psi) == (mass > DEFAULT_TOL.rank1)
+
+    @pytest.mark.parametrize("dA, dB", [(3, 4), (4, 3)])
+    def test_schmidt_coeffs_match_svd(self, dA, dB):
+        rng = np.random.default_rng(10 * dA + dB)
+        vecs = list(rng.normal(size=(5, dA * dB)) + 1j * rng.normal(size=(5, dA * dB)))
+        vecs.append(np.kron(rng.normal(size=dA), rng.normal(size=dB)))  # a product state
+        batch = PureStates.of(*(BipartitePureState(v / np.linalg.norm(v), dA, dB) for v in vecs))
+        coeffs = batch.schmidt_coeffs
+        assert coeffs.shape == (6, min(dA, dB))
+        assert np.all(coeffs >= 0) and np.all(np.diff(coeffs, axis=1) <= 0)
+        svd = np.linalg.svd(batch.coefficients, compute_uv=False)
+        assert np.max(np.abs(coeffs**2 - svd**2)) <= 1e-14
+        assert batch.entangled().tolist() == [True] * 5 + [False]
 
 
 class TestThetaState:

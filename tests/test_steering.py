@@ -252,7 +252,8 @@ def settings_coincide_reference(s1, s2, tol):
     if s1.dim != s2.dim:
         return False
     k = s1.outcomes
-    dist = projector_distances(np.concatenate([s1.vectors, s2.vectors], axis=1).T)
+    dist = np.zeros((2 * k, 2 * k))
+    dist[np.triu_indices(2 * k, 1)] = projector_distances(np.concatenate([s1.vectors, s2.vectors], axis=1).T)
     close = dist[:k, k:] <= tol.state_eq
     return bool(close.any(axis=0).all() and close.any(axis=1).all())
 
@@ -849,6 +850,23 @@ class TestStateBatches:
             assert np.array_equal(batch.coefficients[i], single.coefficients)
             assert np.array_equal(batch.schmidt_coeffs[i], single.schmidt_coeffs)
             assert batch.entangled()[i] == single.entangled()
+
+    def test_one_rho_b_and_no_svd(self, monkeypatch):
+        # Entanglement comes from the spectrum of the batch's rho_B, which
+        # every certificate's assemblage shares; no SVD is taken.
+        def svd(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        settings_ = [computational_basis(4), fourier_mub_basis(4)]
+        psis = [qudit_schmidt_state(lam) for lam in ([0.5] * 4, [1.0, 0, 0, 0], [0.8, 0.6, 0, 0])]
+        assert pure_state_paradox(psis[0], settings_).applicable
+        batch = PureStates.of(*psis)
+        certs = pure_state_paradox(batch, settings_)
+        assert [c.applicable for c in certs] == [True, False, True]
+        for i in (0, 2):
+            bob = certs[i].assemblage.bob_reduced
+            assert np.shares_memory(bob, batch.bob_reduced) and np.array_equal(bob, batch.bob_reduced[i])
 
     def test_nopa_batch_matches_single_certificates(self):
         # Row-major conditional states: a state's share of a batch is its
