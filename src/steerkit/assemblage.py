@@ -142,13 +142,6 @@ def _checked_settings(settings, dA: int, tol: Tolerances) -> list:
     return settings
 
 
-@functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _adjoint(settings: tuple) -> np.ndarray:
-    """Read-only V^dag for V = [u_a], the settings' vectors side by side;
-    equal settings tuples share it."""
-    return _read_only(np.concatenate([s.vectors for s in settings], axis=1).conj().T)
-
-
 def conditional_states(state, settings, dims, tol: Tolerances = DEFAULT_TOL):
     """Assemblage rho~^n_a = tr_A[(P^n_a (x) 1) rho_AB] for each setting.
 
@@ -170,7 +163,7 @@ def conditional_states(state, settings, dims, tol: Tolerances = DEFAULT_TOL):
         batch = state if isinstance(state, PureStates) else PureStates.of(state)
         if (batch.dA, batch.dB) != (dA, dB):
             raise ValueError(f"state dims {(batch.dA, batch.dB)} do not match dims {dims}")
-        w = _adjoint(tuple(settings)) @ batch.coefficients
+        w = np.concatenate([s.vectors for s in settings], axis=1).conj().T @ batch.coefficients
         asms = [Assemblage(labels, counts, None, bob, (dA, dB), factors) for factors, bob in zip(w, batch.bob_reduced)]
         return asms if batch is state else asms[0]
     rho_ab = np.asarray(state, dtype=complex)

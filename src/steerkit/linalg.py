@@ -7,7 +7,6 @@ pure; the only state kept is read-only constant arrays, cached per shape.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +61,9 @@ def _read_only(a, dtype=None) -> np.ndarray:
 
 
 def unit_norm(v, what: str) -> float:
-    """The 2-norm of v, by np.linalg.norm's formula. Raises ValueError, naming
-    v as what, unless it is within 1e-8 of 1; a NaN norm never is."""
-    v = np.asarray(v).ravel()
-    re, im = (v.real, v.imag) if v.dtype.kind == "c" else (v.astype(float, copy=False), np.zeros(0))
-    nrm = math.sqrt(re.dot(re) + im.dot(im))
+    """The 2-norm of v. Raises ValueError, naming v as what, unless it is
+    within 1e-8 of 1; a NaN norm is never within it."""
+    nrm = float(np.linalg.norm(v))
     if not abs(nrm - 1.0) <= 1e-8:
         raise ValueError(f"{what} norm {nrm} is not 1")
     return nrm
@@ -129,7 +126,7 @@ def trace_distance(rho, sigma, tol: Tolerances = DEFAULT_TOL):
 
 
 _GRAM_CLOSE = 1e-3  # closer pairs take their distance from residuals
-_SHAPE_CACHE = 64  # shapes or settings whose constant arrays (index arrays, stacked vectors) are kept
+_SHAPE_CACHE = 64  # shapes whose constant arrays (index arrays) are kept
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)

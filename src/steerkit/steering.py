@@ -187,8 +187,7 @@ class ParadoxCertificate:
             "quantum_trace_sum": self.quantum_trace_sum,
             "contradiction_magnitude": self.contradiction_magnitude,
             "collapsed_assignments": [
-                {"setting": n, "outcome": a, "hidden": xi}
-                for xi, (n, a) in enumerate(() if self.purity is None else self.purity.index.tolist(), start=1)
+                {"setting": n, "outcome": a, "hidden": xi} for (n, a), xi in self.collapsed_assignments.items()
             ],
             "tolerances": dict(vars(self.tolerances)),
         }

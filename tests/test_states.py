@@ -32,8 +32,9 @@ def svd_entangled(psi, tol=DEFAULT_TOL) -> bool:
 
 
 class TestReducedStateSpectrum:
-    """Entanglement and Schmidt coefficients come from the eigenvalues of
-    rho_B; they must agree with the singular values of Psi."""
+    """Entanglement comes from the eigenvalues of rho_B, which must agree with
+    the squared singular values of Psi; the Schmidt coefficients are those
+    singular values."""
 
     @settings(max_examples=100, deadline=None)
     @given(mass=st.floats(1e-10, 1e-8), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -58,7 +59,23 @@ class TestReducedStateSpectrum:
         assert np.all(coeffs >= 0) and np.all(np.diff(coeffs, axis=1) <= 0)
         svd = np.linalg.svd(batch.coefficients, compute_uv=False)
         assert np.max(np.abs(coeffs**2 - svd**2)) <= 1e-14
+        spectrum = batch.bob_spectrum[:, ::-1]  # descending; dB > dA leaves dB - dA zeros
+        assert np.max(np.abs(spectrum[:, : min(dA, dB)] - coeffs**2)) <= 1e-14
+        assert np.max(np.abs(spectrum[:, min(dA, dB) :]), initial=0.0) <= 1e-14
         assert batch.entangled().tolist() == [True] * 5 + [False]
+
+    @pytest.mark.parametrize("dA, dB", [(3, 4), (4, 3), (3, 3)])
+    def test_small_coefficients_keep_full_accuracy(self, dA, dB):
+        # A coefficient c = 1e-6 under random local unitaries, so rho_B is
+        # not diagonal. The square root of a rho_B eigenvalue would be off
+        # by about 1e-16 / (2 c) ~ 1e-10 here; the coefficients must be
+        # accurate to 1e-14, relative error 1e-8 on the small one.
+        rng = np.random.default_rng(dA * dB)
+        lam = np.array([0.8, 0.6, 1e-6]) / np.linalg.norm([0.8, 0.6, 1e-6])
+        psi = BipartitePureState((random_unitary(rng, dA)[:, :3] * lam) @ random_unitary(rng, dB)[:, :3].T, dA, dB)
+        assert psi.schmidt_coeffs.shape == (3,)
+        assert np.max(np.abs(psi.schmidt_coeffs - lam)) <= 1e-14
+        assert abs(psi.schmidt_coeffs[2] / lam[2] - 1) <= 1e-8
 
 
 class TestThetaState:
