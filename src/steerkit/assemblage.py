@@ -50,6 +50,12 @@ def setting_sums(values, outcome_counts, axis: int = 0) -> np.ndarray:
     return np.add.reduceat(values, np.cumsum((0,) + tuple(outcome_counts[:-1])), axis=axis)
 
 
+def _owned(a) -> np.ndarray:
+    """a as a read-only complex array: a itself when it is one, else a copy."""
+    a = np.asarray(a, dtype=complex)
+    return _read_only(a.copy()) if a.flags.writeable else a
+
+
 @dataclass(frozen=True, init=False)
 class Assemblage:
     """Bob's unnormalized conditional states, one per (setting, outcome).
@@ -62,7 +68,8 @@ class Assemblage:
     factors[row] is w_a, its state is w_a w_a^dag, and the dense stack is
     formed on first read. Pass factors and stack None for one. Assemblages
     of density matrices and LHS models hold their dense stack, and factors
-    is None.
+    is None. Every array field is read-only, complex and the assemblage's
+    own: a writeable input is copied, a read-only one kept.
     """
 
     setting_labels: tuple
@@ -75,18 +82,14 @@ class Assemblage:
         if not outcome_counts or min(outcome_counts) < 1:
             raise ValueError(f"outcome_counts {outcome_counts}: need a setting, each with an outcome")
         rows, dB = sum(outcome_counts), dims[1]
-        if factors is None:
-            stack = _read_only(stack, complex)
-            if stack.shape != (rows, dB, dB):
-                raise ValueError(f"stack shape {stack.shape} does not fit {outcome_counts}, {dims}")
-            vars(self)["stack"] = stack  # in place of the property below
-        else:
-            factors = _read_only(factors, complex)
-            if factors.shape != (rows, dB):
-                raise ValueError(f"factors shape {factors.shape} does not fit {outcome_counts}, {dims}")
-        # Frozen: the fields go straight into the instance dict.
-        vars(self).update(setting_labels=setting_labels, outcome_counts=outcome_counts, dims=dims)
-        vars(self).update(bob_reduced=bob_reduced, factors=factors)
+        name, shape = ("stack", (rows, dB, dB)) if factors is None else ("factors", (rows, dB))
+        data = _owned(stack if factors is None else factors)
+        if data.shape != shape:
+            raise ValueError(f"{name} shape {data.shape} does not fit {outcome_counts}, {dims}")
+        # Frozen: the fields go straight into the instance dict, a dense stack
+        # in place of the property below.
+        vars(self).update({"factors": None, name: data}, setting_labels=setting_labels, outcome_counts=outcome_counts)
+        vars(self).update(dims=dims, bob_reduced=_owned(bob_reduced))
 
     @functools.cached_property
     def stack(self) -> np.ndarray:
@@ -163,7 +166,7 @@ def conditional_states(state, settings, dims, tol: Tolerances = DEFAULT_TOL):
         batch = state if isinstance(state, PureStates) else PureStates.of(state)
         if (batch.dA, batch.dB) != (dA, dB):
             raise ValueError(f"state dims {(batch.dA, batch.dB)} do not match dims {dims}")
-        w = np.concatenate([s.vectors for s in settings], axis=1).conj().T @ batch.coefficients
+        w = _read_only(np.concatenate([s.vectors for s in settings], axis=1).conj().T @ batch.coefficients)
         asms = [Assemblage(labels, counts, None, bob, (dA, dB), factors) for factors, bob in zip(w, batch.bob_reduced)]
         return asms if batch is state else asms[0]
     rho_ab = np.asarray(state, dtype=complex)
@@ -171,8 +174,8 @@ def conditional_states(state, settings, dims, tol: Tolerances = DEFAULT_TOL):
         raise ValueError(f"rho_AB shape {rho_ab.shape} does not match dims {dims}")
     projs = np.concatenate([s.projectors for s in settings])
     # sigma[n, m, k] = sum_ij P[n, j, i] rho[i, m, j, k]
-    stack = np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0]))
-    return Assemblage(labels, counts, stack, partial_trace(rho_ab, dA, dB), (dA, dB))
+    stack = _read_only(np.tensordot(projs, rho_ab.reshape(dA, dB, dA, dB), axes=([1, 2], [2, 0])))
+    return Assemblage(labels, counts, stack, _read_only(partial_trace(rho_ab, dA, dB)), (dA, dB))
 
 
 def no_signalling_check(a):

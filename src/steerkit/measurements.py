@@ -99,6 +99,9 @@ class SettingValidation:
     completeness: float
     passed: bool
 
+    def __str__(self):
+        return f"max|U^dag U - 1| = {self.orthonormality:.3e}, max|U U^dag - 1| = {self.completeness:.3e}"
+
 
 def bloch_projectors(n) -> MeasurementSetting:
     """Two-outcome qubit setting along a unit Bloch vector n.

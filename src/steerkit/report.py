@@ -200,11 +200,11 @@ def _model_exit(model, settings, asm, tol: Tolerances):
 
     The code is EXIT_NUMERICAL unless the model validates (inside
     lhs_reconstruct) and reconstructs the assemblage and rho_B within
-    tol.lp; a model that does not validate has deviation NaN."""
+    tol.lp; a model that does not validate has deviation None."""
     try:
         rec = lhs_reconstruct(model, settings, tol)
     except ValueError:
-        return EXIT_NUMERICAL, float("nan")
+        return EXIT_NUMERICAL, None
     dev = float(np.max(np.abs(rec.stack - asm.stack)))
     bob = np.max(np.abs(rec.bob_reduced - asm.bob_reduced))
     return (EXIT_OK if max(dev, bob) <= tol.lp else EXIT_NUMERICAL), dev
@@ -246,7 +246,7 @@ def _states_per_chunk(settings, dA: int, dB: int) -> int:
     return max(1, _BATCH_ENTRIES // max(1, rows * (dB + rows)))
 
 
-def _paradox_runs(configs) -> list:
+def _paradox_runs(configs, sweep: bool = False) -> list:
     """(ReportDocument, exit code) of each paradox-* config, in order.
 
     Consecutive configs that share their settings, dims and tolerances run
@@ -256,25 +256,24 @@ def _paradox_runs(configs) -> list:
     no_signalling_deviation check is its certificate's, and each point's
     duration_s is an equal share of the batch's time. A config or
     input that raises does so after the batches before it have run, so the
-    first failing point decides the error. The error of a point that shares
-    its key with a neighbouring config names the point's index in configs.
+    first failing point decides the error. In a sweep, a point's
+    DegenerateSettingGeometryError names its index in configs, the grid.
     """
     runs, batch = [], []  # batch: (key, cfg, state, extra) of each pending config
-    t0, last_key = time.perf_counter(), None
+    t0 = time.perf_counter()
 
-    def flush(next_key=None):
-        nonlocal t0, last_key
+    def flush():
+        nonlocal t0
         entries, batch[:] = batch[:], []
         if not entries:
             return
-        settings, _, _, tol = key = entries[0][0]
+        settings, _, _, tol = entries[0][0]
         try:
             certs = pure_state_paradox(PureStates.of(*(psi for _, _, psi, _ in entries)), settings, tol)
         except DegenerateSettingGeometryError as err:
-            if err.position is None and key not in (last_key, next_key):
-                raise  # the point runs alone
+            if not sweep:
+                raise
             raise DegenerateSettingGeometryError(err.closest, err.distance, len(runs) + (err.position or 0)) from None
-        last_key = key
         share = (time.perf_counter() - t0) / len(entries)
         for (_, cfg, _, extra), cert in zip(entries, certs):
             checks = _assemblage_checks(cert.no_signalling_deviation) if cert.applicable else {}
@@ -287,7 +286,7 @@ def _paradox_runs(configs) -> list:
             psi, settings, extra = _paradox_input(cfg)
             key = (settings, psi.dA, psi.dB, cfg.tolerances)
             if batch and (key != batch[0][0] or len(batch) == _states_per_chunk(settings, psi.dA, psi.dB)):
-                flush(key)
+                flush()
             batch.append((key, cfg, psi, extra))
     finally:
         flush()
@@ -325,7 +324,7 @@ def run(cfg: RunConfig):
         if outcome.feasible:
             code, _ = _model_exit(outcome.model, settings, asm, tol)
 
-    elif cfg.scenario == "ghz":
+    else:  # ghz
         exp = ghz_operator_expectations(ghz_state())
         count, witness = ghz_lhv_bruteforce()
         result = {
@@ -341,9 +340,6 @@ def run(cfg: RunConfig):
             and count == 0
         )
         code = EXIT_OK if ok else EXIT_NUMERICAL
-
-    else:  # pragma: no cover - guarded by RunConfig
-        raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
     return _document(cfg, result, checks, time.perf_counter() - t0), code
 
@@ -398,7 +394,7 @@ def _run_sweep(cfg: RunConfig, t0: float):
     values = _grid_values(cfg)
     if not values:
         raise ValueError("sweep grid is empty")
-    points = _paradox_runs(_sweep_point_config(cfg, value) for value in values)
+    points = _paradox_runs((_sweep_point_config(cfg, value) for value in values), sweep=True)
     reports = [vars(doc) for doc, _ in points]
     worst = max(code for _, code in points)
     magnitudes = [r["result"]["contradiction_magnitude"] for r in reports if r["result"].get("applicable")]

@@ -141,15 +141,15 @@ class ParadoxCertificate:
     no_signalling_deviation is no_signalling_check of the assemblage:
     the contradiction holds only if every setting's conditional states sum
     to rho_B. assemblage and purity are the conditional states the verdict
-    was drawn from and their purity profile. All three are NaN or None when
-    the paradox does not apply.
+    was drawn from and their purity profile. These, the trace sums and
+    contradiction_magnitude are None when the paradox does not apply.
     """
 
     applicable: bool
     k: int
-    lhs_trace_sum: float
-    quantum_trace_sum: float
-    no_signalling_deviation: float
+    lhs_trace_sum: float | None
+    quantum_trace_sum: float | None
+    no_signalling_deviation: float | None
     assemblage: Assemblage | None
     purity: PurityProfile | None
     tolerances: Tolerances
@@ -165,8 +165,8 @@ class ParadoxCertificate:
         return "k-setting extension of the two-setting collapse" if self.applicable and self.k > 2 else None
 
     @property
-    def contradiction_magnitude(self) -> float:
-        return self.lhs_trace_sum - self.quantum_trace_sum
+    def contradiction_magnitude(self) -> float | None:
+        return self.lhs_trace_sum - self.quantum_trace_sum if self.applicable else None
 
     @property
     def collapsed_assignments(self) -> dict:
@@ -283,9 +283,7 @@ def pure_state_paradox(psi, settings, tol: Tolerances = DEFAULT_TOL):
         lhs = _stack([prof.probabilities for prof in profiles]).sum(axis=1).tolist()
         quantum = batch.bob_reduced.trace(axis1=1, axis2=2).real[positions].tolist()
         verdicts = zip(lhs, quantum, no_signalling_check(live), live, profiles)
-    nan = float("nan")
-    skipped = (nan, nan, nan, None, None)
-    certs = [ParadoxCertificate(e, k, *(next(verdicts) if e else skipped), tol) for e in entangled]
+    certs = [ParadoxCertificate(e, k, *(next(verdicts) if e else [None] * 5), tol) for e in entangled]
     return certs if batch is psi else certs[0]
 
 
@@ -321,8 +319,8 @@ def lhs_reconstruct(model: LHSModel, settings, tol: Tolerances = DEFAULT_TOL) ->
     return Assemblage(
         setting_labels=tuple(s.label for s in settings),
         outcome_counts=counts,
-        stack=np.tensordot(model.responses, weighted, axes=1),
-        bob_reduced=weighted.sum(axis=0),
+        stack=_read_only(np.tensordot(model.responses, weighted, axes=1)),
+        bob_reduced=_read_only(weighted.sum(axis=0)),
         dims=(settings[0].dim, weighted.shape[-1]),
     )
 

@@ -329,6 +329,20 @@ class TestBatchedPurityChecks:
         keys = row_keys((2, 3))
         assert row_keys([2, 3]) is keys and not keys.flags.writeable
 
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+    def test_caller_arrays_stay_writeable_and_apart(self, factored):
+        # The assemblage copies a writeable input: the caller's arrays keep
+        # their flags, and writing to them leaves the assemblage as it was.
+        data = np.zeros((4, 2), complex) if factored else np.zeros((4, 2, 2), complex)
+        bob = np.eye(2, dtype=complex) / 2
+        args = (None, bob, (2, 2), data) if factored else (data, bob, (2, 2))
+        asm = Assemblage(("z", "x"), (2, 2), *args)
+        field = asm.factors if factored else asm.stack
+        assert data.flags.writeable and bob.flags.writeable
+        assert not field.flags.writeable and not asm.bob_reduced.flags.writeable
+        data[...], bob[...] = 1, 1
+        assert not np.any(field) and np.array_equal(asm.bob_reduced, np.eye(2) / 2)
+
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="stack shape"):
             Assemblage(("z",), (2,), np.zeros((3, 2, 2)), np.eye(2) / 2, (2, 2))

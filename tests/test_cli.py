@@ -147,7 +147,7 @@ class TestScenarios:
         monkeypatch.setattr(report, "separable_lhs_model", lambda psi, angles, tol: not_psd)
         doc, code = run(cfg)
         assert code == report.EXIT_NUMERICAL
-        assert np.isnan(doc.result["reconstruction_deviation"])
+        assert doc.result["reconstruction_deviation"] is None
 
     def test_feasibility_entangled(self):
         doc, code = run(RunConfig(scenario="feasibility", theta=np.pi / 4, settings="z,x"))
@@ -334,13 +334,47 @@ class TestBatchedSweep:
         assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got nan\n"
 
     def test_single_runs_name_no_batch_index(self, monkeypatch, capsys):
-        # A paradox-* run, and each point of a k sweep, is a batch of one.
+        # A paradox-* run names no index; a k sweep, whose every point runs
+        # as a batch of one, names the failing point's grid index.
         self.coincide_at(monkeypatch, np.pi / 4)
-        for argv in (["paradox-qubit"], ["sweep", "--param", "k", "--values", "2,3"]):
+        k_sweep = ["sweep", "--param", "k", "--values", "2,3"]
+        for argv, where in ((["paradox-qubit"], ""), (k_sweep, " of batch index 0")):
             assert main(argv) == report.EXIT_PRECONDITION
             err = capsys.readouterr().err
             assert err.startswith("error: some normalized conditional states coincide")
-            assert "batch index" not in err
+            assert err.endswith(f"'{where} (min trace distance 0.000e+00)\n")
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["sweep", "--param", "theta", "--values", "0.3,0.6,0.9"], " of batch index 1"),
+            (["sweep", "--param", "r", "--values", "0.5,1.0,1.5", "--d", "3"], " of batch index 1"),
+            (["sweep", "--param", "d", "--values", "2,3,4"], " of batch index 1"),
+            (["sweep", "--param", "k", "--values", "2,3,4"], " of batch index 1"),
+            (["paradox-qudit", "--d", "3"], ""),
+            (["paradox-nopa", "--d", "3"], ""),
+        ],
+        ids=["theta", "r", "d", "k", "qudit", "nopa"],
+    )
+    def test_sweeps_name_the_failing_grid_point(self, monkeypatch, capsys, argv, where):
+        # A sweep's second point fails, whether the sweep runs as one batch
+        # (theta, r) or one batch per point (d, k), and the error names its
+        # grid index. A single run, whose one point fails, names none.
+        exact, seen = steering.purity_profile, []
+
+        def fail_second(asms, tol):
+            profiles = exact(asms, tol)
+            for j, prof in enumerate(profiles):
+                seen.append(j)
+                if len(seen) == (2 if where else 1):
+                    profiles[j] = dataclasses.replace(prof, min_distance=0.0)
+            return profiles
+
+        monkeypatch.setattr(steering, "purity_profile", fail_second)
+        assert main(argv) == report.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: some normalized conditional states coincide")
+        assert err.endswith(f"'{where} (min trace distance 0.000e+00)\n")
 
     @pytest.mark.parametrize(
         "values, batches", [("0.3,0.6,1.0,1.5,2.0,2.5", [4, 2]), ("0.3,0.6,1.0,1.5,2.0", [4, 1])], ids=["4+2", "4+1"]
@@ -376,11 +410,12 @@ class TestBatchedSweep:
         assert sizes == batches + [len(grid)]
         assert errors[0] == errors[1]
         assert errors[0].endswith(f"of batch index {len(grid) - 1} (min trace distance 0.000e+00)\n")
-        # Each point of a d sweep runs alone, and names no index.
+        # Each point of a d sweep runs alone, and is named by its grid index too.
         fail_where(lambda prof: prof.principals.shape[-1] == 4)
         assert main(["sweep", "--param", "d", "--values", "3,4"]) == report.EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert err.startswith("error: some normalized conditional states coincide") and "batch index" not in err
+        assert err.startswith("error: some normalized conditional states coincide")
+        assert err.endswith("of batch index 1 (min trace distance 0.000e+00)\n")
 
     def test_theta_sweep_chunks_bound_a_batch(self, monkeypatch):
         # One state of two qubit settings holds 4 factors of 2 entries and a
@@ -670,6 +705,10 @@ class TestMain:
             (["paradox-qudit", "--d", "1"], "error: dimension d must be >= 2, got 1"),
             (["paradox-qudit", "--d", "0"], "error: dimension d must be >= 2, got 0"),
             (["paradox-qudit", "--d", "-3"], "error: dimension d must be >= 2, got -3"),
+            (
+                ["paradox-qubit", "--settings", "angle:nan,z"],
+                "error: invalid setting 'angle(nan)': max|U^dag U - 1| = nan, max|U U^dag - 1| = nan",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

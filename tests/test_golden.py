@@ -79,10 +79,7 @@ def _assert_same(got, want, where="report"):
             _assert_same(g, w, f"{where}[{i}]")
     elif isinstance(want, float) and not isinstance(got, bool):
         assert isinstance(got, (int, float)), where
-        if math.isnan(want):
-            assert math.isnan(got), where
-        else:
-            assert math.isclose(got, want, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL), (where, got, want)
+        assert math.isclose(got, want, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL), (where, got, want)
     else:
         assert got == want, where
 
@@ -96,6 +93,25 @@ def test_report_matches_golden(name, argv, code):
         _assert_same(_text_fields(text), _text_fields(want))
     else:
         _assert_same(json.loads(text), json.loads(want))
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for _, argv, _ in CASES if "text" not in argv]
+    + [["sweep", "--param", "theta", "--values", "0,0.5,1.5707963267948966"]],
+    ids=[name for name, argv, _ in CASES if "text" not in argv] + ["sweep_theta_through_0"],
+)
+def test_reports_are_strict_json(argv):
+    # An absent number is null: NaN and Infinity are not JSON.
+    _, text = _run(argv)
+    doc = json.loads(text, parse_constant=_not_json)
+    for point in doc["result"].get("reports", [doc]):
+        if point["result"].get("applicable") is False:
+            assert point["result"]["contradiction_magnitude"] is None
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ class TestPureStateParadox:
     def test_certificate_carries_no_signalling_check(self):
         # The deviation is that of no_signalling_check on the certificate's
         # own assemblage, bit for bit, whether the state runs alone or in a
-        # batch; a state the paradox does not apply to has NaN.
+        # batch; a state the paradox does not apply to has None.
         cert = pure_state_paradox(theta_state(0.4), [Z, X, Y])
         assert cert.no_signalling_deviation == no_signalling_check(cert.assemblage)
         psis = [nopa_truncated(r, 9)[0] for r in (0.3, 1.0, 2.0)]
@@ -122,7 +122,7 @@ class TestPureStateParadox:
                 assert c.no_signalling_deviation == no_signalling_check(c.assemblage)
                 assert 0 <= c.no_signalling_deviation <= 1e-12
             else:
-                assert np.isnan(c.no_signalling_deviation)
+                assert c.no_signalling_deviation is None
 
     def test_coincident_settings_rejected(self):
         # Coincident settings give an entangled state coincident conditional
