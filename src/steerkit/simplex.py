@@ -1,19 +1,19 @@
 """Phase-1 simplex for linear feasibility: find x >= 0 with A x = b.
 
-Revised simplex with Dantzig pricing and a Bland fallback. Rows with
-b < 0 are negated and an artificial variable per row (cost 1) starts as
-the basis. The method keeps T = [B^-1 | x_B], the basis inverse with the
-basic values as one more column, and the basic costs c_B. Each pivot
-forms y = c_B B^-1 and prices every column of [A | I], the amount by
-which a unit of the column lowers the objective, into one buffer of
-n + m prices allocated per solve: y A, one product with the row-major A,
-for the x columns, and y_i - 1 for the artificials in its tail. The
-column that enters is the lowest index whose price is within 1e-9 of the
-largest, so rounding does not choose between equal prices, such as those
-of symmetric candidate states; the loop stops when no price exceeds 1e-9.
-The ratio test on B^-1 A_j runs on Python floats, as does the basis, and
-ties to the lowest basis index. The pivot row of T is scaled once and
-moves B^-1 and x_B by one rank-1 update.
+Revised simplex with Dantzig pricing and a Bland fallback. Row i's
+artificial variable (cost 1) has column sign(b_i) e_i, so the starting
+basis D = diag(sign(b)) is its own inverse and gives x_B = |b| >= 0
+without a copy of A with negated rows. P = [[A | D], [0 | -1]], the
+columns over minus their costs, is built once per solve, and T =
+[[B^-1, 0, x_B], [y, 1, z]] holds the basis inverse, the basic values,
+the duals y = c_B B^-1 and the objective z. One product [y, 1] P prices
+every column by how much a unit of it lowers the objective. The lowest
+index whose price is within 1e-9 of the largest enters, so rounding does
+not choose between equal prices, such as those of symmetric candidate
+states; the loop stops when no price exceeds 1e-9. The ratio test on its
+column B^-1 P[:m, q] runs on Python floats and ties to the lowest basis
+index. One rank-1 update, by that column with its price appended, moves
+all of T. The residual sums the basic artificials, free of z's rounding.
 
 A pivot whose step (the minimum ratio) is at most 1e-9 is degenerate.
 After _BLAND_AFTER degenerate pivots in a row, the lowest-index column
@@ -58,39 +58,40 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
     residual is the larger of the final phase-1 objective and the largest
     equation error max |A x - b| of the returned x, and feasible means
     residual <= tol, so a feasible verdict always comes with an x that
-    solves the system to within tol.
+    solves the system to within tol. A non-finite A or b raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
     if b.size != m:
         raise ValueError(f"b has length {b.size}, expected {m}")
+    if bad := [name for name, value in (("A", A), ("b", b)) if not np.isfinite(value).all()]:
+        raise ValueError(f"{' and '.join(bad)} must be finite")
 
     sign = np.where(b < 0, -1.0, 1.0)
-    A = A * sign[:, None]
-    b = b * sign
-    # basis[i] is the column basic in row i: x columns 0..n-1 cost 0, the
-    # artificial of row i is column n + i and costs 1. T = [B^-1 | x_B].
-    basis = list(range(n, n + m))
-    c_B = np.ones(m)
-    T = np.hstack([np.eye(m), b[:, None]])
-    B_inv = T[:, :m]
-    price = np.empty(n + m)
+    P = np.zeros((m + 1, n + m))
+    P[:m, :n], P[:m, n:], P[m, n:] = A, np.diag(sign), -1.0
+    basis = list(range(n, n + m))  # basis[i] is the column basic in row i
+    T = np.eye(m + 1, m + 2)
+    T[:m, :m], T[m, :m] = P[:m, n:], sign  # B^-1 = D and y = c_B D = sign
+    x_B = T[:m, m + 1]  # a view: the updates below write T in place
+    x_B[:], T[m, m + 1] = b * sign, np.abs(b).sum()  # |b| and the objective z
+    price, col = np.empty(n + m), np.empty(m + 1)
+    col_v, y_1, B_inv = col[:, None], T[m, : m + 1], T[:m, :m]  # views, [y, 1] as y_1
 
     iters = degenerate = 0
-    while iters < max_iter:
-        y = c_B @ B_inv
-        np.matmul(y, A, out=price[:n])
-        np.subtract(y, 1.0, out=price[n:])
-        top = price.max(initial=0.0)
+    while m and iters < max_iter:  # with no rows there is nothing to pivot on
+        np.dot(y_1, P, out=price)
+        top = price[price.argmax()]
         if top <= _PIVOT_EPS:
             break
         floor = _PIVOT_EPS if degenerate >= _BLAND_AFTER else top - _PIVOT_EPS
         enter = int((price > floor).argmax())
-        col = B_inv @ A[:, enter] if enter < n else B_inv[:, enter - n].copy()
+        np.dot(B_inv, P[:m, enter], out=col[:m])
+        col[m] = price[enter]
         # Ratio test, ties broken by lowest basis index (Bland).
         leave, best = -1, np.inf
-        for i, (c, x_i) in enumerate(zip(col.tolist(), T[:, m].tolist())):
+        for i, (c, x_i) in enumerate(zip(pivots := col.tolist(), x_B.tolist())):
             if c > _PIVOT_EPS:
                 ratio = x_i / c
                 if ratio < best - _PIVOT_EPS or (
@@ -98,21 +99,19 @@ def phase_one(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResul
                 ):
                     best, leave = ratio, i
         if leave < 0:
-            # Unbounded phase-1 cannot happen (objective bounded below by 0);
-            # numerically treat as a stall.
+            # A stall: phase 1 is bounded below by 0, so it is never unbounded.
             break
         degenerate = degenerate + 1 if best <= _PIVOT_EPS else 0
-        row = T[leave] / col[leave]
+        row = T[leave] / pivots[leave]
         col[leave] = 0.0
-        T -= col[:, None] * row
+        T -= col_v * row
         T[leave] = row
         basis[leave] = enter
-        c_B[leave] = float(enter >= n)
         iters += 1
 
     x = np.zeros(n)
     basis = np.array(basis, dtype=int)
     structural = basis < n
-    x[basis[structural]] = np.maximum(0.0, T[structural, m])
-    residual = float(max(0.0, c_B @ T[:, m], np.max(np.abs(A @ x - b), initial=0.0)))
+    x[basis[structural]] = np.maximum(0.0, x_B[structural])
+    residual = float(max(0.0, (~structural).astype(float) @ x_B, np.max(np.abs(A @ x - b), initial=0.0)))
     return PhaseOneResult(residual <= tol, x, residual, iters)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assemblage import Assemblage, PurityProfile, _checked_settings, _stack, conditional_states, no_signalling_check
 from .assemblage import purity_profile, row_keys, setting_sums
-from .linalg import DEFAULT_TOL, Tolerances, _read_only, _strict_upper
+from .linalg import _SHAPE_CACHE, DEFAULT_TOL, Tolerances, _read_only, _strict_upper
 from .measurements import PAULI_X, PAULI_Y
 from .simplex import phase_one
 from .states import BipartitePureState, MultiQubitPureState, PureStates
@@ -59,7 +59,7 @@ def _require_states(stack: np.ndarray, lp: float, what: str) -> None:
     herm = np.max(np.abs(stack - np.swapaxes(stack, 1, 2).conj()), axis=(1, 2))
     low = np.linalg.eigvalsh(stack)[:, 0]
     trace = np.trace(stack, axis1=1, axis2=2).real
-    bad = np.flatnonzero((herm > lp) | (low < -lp) | (np.abs(trace - 1.0) > lp))
+    bad = np.flatnonzero(~((herm <= lp) & (low >= -lp) & (np.abs(trace - 1.0) <= lp)))  # NaN fails
     if bad.size:
         i = bad[0]
         raise ValueError(
@@ -105,13 +105,13 @@ class LHSModel:
         state's responses are >= 0 and sum to 1 over every setting, and
         the weighted hidden states average to rho_B when it is given."""
         w = self.weights
-        if np.any(w <= 0):
-            raise ValueError("all hidden-state weights must be positive")
+        if not np.all(w > 0):
+            raise ValueError(f"all hidden-state weights must be positive, the smallest is {np.min(w)}")
         if abs(float(np.sum(w)) - 1.0) > tol.lp:
             raise ValueError(f"weights sum to {np.sum(w)}, expected 1")
         _require_states(self.hidden_states, tol.lp, "hidden state")
-        if np.min(self.responses) < -tol.lp:
-            raise ValueError(f"a response is negative: {np.min(self.responses)}")
+        if not np.min(self.responses) >= -tol.lp:
+            raise ValueError(f"a response is negative or NaN: {np.min(self.responses)}")
         miss = np.abs(setting_sums(self.responses, self.outcome_counts) - 1.0)
         if np.max(miss) > tol.lp:
             n, xi = np.unravel_index(np.argmax(miss), miss.shape)
@@ -355,6 +355,18 @@ def _candidate_vectors(data: bytes, shape: tuple, lp: float) -> np.ndarray:
     return _read_only(_vectorize_hermitian(stack))
 
 
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _strategy_rows(counts: tuple):
+    """Read-only (hits, implied) of the LHS LP: hits[row, di] when strategy di
+    answers outcome a on setting n, (n, a) = row_keys(counts)[row]; implied
+    marks the last outcome of each setting after the first."""
+    strategies = np.array(list(itertools.product(*(range(o) for o in counts))))
+    keys = row_keys(counts)
+    hits = strategies[:, keys[:, 0]].T == keys[:, 1:]
+    implied = (keys[:, 0] > 0) & (keys[:, 1] == np.asarray(counts)[keys[:, 0]] - 1)
+    return _read_only(hits), _read_only(implied)
+
+
 def lhs_feasibility_lp(
     a: Assemblage,
     candidates=None,
@@ -374,6 +386,7 @@ def lhs_feasibility_lp(
     A feasible point is folded back into weights and stochastic responses.
     Every candidate must be a density matrix within tol.lp; an ansatz within
     _ANSATZ_BYTES equal to a recent call's is not rechecked under that tol.lp.
+    A non-finite entry of the assemblage raises ValueError before the solve.
     """
     if candidates is None:
         candidates = default_candidates(a, tol)
@@ -384,12 +397,10 @@ def lhs_feasibility_lp(
     check = _candidate_vectors if candidates.nbytes <= _ANSATZ_BYTES else _candidate_vectors.__wrapped__
     cand_vec = check(candidates.tobytes(), candidates.shape, tol.lp)
 
-    strategies = np.array(list(itertools.product(*(range(o) for o in a.outcome_counts))))
-    keys = row_keys(a.outcome_counts)
-    # hits[row, di]: strategy di answers outcome a on setting n, (n, a) = keys[row]
-    hits = strategies[:, keys[:, 0]].T == keys[:, 1:]
+    hits, implied = _strategy_rows(tuple(a.outcome_counts))
     b = _vectorize_hermitian(a.stack)
-    implied = (keys[:, 0] > 0) & (keys[:, 1] == np.asarray(a.outcome_counts)[keys[:, 0]] - 1)
+    if not np.isfinite(b).all():
+        raise ValueError("the assemblage has a non-finite entry")
     # Equation (row, component i) has entry i of candidate c's vector in
     # column (c, di) where hits[row, di], and 0 elsewhere.
     rows, comps = np.nonzero(~implied[:, None] & (cand_vec.any(axis=0) | (b != 0)))

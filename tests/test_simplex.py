@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
 from steerkit import simplex
+from steerkit.assemblage import conditional_states, row_keys
+from steerkit.measurements import computational_basis, fourier_mub_basis
 from steerkit.simplex import PhaseOneResult, phase_one
+from steerkit.states import density
+from steerkit.steering import default_candidates, lhs_reconstruct
 
 
 def dense_tableau_reference(A, b, tol: float = 1e-8, max_iter: int = 100_000):
@@ -74,6 +78,64 @@ def dense_tableau_reference(A, b, tol: float = 1e-8, max_iter: int = 100_000):
     residual = float(max(0.0, -T[m, -1], np.max(np.abs(A @ x - b), initial=0.0)))
     basis_matrix = np.hstack([A, np.eye(m)])[:, basis]
     return PhaseOneResult(residual <= tol, x, residual, iters), basis_matrix
+
+
+def revised_reference(A, b, tol: float = 1e-8, max_iter: int = 100_000) -> PhaseOneResult:
+    """The revised loop that phase_one replaced: rows with b < 0 negated in
+    a copy of A, T = [B^-1 | x_B], and y = c_B B^-1 formed afresh at every
+    pivot from the basic costs c_B, with y A and y - 1 priced separately.
+    phase_one starts from the basis diag(sign(b)) instead, which flips the
+    signs of B^-1's columns exactly, carries y in its rank-1 update and
+    prices all columns with one product, so its prices differ by rounding;
+    its entering rule and ratio test are the same, and its pivots, x and
+    residual must be bitwise equal."""
+    eps = 1e-9
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    m, n = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    A = A * sign[:, None]
+    b = b * sign
+    basis = list(range(n, n + m))
+    c_B = np.ones(m)
+    T = np.hstack([np.eye(m), b[:, None]])
+    B_inv = T[:, :m]
+    price = np.empty(n + m)
+
+    iters = degenerate = 0
+    while iters < max_iter:
+        y = c_B @ B_inv
+        np.matmul(y, A, out=price[:n])
+        np.subtract(y, 1.0, out=price[n:])
+        top = price.max(initial=0.0)
+        if top <= eps:
+            break
+        floor = eps if degenerate >= simplex._BLAND_AFTER else top - eps
+        enter = int((price > floor).argmax())
+        col = B_inv @ A[:, enter] if enter < n else B_inv[:, enter - n].copy()
+        leave, best = -1, np.inf
+        for i, (c, x_i) in enumerate(zip(col.tolist(), T[:, m].tolist())):
+            if c > eps:
+                ratio = x_i / c
+                if ratio < best - eps or (abs(ratio - best) <= eps and (leave < 0 or basis[i] < basis[leave])):
+                    best, leave = ratio, i
+        if leave < 0:
+            break
+        degenerate = degenerate + 1 if best <= eps else 0
+        row = T[leave] / col[leave]
+        col[leave] = 0.0
+        T -= col[:, None] * row
+        T[leave] = row
+        basis[leave] = enter
+        c_B[leave] = float(enter >= n)
+        iters += 1
+
+    x = np.zeros(n)
+    basis = np.array(basis, dtype=int)
+    structural = basis < n
+    x[basis[structural]] = np.maximum(0.0, T[structural, m])
+    residual = float(max(0.0, c_B @ T[:, m], np.max(np.abs(A @ x - b), initial=0.0)))
+    return PhaseOneResult(residual <= tol, x, residual, iters)
 
 
 def random_system(seed: int, m: int, n: int, integer: bool, feasible: bool):
@@ -180,10 +242,36 @@ class TestEdgeCases:
         assert res.feasible
         assert not res.x.any()
 
+    def test_nan_in_b_rejected(self):
+        # Python's max drops the NaN: this read feasible with residual 0.
+        with pytest.raises(ValueError, match="^b must be finite"):
+            phase_one([[1.0, 1.0]], [np.nan])
+
+    @pytest.mark.parametrize("A", [[[np.nan, 1.0]], [[1.0, np.nan]], [[1.0, np.inf]], [[-np.inf]]])
+    def test_non_finite_A_rejected(self, A):
+        # A NaN in the first column read "infeasible" with residual 1 and no
+        # pivot; one in the second pivoted to max_iter and read feasible.
+        with pytest.raises(ValueError, match="^A must be finite"):
+            phase_one(A, [1.0])
+
+    def test_both_named(self):
+        with pytest.raises(ValueError, match="^A and b must be finite"):
+            phase_one([[np.inf]], [np.nan])
+
+
+def assert_same_as_revised(res, A, b):
+    """res took revised_reference's pivots: the same iteration count, and
+    x and residual equal bit for bit."""
+    ref = revised_reference(A, b)
+    assert res.iterations == ref.iterations
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert np.float64(res.residual).tobytes() == np.float64(ref.residual).tobytes()
+
 
 def check_random_system(m, n, integer, feasible, seed):
     A, b = random_system(seed, m, n, integer, feasible)
     res = phase_one(A, b)
+    assert_same_as_revised(res, A, b)
     ref, basis_matrix = dense_tableau_reference(A, b)
     assert res.iterations == ref.iterations
     assert res.feasible == ref.feasible == feasible
@@ -209,6 +297,7 @@ def grid_system(grid, offset, full):
 def check_grid_lp(grid, offset, full):
     A, b = grid_system(grid, offset, full)
     res = phase_one(A, b)
+    assert_same_as_revised(res, A, b)
     ref, _ = dense_tableau_reference(A, b)
     assert res.iterations == ref.iterations
     assert res.feasible == ref.feasible == (offset < 0)
@@ -299,3 +388,52 @@ class TestAgainstHighs:
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
             A, b = random_system(k, m, n, integer=bool(k % 2), feasible=bool(k % 3))
             assert phase_one(A, b).feasible == self.highs_feasible(A, b) == bool(k % 3)
+
+
+# The maximally entangled qutrit pair, and its isotropic mixtures.
+PHI3 = np.eye(3).ravel().astype(complex) / np.sqrt(3)
+QUTRIT_SETTINGS = [computational_basis(3), fourier_mub_basis(3)]
+
+
+def random_vectors(rng, count: int, d: int = 3) -> np.ndarray:
+    v = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def qutrit_case(name: str):
+    """(assemblage, candidates, expected verdict) of an LHS LP with two
+    three-outcome settings, the computational and Fourier bases."""
+    if name == "max_entangled":
+        asm = conditional_states(density(PHI3), QUTRIT_SETTINGS, (3, 3))
+        return asm, default_candidates(asm), False
+    if name == "product":
+        a, b = random_vectors(np.random.default_rng(7), 2)
+        asm = conditional_states(density(np.kron(a, b)), QUTRIT_SETTINGS, (3, 3))
+        return asm, [np.outer(b, b.conj()), np.eye(3) / 3], True
+    p = {"isotropic_0.2": 0.2, "isotropic_0.9": 0.9}[name]
+    rho = p * density(PHI3) + (1 - p) * np.eye(9) / 9
+    asm = conditional_states(rho, QUTRIT_SETTINGS, (3, 3))
+    pure = [np.outer(v, v.conj()) for v in random_vectors(np.random.default_rng(3), 30)]
+    return asm, pure + default_candidates(asm)[:6], p < 0.5
+
+
+class TestThreeOutcomeLps:
+    """LHS LPs whose settings have three outcomes, where the rows of outcome
+    2 of setting 1 are implied by the rest and left out."""
+
+    SHAPES = {"max_entangled": (45, 63), "product": (45, 18), "isotropic_0.2": (45, 324), "isotropic_0.9": (45, 324)}
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_kept_rows_pivots_and_verdict(self, name):
+        asm, candidates, feasible = qutrit_case(name)
+        A, b, outcome = lp_system(asm, candidates)
+        assert A.shape == self.SHAPES[name]
+        A_full, b_full = full_lp_system(asm, candidates)
+        implied = [n > 0 and a == asm.outcome_counts[n] - 1 for n, a in row_keys(asm.outcome_counts).tolist()]
+        keep = ~np.repeat(implied, len(b_full) // len(implied)) & (A_full.any(axis=1) | (b_full != 0))
+        assert np.array_equal(A, A_full[keep]) and np.array_equal(b, b_full[keep])
+        assert outcome.iterations == dense_tableau_reference(A, b)[0].iterations
+        assert outcome.feasible == TestAgainstHighs.highs_feasible(A, b) == feasible
+        if feasible:
+            rec = lhs_reconstruct(outcome.model, QUTRIT_SETTINGS)
+            assert np.max(np.abs(rec.stack - asm.stack)) <= 1e-12

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lhs_cases import GRIDS, full_lp_system, lp_system, werner_assemblage
 
-from steerkit import assemblage, measurements, steering
+from steerkit import assemblage, measurements, report, steering
 from steerkit.assemblage import Assemblage, conditional_states, no_signalling_check, purity_profile, row_keys
 from steerkit.linalg import DEFAULT_TOL, Tolerances, projector_distances
 from steerkit.measurements import (
@@ -511,6 +511,18 @@ class TestLhsModelInvariants:
         with pytest.raises(ValueError, match=re.escape(fault)):
             self.model([[1.0], [0.0], [0.5], [0.5]], hidden=[hidden]).validate()
 
+    @pytest.mark.parametrize("field, message", [("weights", "weights"), ("hidden", "hidden state 0"), ("responses", "response")])
+    def test_nan_field_rejected(self, field, message):
+        # Every comparison with NaN is False, so a NaN in any field once
+        # validated; a model that does not validate exits as numerical.
+        fields = {"responses": np.array([[1.0], [0.0], [0.5], [0.5]]), "weights": np.ones(1), "hidden": np.eye(2)[None] / 2}
+        fields[field].flat[0] = np.nan
+        model = self.model(**fields)
+        with pytest.raises(ValueError, match=message):
+            model.validate()
+        asm = conditional_states(separable_state(PLUS).density_matrix(), [Z, X], (2, 2))
+        assert report._model_exit(model, [Z, X], asm, DEFAULT_TOL) == (report.EXIT_NUMERICAL, None)
+
     def test_negative_response_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             self.model([[1.5], [-0.5], [0.5], [0.5]]).validate()
@@ -647,6 +659,25 @@ class TestFeasibilityLp:
         asm = conditional_states(theta_state(0.5).density_matrix(), [Z, X], (2, 2))
         with pytest.raises(ValueError, match="candidate"):
             lhs_feasibility_lp(asm, [np.eye(3) / 3])
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_non_finite_assemblage_rejected(self, row):
+        # Row 0 is handed to the simplex, row 3 (outcome 1 of setting 1) is
+        # implied and left out. A NaN in row 0 once gave a model with
+        # residual 0.0 after 8 pivots.
+        axes, states, threshold = GRIDS["circle8"]
+        asm, _ = werner_assemblage(threshold - 0.05, axes)
+        stack = asm.stack.copy()
+        stack[row, 0, 0] = np.nan
+        broken = Assemblage(asm.setting_labels, asm.outcome_counts, stack, asm.bob_reduced, asm.dims)
+        with pytest.raises(ValueError, match="non-finite"), mock.patch.object(steering, "phase_one") as solve:
+            lhs_feasibility_lp(broken, states())
+        solve.assert_not_called()
+
+    def test_non_finite_candidate_rejected(self):
+        asm = conditional_states(theta_state(0.5).density_matrix(), [Z, X], (2, 2))
+        with pytest.raises(ValueError, match="candidate 1 is not a density matrix"):
+            lhs_feasibility_lp(asm, [np.eye(2) / 2, np.diag([np.nan, 0.5])])
 
 
 class TestAnsatzCache:
